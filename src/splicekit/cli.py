@@ -226,7 +226,6 @@ def _cmd_decide(args) -> int:
         args.variant,
         bounds,
         prune=args.prune,
-        threads=args.threads,
     )
     print(decision.verdict)
     if decision.witness is not None:
@@ -237,8 +236,8 @@ def _cmd_decide(args) -> int:
         _print_json(decision.stats)
     if args.emit_system and decision.system is not None:
         _emit(args.emit_system, system_to_json(decision.system))
-    if args.emit_closure and decision.system is not None:
-        _emit(args.emit_closure, automaton_to_json(build_closure(decision.system).nfa()))
+    if args.emit_closure:
+        _emit(args.emit_closure, automaton_to_json(decision.closure.nfa()))
     return decision.exit_code
 
 
@@ -304,7 +303,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--emit-system", help="write the canonical system JSON here")
     p.add_argument("--emit-closure", help="write the closure automaton JSON here")
     p.add_argument("--stats", action="store_true", help="print a stats JSON line")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for rule filtering")
     p.set_defaults(func=_cmd_decide)
     return parser
 

@@ -1,11 +1,15 @@
 """Finite automaton for the language a splicing system generates.
 
 The construction saturates a fixed state set with epsilon edges.  The base
-automaton accepts exactly the axioms; for every rule a fresh labeled path is
-appended that spells the word the rule inserts between the retained prefix
-and the adopted suffix (the bridge v for a triplet rule, u1·v2 for a classic
-rule, which is the exact triplet form of the quadruple).  A saturation round
-recomputes, inside the current automaton,
+automaton accepts exactly the axioms.  Every distinct site word gets a hub
+state, one for its use as a left site and one for its use as a right site.
+Each left hub is the root of a trie of insert words: the word a rule writes
+between the retained prefix and the adopted suffix (the bridge v for a
+triplet rule, u1·v2 for a classic rule, which is the exact triplet form of
+the quadruple).  A rule walks its left hub's trie along its insert word,
+extending it where no node exists yet, and adds one static epsilon edge from
+the node where the word ends to the hub of its right site.  A saturation
+round recomputes, inside the current automaton,
 
   LeftPoints(s)  = reachable states from which the left-site word s can be
                    read on a path that stays co-reachable, and
@@ -13,11 +17,32 @@ recomputes, inside the current automaton,
                    starts in a reachable state,
 
 then adds epsilon edges LeftPoint -> left hub of s and right hub of t ->
-RightPoint.  The hubs are shared per distinct site word and are wired to the
-entries and exits of the rules carrying that site once, at construction;
-they exist so that canonical systems with thousands of rules sharing a few
-dozen site words need O(states x sites) saturation edges rather than
-O(states x rules).
+RightPoint.  Sharing hubs per site word keeps saturation at
+O(states x sites) edges rather than O(states x rules); sharing insert
+prefixes keeps the rule part of the state set at one node per distinct
+(left site, insert prefix) pair, where a path per rule would cost one state
+per rule plus its insert length, over tens of thousands of canonical rules.
+
+Why the tries keep the language.  Statically, trie nodes are entered only
+from their left hub, so the labeled paths from the left hub of s to the
+right hub of t spell exactly {w : some rule has left site s, insert word w
+and right site t}, as the per-rule paths would.  The trie is the quotient of
+those per-rule paths that merges the states sharing (left site, insert
+prefix).  Such states are entered alike: statically only through the same
+word from the same hub, and by saturation only at the end of a right-site
+read, which depends on what lies to their left.  So they have the same left
+language wherever they are co-reachable (a state that is not co-reachable
+carries no accepted path).  Merging NFA states with identical left languages
+keeps the accepted language, and since saturation picks its edges from
+reachability, site reads and co-reachability, which the merge preserves,
+the saturation fixpoint's language is unchanged as well.
+
+Provenance.  An added edge names its site word and side: an "in" edge
+feeds the left hub of its site, the root of the trie shared by the rules
+with that left site; an "out" edge leaves the right hub of its site, which
+the trie endpoints of the rules with that right site feed.  A rule's own
+part of the automaton is the trie path from its left hub along its insert
+word plus the static epsilon edge from that path's end to its right hub.
 
 States are never added after construction, so the rounds hit a fixpoint; at
 the fixpoint a word is accepted iff it lies in the closure of the axioms
@@ -56,16 +81,17 @@ class AddedEdge(NamedTuple):
 class ClosureAutomaton:
     """Saturated automaton with bridge provenance.
 
-    ``base`` holds the axiom part, the per-rule insert paths, the per-site
-    hubs, and the static hub-to-entry / exit-to-hub wiring; the epsilon
-    edges discovered by saturation live in ``added``, so traces and DOT
-    output can attribute every discovered edge to its site word (and through
-    the hub wiring to the rules that carry it).
+    ``base`` holds the axiom part, the per-site hubs, the insert-word tries
+    rooted at the left hubs, and the static epsilon edges from each rule's
+    trie endpoint to its right hub; ``left_hubs`` and ``right_hubs`` map
+    site words to their hub states.  The epsilon edges discovered by
+    saturation live in ``added``, so traces and DOT output can attribute
+    every discovered edge to its site word, and through the hub to the rules
+    with that site: the rules whose trie an "in" edge feeds, or whose trie
+    endpoints feed the hub an "out" edge leaves.
     """
 
     base: Nfa
-    rule_entries: tuple[int, ...]
-    rule_exits: tuple[int, ...]
     left_hubs: tuple[tuple[str, int], ...]
     right_hubs: tuple[tuple[str, int], ...]
     added: tuple[AddedEdge, ...]
@@ -205,32 +231,26 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
     labeled = set(base_axioms.labeled_edges)
     static_eps = set(base_axioms.epsilon_edges)
 
-    entries, exits = [], []
-    for rule in system.rules:
-        word = insert_word(rule)
-        entry = count
-        count += 1
-        state = entry
-        for ch in word:
-            nxt = count
-            count += 1
-            labeled.add((state, ch, nxt))
-            state = nxt
-        entries.append(entry)
-        exits.append(state)
-
     left_hub: dict[str, int] = {}
     right_hub: dict[str, int] = {}
-    for rid, rule in enumerate(system.rules):
+    trie: dict[tuple[int, str], int] = {}
+    for rule in system.rules:
         left_site, right_site = rule_sites(rule)
         if left_site not in left_hub:
             left_hub[left_site] = count
             count += 1
+        state = left_hub[left_site]
+        for ch in insert_word(rule):
+            nxt = trie.get((state, ch))
+            if nxt is None:
+                nxt = trie[state, ch] = count
+                count += 1
+                labeled.add((state, ch, nxt))
+            state = nxt
         if right_site not in right_hub:
             right_hub[right_site] = count
             count += 1
-        static_eps.add((left_hub[left_site], entries[rid]))
-        static_eps.add((exits[rid], right_hub[right_site]))
+        static_eps.add((state, right_hub[right_site]))
 
     base = Nfa(
         alphabet=system.alphabet,
@@ -271,8 +291,6 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         added.extend(new_edges)
     return ClosureAutomaton(
         base=base,
-        rule_entries=tuple(entries),
-        rule_exits=tuple(exits),
         left_hubs=tuple(sorted(left_hub.items())),
         right_hubs=tuple(sorted(right_hub.items())),
         added=tuple(added),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .automata import (
@@ -27,7 +26,7 @@ from .automata import (
     minimize,
     words_shorter_than,
 )
-from .closure import build_closure, closure_dfa
+from .closure import ClosureAutomaton, build_closure, closure_dfa
 from .errors import CandidateLimitExceededError
 from .monoid import syntactic_monoid
 from .respect import RespectContext, prune_minimal
@@ -131,7 +130,6 @@ def canonical_rules(
     alphabet: Alphabet,
     bounds: BoundsProfile,
     candidate_limit: int | None = None,
-    threads: int = 1,
 ) -> tuple[Rule, ...]:
     """Every rule within the bounds that respects the language.
 
@@ -161,23 +159,7 @@ def canonical_rules(
                     for v in pools[2]:
                         yield make(u1, u2, v)
 
-    if threads > 1:
-        _prefill_cache_threaded(ctx, candidates(), threads)
     return tuple(rule for rule in candidates() if ctx.respects(rule))
-
-
-def _prefill_cache_threaded(ctx: RespectContext, candidates, threads: int) -> None:
-    # Pure queries against an immutable monoid; cache writes are idempotent,
-    # so racing evaluations of the same tuple are harmless.
-    fresh = {}
-    for rule in candidates:
-        key = ctx.class_tuple(rule)
-        if key not in ctx.cache and key not in fresh:
-            fresh[key] = None
-    keys = list(fresh)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for key, verdict in zip(keys, pool.map(ctx._evaluate, keys)):
-            ctx.cache[key] = verdict
 
 
 def canonical_system(
@@ -186,13 +168,12 @@ def canonical_system(
     bounds: BoundsProfile,
     prune: bool = False,
     candidate_limit: int | None = None,
-    threads: int = 1,
 ) -> SplicingSystem:
     """The canonical system for L at the given bounds."""
     lang = minimize(lang)
     ctx = RespectContext(syntactic_monoid(lang))
     axioms = canonical_axioms(lang, bounds)
-    rules = canonical_rules(ctx, lang.alphabet, bounds, candidate_limit, threads)
+    rules = canonical_rules(ctx, lang.alphabet, bounds, candidate_limit)
     if prune:
         rules = tuple(prune_minimal(rules, ctx))
     return SplicingSystem(variant, lang.alphabet, axioms, tuple(rules))
@@ -203,12 +184,14 @@ class Decision:
     """Outcome of the splicing-language decision.
 
     ``system`` is the canonical system that was tested (the certificate for
-    a yes); ``witness`` is a word of L the system cannot generate (only
-    emitted at theorem bounds); ``reason`` explains an inconclusive verdict.
+    a yes) and ``closure`` the closure automaton the comparison with L ran
+    on; ``witness`` is a word of L the system cannot generate (only emitted
+    at theorem bounds); ``reason`` explains an inconclusive verdict.
     """
 
     verdict: str  # "yes" | "no" | "inconclusive"
     system: SplicingSystem | None
+    closure: ClosureAutomaton
     witness: str | None
     reason: str | None
     stats: dict
@@ -224,7 +207,6 @@ def decide_splicing(
     bounds: BoundsProfile,
     prune: bool = False,
     candidate_limit: int | None = None,
-    threads: int = 1,
 ) -> Decision:
     """Build the canonical system, its closure, and compare with L."""
     start = time.monotonic()
@@ -232,7 +214,7 @@ def decide_splicing(
     monoid = syntactic_monoid(lang)
     ctx = RespectContext(monoid)
     axioms = canonical_axioms(lang, bounds)
-    rules = canonical_rules(ctx, lang.alphabet, bounds, candidate_limit, threads)
+    rules = canonical_rules(ctx, lang.alphabet, bounds, candidate_limit)
     n_respecting = len(rules)
     if prune:
         rules = tuple(prune_minimal(rules, ctx))
@@ -256,10 +238,10 @@ def decide_splicing(
         "wall_time_s": round(time.monotonic() - start, 3),
     }
     if equal:
-        return Decision("yes", system, None, None, stats)
+        return Decision("yes", system, closure, None, None, stats)
     if bounds.source == THEOREM:
         # closure subset of L was just asserted, so the witness lies in L.
-        return Decision("no", system, witness, None, stats)
+        return Decision("no", system, closure, witness, None, stats)
     return Decision(
-        "inconclusive", system, None, "bounds below theorem guarantee", stats
+        "inconclusive", system, closure, None, "bounds below theorem guarantee", stats
     )

@@ -2,11 +2,14 @@ import json
 
 from splicekit import (
     automaton_from_json,
+    automaton_to_json,
+    build_closure,
     determinize,
     equivalent,
     minimize,
     parse_regex,
     Alphabet,
+    system_from_json,
 )
 from splicekit.cli import main
 
@@ -63,6 +66,19 @@ def test_decide_stats_and_emit(tmp_path, capsys):
     doc = json.loads(system_path.read_text())
     assert doc["variant"] == "pixton"
     assert isinstance(doc["axioms"], dict)  # symbolic axiom automaton
+
+
+def test_decide_emits_the_closure_it_compared(tmp_path, capsys):
+    system_path = tmp_path / "system.json"
+    closure_path = tmp_path / "closure.json"
+    code, _, _ = run(
+        capsys, "decide", "--lang", "a+b+", "--alphabet", "ab", "--variant", "classic",
+        "--axiom-lt", "3", "--inner-lt", "3", "--outer-lt", "3",
+        "--emit-system", str(system_path), "--emit-closure", str(closure_path),
+    )
+    assert code == 0
+    fresh = build_closure(system_from_json(system_path.read_text()))
+    assert closure_path.read_text() == automaton_to_json(fresh.nfa()) + "\n"
 
 
 def test_monoid_json(capsys):

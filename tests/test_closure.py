@@ -10,7 +10,9 @@ from splicekit import (
     SplicingSystem,
     bounded_closure,
     build_closure,
+    canonical_system,
     closure_language,
+    custom_bounds,
     determinize,
     difference_witness,
     enumerate_words,
@@ -25,6 +27,7 @@ from helpers import ll_sorted, random_pixton_rule, random_word
 A = Alphabet.from_string("a")
 AB = Alphabet.from_string("ab")
 C = Alphabet.from_string("c")
+ABC = Alphabet.from_string("abc")
 
 
 def lang(regex, alphabet=AB):
@@ -198,3 +201,84 @@ def test_added_edges_attach_to_hubs():
             assert e.dst in left
         else:
             assert e.src in right
+
+
+def _sites_and_insert(rule) -> tuple[str, str, str]:
+    if isinstance(rule, ClassicRule):
+        return rule.u1 + rule.v1, rule.u2 + rule.v2, rule.u1 + rule.v2
+    return rule.u1, rule.u2, rule.v
+
+
+def test_state_count_is_axioms_hubs_and_distinct_insert_prefixes():
+    rng = random.Random(11)
+    systems = [EXAMPLE1, canonical_system(lang("a+b+"), "classic", custom_bounds("classic", 3, 3, 3))]
+    systems += [random_system(rng) for _ in range(10)]
+    for system in systems:
+        parts = [_sites_and_insert(rule) for rule in system.rules]
+        prefixes = {(left, w[:i]) for left, _right, w in parts for i in range(1, len(w) + 1)}
+        expected = (
+            system.axiom_nfa().state_count
+            + len({left for left, _right, _w in parts})
+            + len({right for _left, right, _w in parts})
+            + len(prefixes)
+        )
+        assert build_closure(system).base.state_count == expected, system
+
+
+def test_rule_repeating_left_site_and_insert_word_adds_no_trie_node():
+    rules = (PixtonRule("ab", "b", "a"), PixtonRule("b", "ba", "bb"))
+    small = build_closure(SplicingSystem("pixton", AB, ("ab", "ba"), rules)).base
+    # same left site and insert word as the first rule, right site of the second
+    extra = PixtonRule("ab", "ba", "a")
+    big = build_closure(SplicingSystem("pixton", AB, ("ab", "ba"), rules + (extra,))).base
+    assert big.state_count == small.state_count
+    assert big.labeled_edges == small.labeled_edges
+    assert len(big.epsilon_edges) == len(small.epsilon_edges) + 1
+
+
+def shared_pool_system(rng: random.Random) -> SplicingSystem:
+    """6-12 rules over {a,b,c} built from two left sites and two right sites,
+    so most rules share a left site and an insert prefix with another rule.
+    Triplet rules take their bridge from three insert words, one empty;
+    classic rules cut a pooled left and right site, so their insert word
+    u1·v2 is a left-site prefix and a right-site suffix, empty when both are.
+
+    The pools stay this small because the brute-force oracle's cost grows
+    with the number of closure words up to its cap.
+    """
+    def word(n):
+        return "".join(rng.choice(ABC.symbols) for _ in range(n))
+
+    lefts = sorted({word(2) for _ in range(2)})
+    rights = sorted({word(2) for _ in range(2)})
+    inserts = ["", word(1), word(2)]
+    axioms = tuple(
+        sorted(
+            {
+                rng.choice(lefts) + word(rng.randint(0, 2)) + rng.choice(rights)
+                for _ in range(rng.randint(1, 2))
+            }
+        )
+    )
+    count = rng.randint(6, 12)
+    if rng.random() < 0.5:
+        rules = tuple(
+            PixtonRule(rng.choice(lefts), rng.choice(rights), rng.choice(inserts))
+            for _ in range(count)
+        )
+        return SplicingSystem("pixton", ABC, axioms, rules)
+    rules = []
+    for _ in range(count):
+        left, right = rng.choice(lefts), rng.choice(rights)
+        i, j = rng.randint(0, 2), rng.randint(0, 2)
+        rules.append(ClassicRule(left[:i], left[i:], right[:j], right[j:]))
+    return SplicingSystem("classic", ABC, axioms, tuple(rules))
+
+
+def test_closure_with_shared_sites_and_insert_words_matches_oracle():
+    rng = random.Random(2)
+    for _ in range(12):
+        system = shared_pool_system(rng)
+        got = set(enumerate_words(closure_language(system), 5))
+        want = stabilized_oracle(system, 5)
+        assert got == want, (system, ll_sorted(ABC, got ^ want))

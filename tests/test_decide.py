@@ -15,6 +15,7 @@ from splicekit import (
     equivalent,
     minimize,
     parse_regex,
+    syntactic_monoid,
     theorem_bounds,
 )
 from splicekit.decide import candidate_count, canonical_axioms
@@ -163,12 +164,14 @@ def test_candidate_limit_env_override(monkeypatch):
     assert err.value.limit == 10
 
 
-def test_threaded_filtering_matches_serial():
-    apbp = lang("a+b+")
-    bounds = custom_bounds("classic", 3, 2, 2)
-    serial = canonical_system(apbp, "classic", bounds, threads=1)
-    threaded = canonical_system(apbp, "classic", bounds, threads=4)
-    assert serial.rules == threaded.rules
+@pytest.mark.parametrize("regex,variant", [("a+", "classic"), ("aa+", "pixton")])
+def test_unary_plus_decides_yes_at_theorem_bounds(regex, variant):
+    target = lang(regex, A)
+    decision = decide_splicing(target, variant, theorem_bounds(syntactic_monoid(target).size, variant))
+    assert decision.verdict == "yes"
+    # re-verify the certificate from scratch
+    equal, witness = equivalent(closure_language(decision.system), target)
+    assert equal, witness
 
 
 def test_decision_stats_shape():
@@ -177,5 +180,5 @@ def test_decision_stats_shape():
     assert stats["candidate_rules"] == 2 * 2 * 11
     assert stats["respecting_rules"] == stats["rules_emitted"] == 44
     assert stats["closure_rounds"] >= 1
-    assert stats["closure_states"] > 0
+    assert stats["closure_states"] == decision.closure.base.state_count > 0
     assert stats["wall_time_s"] >= 0
