@@ -278,14 +278,24 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _mask_tables(nfa: Nfa) -> tuple[dict[str, list[int]], list[int]]:
-    """Per-symbol and epsilon successor masks, one int per state."""
+def _mask_tables(
+    nfa: Nfa, backward: bool = False
+) -> tuple[dict[str, list[int]], list[int]]:
+    """Per-symbol and epsilon successor masks, one int per state.
+
+    ``backward`` gives predecessor masks instead: the tables of the reversed
+    automaton.
+    """
     n = nfa.state_count
     fwd = {sym: [0] * n for sym in nfa.alphabet.symbols}
     eps = [0] * n
     for p, sym, q in nfa.labeled_edges:
+        if backward:
+            p, q = q, p
         fwd[sym][p] |= 1 << q
     for p, q in nfa.epsilon_edges:
+        if backward:
+            p, q = q, p
         eps[p] |= 1 << q
     return fwd, eps
 
@@ -374,10 +384,7 @@ def determinize(nfa: Nfa) -> Dfa:
         acc_mask |= 1 << s
     # Epsilon closure of every single state, reused for move steps.
     eclose = _all_epsilon_closures(n, eps)
-    estep = {
-        sym: [_union_closures(fwd[sym][s], eclose) for s in range(n)]
-        for sym in nfa.alphabet.symbols
-    }
+    estep = _closed_moves(fwd, eclose)
 
     start = 0
     for s in nfa.initial:
@@ -390,10 +397,7 @@ def determinize(nfa: Nfa) -> Dfa:
         subset = order[i]
         row = []
         for sym in nfa.alphabet.symbols:
-            target = 0
-            table = estep[sym]
-            for s in _bits(subset):
-                target |= table[s]
+            target = _image(subset, estep[sym])
             if target not in ids:
                 ids[target] = len(order)
                 order.append(target)
@@ -410,11 +414,17 @@ def determinize(nfa: Nfa) -> Dfa:
     )
 
 
-def _union_closures(mask: int, eclose: list[int]) -> int:
+def _image(mask: int, rows: list[int]) -> int:
+    """Union of ``rows[s]`` over the states s in mask."""
     out = 0
     for s in _bits(mask):
-        out |= eclose[s]
+        out |= rows[s]
     return out
+
+
+def _closed_moves(moves: dict[str, list[int]], eclose: list[int]) -> dict[str, list[int]]:
+    """Per-symbol move masks followed by epsilon closure, one int per state."""
+    return {sym: [_image(m, eclose) for m in row] for sym, row in moves.items()}
 
 
 def minimize(dfa: Dfa) -> Dfa:

@@ -29,7 +29,6 @@ from .decide import (
     THEOREM,
     custom_bounds,
     decide_splicing,
-    theorem_bounds,
 )
 from .errors import SpliceKitError
 from .monoid import pump_normalize, pumping_factorization, syntactic_monoid
@@ -203,10 +202,8 @@ def _cmd_pump(args) -> int:
 
 def _cmd_decide(args) -> int:
     lang = _resolve_lang(args.lang, args.alphabet)
-    monoid = syntactic_monoid(lang)
-    if args.bounds == THEOREM:
-        bounds = theorem_bounds(monoid.size, args.variant)
-    else:
+    bounds = None  # theorem bounds for the monoid decide_splicing computes
+    if args.bounds != THEOREM:
         missing = [
             name
             for name, value in (
@@ -234,7 +231,7 @@ def _cmd_decide(args) -> int:
         print(f"reason: {decision.reason}")
     if args.stats:
         _print_json(decision.stats)
-    if args.emit_system and decision.system is not None:
+    if args.emit_system:
         _emit(args.emit_system, system_to_json(decision.system))
     if args.emit_closure:
         _emit(args.emit_closure, automaton_to_json(decision.closure.nfa()))

@@ -44,6 +44,15 @@ the trie endpoints of the rules with that right site feed.  A rule's own
 part of the automaton is the trie path from its left hub along its insert
 word plus the static epsilon edge from that path's end to its right hub.
 
+Representation.  Saturation keeps state sets as int bitmasks, as
+``determinize`` does.  Edges found in a round are added at its end, so each
+round computes the forward and backward epsilon closure of every state once,
+and a letter step is the closed image of a set.  Site reads share prefixes:
+right sites are read forwards from the reachable set, left sites reversed,
+backwards from the co-reachable set, and each distinct prefix is read once.
+A site's new points come out in ascending state order, left sites before
+right sites and each side in hub order, so ``added`` is deterministic.
+
 States are never added after construction, so the rounds hit a fixpoint; at
 the fixpoint a word is accepted iff it lies in the closure of the axioms
 under every rule: each new edge corresponds to genuine splicings of
@@ -54,12 +63,20 @@ edges the fixpoint must contain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-import numpy as np
-from scipy import sparse
-
-from .automata import Dfa, Nfa, determinize, minimize, tarjan_scc
+from .automata import (
+    Dfa,
+    Nfa,
+    _all_epsilon_closures,
+    _bits,
+    _closed_moves,
+    _image,
+    _mask_tables,
+    determinize,
+    minimize,
+    tarjan_scc,
+)
 from .splicing import ClassicRule, Rule, SplicingSystem
 
 
@@ -125,103 +142,30 @@ def rule_sites(rule: Rule) -> tuple[str, str]:
     return rule.u1, rule.u2
 
 
-class _Saturator:
-    """Sparse boolean adjacency working set for the saturation rounds.
+def _reach(start: int, succ: list[int]) -> int:
+    """States reachable from the mask start along the successor masks."""
+    seen = frontier = start
+    while frontier:
+        frontier = _image(frontier, succ) & ~seen
+        seen |= frontier
+    return seen
 
-    State sets are numpy bool vectors; one-letter moves and epsilon sweeps
-    are sparse matrix-vector products, which keeps canonical systems with
-    thousands of rules tractable.  Epsilon edges accumulate in a pair list
-    and the epsilon matrices are rebuilt once per round (edges are merged at
-    round end, so the matrices are constant within a round).
+
+def _read_prefixes(
+    start: int, words: Iterable[str], steps: dict[str, list[int]]
+) -> dict[str, int]:
+    """The set reached from start by every prefix of the words.
+
+    ``steps`` are closed one-letter moves; each distinct prefix is read once,
+    from the set of the prefix one letter shorter.
     """
-
-    def __init__(self, nfa: Nfa, alphabet_symbols: tuple[str, ...]):
-        n = nfa.state_count
-        self.n = n
-        by_sym: dict[str, tuple[list[int], list[int]]] = {
-            sym: ([], []) for sym in alphabet_symbols
-        }
-        for p, sym, q in nfa.labeled_edges:
-            rows, cols = by_sym[sym]
-            rows.append(q)
-            cols.append(p)
-        self.fwd = {}
-        self.bwd = {}
-        label_any = sparse.csr_matrix((n, n), dtype=np.int32)
-        for sym in alphabet_symbols:
-            rows, cols = by_sym[sym]
-            mat = sparse.csr_matrix(
-                (np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, n)
-            )
-            self.fwd[sym] = mat
-            self.bwd[sym] = mat.T.tocsr()
-            label_any = label_any + mat
-        self._label_any = label_any
-        self.eps_pairs: list[tuple[int, int]] = list(nfa.epsilon_edges)
-        self.init_vec = np.zeros(n, dtype=bool)
-        self.acc_vec = np.zeros(n, dtype=bool)
-        for s in nfa.initial:
-            self.init_vec[s] = True
-        for s in nfa.accepting:
-            self.acc_vec[s] = True
-        self._eps_fwd = None
-        self._eps_bwd = None
-        self._any_fwd = None
-        self._any_bwd = None
-
-    def add_eps(self, p: int, q: int) -> None:
-        self.eps_pairs.append((p, q))
-
-    def refresh(self) -> None:
-        """Rebuild the epsilon-dependent matrices; call at round start."""
-        n = self.n
-        if self.eps_pairs:
-            rows = [q for _p, q in self.eps_pairs]
-            cols = [p for p, _q in self.eps_pairs]
-            eps = sparse.csr_matrix(
-                (np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, n)
-            )
-        else:
-            eps = sparse.csr_matrix((n, n), dtype=np.int32)
-        self._eps_fwd = eps
-        self._eps_bwd = eps.T.tocsr()
-        self._any_fwd = self._label_any + eps
-        self._any_bwd = self._any_fwd.T.tocsr()
-
-    @staticmethod
-    def _sweep(vec, mat):
-        closed = vec.copy()
-        frontier = vec
-        while frontier.any():
-            step = (mat @ frontier.astype(np.int32)) != 0
-            frontier = step & ~closed
-            closed |= frontier
-        return closed
-
-    def reachable(self):
-        return self._sweep(self.init_vec, self._any_fwd)
-
-    def coreachable(self):
-        return self._sweep(self.acc_vec, self._any_bwd)
-
-    def post_word(self, vec, word: str, assume_closed: bool = False):
-        """States reachable by reading word (epsilon moves interleaved).
-
-        ``assume_closed`` skips the leading epsilon sweep when the input is
-        already closed under forward epsilon edges, as the reachable set is.
-        """
-        cur = vec if assume_closed else self._sweep(vec, self._eps_fwd)
-        for ch in word:
-            moved = (self.fwd[ch] @ cur.astype(np.int32)) != 0
-            cur = self._sweep(moved, self._eps_fwd)
-        return cur
-
-    def pre_word(self, vec, word: str, assume_closed: bool = False):
-        cur = vec if assume_closed else self._sweep(vec, self._eps_bwd)
-        for ch in reversed(word):
-            moved = (self.bwd[ch] @ cur.astype(np.int32)) != 0
-            cur = self._sweep(moved, self._eps_bwd)
-        return cur
+    reached = {"": start}
+    for word in words:
+        for i in range(1, len(word) + 1):
+            prefix = word[:i]
+            if prefix not in reached:
+                reached[prefix] = _image(reached[word[: i - 1]], steps[word[i - 1]])
+    return reached
 
 
 def build_closure(system: SplicingSystem) -> ClosureAutomaton:
@@ -261,25 +205,41 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         epsilon_edges=frozenset(static_eps),
     )
 
-    sat = _Saturator(base, system.alphabet.symbols)
-    left_seen = {site: np.zeros(count, dtype=bool) for site in left_hub}
-    right_seen = {site: np.zeros(count, dtype=bool) for site in right_hub}
+    fwd, eps_fwd = _mask_tables(base)
+    bwd, eps_bwd = _mask_tables(base, backward=True)
+    any_fwd = [0] * count
+    any_bwd = [0] * count
+    for sym in system.alphabet.symbols:
+        any_fwd = [a | m for a, m in zip(any_fwd, fwd[sym])]
+        any_bwd = [a | m for a, m in zip(any_bwd, bwd[sym])]
+    initial = sum(1 << s for s in base.initial)
+    accepting = sum(1 << s for s in base.accepting)
+    left_seen = dict.fromkeys(left_hub, 0)
+    right_seen = dict.fromkeys(right_hub, 0)
     added: list[AddedEdge] = []
     rounds = 0
     while True:
-        sat.refresh()
-        reach = sat.reachable()
-        coreach = sat.coreachable()
+        # A round's edges are added at its end, so its closures are fixed.
+        reach = _reach(initial, [a | e for a, e in zip(any_fwd, eps_fwd)])
+        coreach = _reach(accepting, [a | e for a, e in zip(any_bwd, eps_bwd)])
+        post = _read_prefixes(
+            reach, right_hub, _closed_moves(fwd, _all_epsilon_closures(count, eps_fwd))
+        )
+        pre = _read_prefixes(
+            coreach,
+            [site[::-1] for site in left_hub],
+            _closed_moves(bwd, _all_epsilon_closures(count, eps_bwd)),
+        )
         new_edges: list[AddedEdge] = []
         for site, hub in left_hub.items():
-            points = reach & sat.pre_word(coreach, site, assume_closed=True)
-            for p in np.nonzero(points & ~left_seen[site])[0]:
-                new_edges.append(AddedEdge(int(p), hub, site, "in", rounds + 1))
+            points = reach & pre[site[::-1]]
+            for p in _bits(points & ~left_seen[site]):
+                new_edges.append(AddedEdge(p, hub, site, "in", rounds + 1))
             left_seen[site] |= points
         for site, hub in right_hub.items():
-            points = coreach & sat.post_word(reach, site, assume_closed=True)
-            for q in np.nonzero(points & ~right_seen[site])[0]:
-                new_edges.append(AddedEdge(hub, int(q), site, "out", rounds + 1))
+            points = coreach & post[site]
+            for q in _bits(points & ~right_seen[site]):
+                new_edges.append(AddedEdge(hub, q, site, "out", rounds + 1))
             right_seen[site] |= points
         if not new_edges:
             break
@@ -287,7 +247,8 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         if rounds > count * count:
             raise AssertionError("saturation failed to converge within |states|^2 rounds")
         for edge in new_edges:
-            sat.add_eps(edge.src, edge.dst)
+            eps_fwd[edge.src] |= 1 << edge.dst
+            eps_bwd[edge.dst] |= 1 << edge.src
         added.extend(new_edges)
     return ClosureAutomaton(
         base=base,

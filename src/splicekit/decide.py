@@ -28,7 +28,7 @@ from .automata import (
 )
 from .closure import ClosureAutomaton, build_closure, closure_dfa
 from .errors import CandidateLimitExceededError
-from .monoid import syntactic_monoid
+from .monoid import SyntacticMonoid, syntactic_monoid
 from .respect import RespectContext, prune_minimal
 from .splicing import CLASSIC, PIXTON, ClassicRule, PixtonRule, Rule, SplicingSystem
 
@@ -162,6 +162,25 @@ def canonical_rules(
     return tuple(rule for rule in candidates() if ctx.respects(rule))
 
 
+def _canonical(
+    lang: Dfa,
+    monoid: SyntacticMonoid,
+    variant: str,
+    bounds: BoundsProfile,
+    prune: bool,
+    candidate_limit: int | None,
+) -> tuple[SplicingSystem, int]:
+    """Canonical system for a minimal L with its syntactic monoid, and the
+    number of respecting rules before pruning."""
+    ctx = RespectContext(monoid)
+    axioms = canonical_axioms(lang, bounds)
+    rules = canonical_rules(ctx, lang.alphabet, bounds, candidate_limit)
+    n_respecting = len(rules)
+    if prune:
+        rules = tuple(prune_minimal(rules, ctx))
+    return SplicingSystem(variant, lang.alphabet, axioms, tuple(rules)), n_respecting
+
+
 def canonical_system(
     lang: Dfa,
     variant: str,
@@ -171,12 +190,7 @@ def canonical_system(
 ) -> SplicingSystem:
     """The canonical system for L at the given bounds."""
     lang = minimize(lang)
-    ctx = RespectContext(syntactic_monoid(lang))
-    axioms = canonical_axioms(lang, bounds)
-    rules = canonical_rules(ctx, lang.alphabet, bounds, candidate_limit)
-    if prune:
-        rules = tuple(prune_minimal(rules, ctx))
-    return SplicingSystem(variant, lang.alphabet, axioms, tuple(rules))
+    return _canonical(lang, syntactic_monoid(lang), variant, bounds, prune, candidate_limit)[0]
 
 
 @dataclass(frozen=True)
@@ -190,7 +204,7 @@ class Decision:
     """
 
     verdict: str  # "yes" | "no" | "inconclusive"
-    system: SplicingSystem | None
+    system: SplicingSystem
     closure: ClosureAutomaton
     witness: str | None
     reason: str | None
@@ -204,21 +218,20 @@ class Decision:
 def decide_splicing(
     lang: Dfa,
     variant: str,
-    bounds: BoundsProfile,
+    bounds: BoundsProfile | None = None,
     prune: bool = False,
     candidate_limit: int | None = None,
 ) -> Decision:
-    """Build the canonical system, its closure, and compare with L."""
+    """Build the canonical system, its closure, and compare with L.
+
+    ``bounds`` defaults to the theorem bounds for the syntactic monoid of L.
+    """
     start = time.monotonic()
     lang = minimize(lang)
     monoid = syntactic_monoid(lang)
-    ctx = RespectContext(monoid)
-    axioms = canonical_axioms(lang, bounds)
-    rules = canonical_rules(ctx, lang.alphabet, bounds, candidate_limit)
-    n_respecting = len(rules)
-    if prune:
-        rules = tuple(prune_minimal(rules, ctx))
-    system = SplicingSystem(variant, lang.alphabet, axioms, tuple(rules))
+    if bounds is None:
+        bounds = theorem_bounds(monoid.size, variant)
+    system, n_respecting = _canonical(lang, monoid, variant, bounds, prune, candidate_limit)
     closure = build_closure(system)
     generated = closure_dfa(closure)
     escape = difference_witness(generated, lang)
@@ -231,7 +244,7 @@ def decide_splicing(
         "monoid_size": monoid.size,
         "candidate_rules": candidate_count(lang.alphabet, bounds),
         "respecting_rules": n_respecting,
-        "rules_emitted": len(rules),
+        "rules_emitted": len(system.rules),
         "closure_states": closure.base.state_count,
         "closure_rounds": closure.rounds,
         "closure_epsilon_edges": len(closure.added),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from splicekit import (
     automaton_from_json,
@@ -138,7 +141,20 @@ def test_closure_and_oracle_on_system_file(tmp_path, capsys):
         "--emit-closure", str(emit), "--dot", str(dot), "--trace",
     )
     assert code == 0
-    assert "states:" in out and "rounds:" in out and "round 1:" in out
+    assert out.splitlines() == [
+        "round 1: +2 edges",
+        "  eps 0 -> 3 (site 'ab', in)",
+        "  eps 7 -> 2 (site 'ab', out)",
+        "round 2: +5 edges",
+        "  eps 3 -> 3 (site 'ab', in)",
+        "  eps 4 -> 3 (site 'ab', in)",
+        "  eps 7 -> 6 (site 'ab', out)",
+        "  eps 7 -> 7 (site 'ab', out)",
+        "  eps 7 -> 8 (site 'ab', out)",
+        "states: 10",
+        "rounds: 2",
+        "epsilon-added: 7",
+    ]
     nfa = automaton_from_json(emit.read_text())
     apbp = minimize(determinize(parse_regex("a+b+", Alphabet.from_string("ab"))))
     assert equivalent(minimize(determinize(nfa)), apbp)[0]
@@ -217,3 +233,20 @@ def test_lang_from_automaton_file(tmp_path, capsys):
     code, out, _ = run(capsys, "monoid", "--lang", f"@{path}")
     assert code == 0
     assert json.loads(out)["size"] == 5
+
+
+def test_decide_runs_without_numpy_or_scipy():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "import splicekit.cli\n"
+        "sys.exit(splicekit.cli.main(['decide', '--lang', 'a+b+', '--alphabet', 'ab',"
+        " '--variant', 'classic', '--axiom-lt', '3', '--inner-lt', '3', '--outer-lt', '3']))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "yes\n"

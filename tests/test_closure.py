@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -201,6 +202,52 @@ def test_added_edges_attach_to_hubs():
             assert e.dst in left
         else:
             assert e.src in right
+
+
+def test_example1_added_edges_are_pinned():
+    closure = build_closure(EXAMPLE1)
+    assert closure.rounds == 2
+    assert [tuple(e) for e in closure.added] == [
+        (0, 3, "ab", "in", 1),
+        (7, 2, "ab", "out", 1),
+        (3, 3, "ab", "in", 2),
+        (4, 3, "ab", "in", 2),
+        (7, 6, "ab", "out", 2),
+        (7, 7, "ab", "out", 2),
+        (7, 8, "ab", "out", 2),
+    ]
+
+
+def test_canonical_added_edges_are_pinned():
+    """The exact ordered provenance of a canonical system's saturation.
+
+    Left sites come first, then right sites, each in hub order, and within
+    a site the new points in ascending state order; the 2,020 edges are
+    pinned through a digest of their text form.
+    """
+    system = canonical_system(lang("a+b+"), "classic", custom_bounds("classic", 3, 3, 3))
+    closure = build_closure(system)
+    assert closure.rounds == 5
+    per_round = [sum(1 for e in closure.added if e.round == r) for r in range(1, 6)]
+    assert per_round == [12, 118, 960, 806, 124]
+    assert [tuple(e) for e in closure.added[:12]] == [
+        (0, 3, "", "in", 1),
+        (1, 3, "", "in", 1),
+        (2, 3, "", "in", 1),
+        (0, 26, "a", "in", 1),
+        (1, 40, "b", "in", 1),
+        (0, 61, "ab", "in", 1),
+        (28, 1, "a", "out", 1),
+        (32, 2, "ab", "out", 1),
+        (42, 2, "b", "out", 1),
+        (69, 0, "", "out", 1),
+        (69, 1, "", "out", 1),
+        (69, 2, "", "out", 1),
+    ]
+    text = "\n".join(f"{e.src} {e.dst} {e.site} {e.side} {e.round}" for e in closure.added)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c3f28eda33711dd65a3349ee9d9c4b1c12785798b9788c0f349920578df10e61"
+    )
 
 
 def _sites_and_insert(rule) -> tuple[str, str, str]:

@@ -182,3 +182,15 @@ def test_decision_stats_shape():
     assert stats["closure_rounds"] >= 1
     assert stats["closure_states"] == decision.closure.base.state_count > 0
     assert stats["wall_time_s"] >= 0
+
+
+@pytest.mark.parametrize("regex,variant", [("(aa)*", "classic"), ("a*", "pixton")])
+def test_default_bounds_are_the_theorem_bounds(regex, variant):
+    target = lang(regex, A)
+    default = decide_splicing(target, variant)
+    explicit = decide_splicing(target, variant, theorem_bounds(syntactic_monoid(target).size, variant))
+    assert default.verdict == explicit.verdict
+    assert default.witness == explicit.witness
+    assert default.system == explicit.system
+    assert default.closure == explicit.closure
+    assert {**default.stats, "wall_time_s": 0} == {**explicit.stats, "wall_time_s": 0}
