@@ -12,6 +12,7 @@ positive outcome is still a certificate, but a negative one is only
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass
@@ -125,6 +126,25 @@ def canonical_axioms(lang: Dfa, bounds: BoundsProfile) -> Dfa:
     return minimize(intersect(lang, _length_bounded_dfa(lang.alphabet, bounds.axiom_len_lt)))
 
 
+def _class_pool(
+    monoid: SyntacticMonoid, alphabet: Alphabet, lt: int
+) -> tuple[list[str], list[int]]:
+    """Every word shorter than lt in ll-order, and the syntactic class of each.
+
+    In ll-order over k symbols the word at index i > 0 is the word at index
+    (i - 1) // k extended by symbol (i - 1) % k, so each class is one
+    multiplication of its one-shorter prefix's class by a generator.
+    """
+    words = list(words_shorter_than(alphabet, lt))
+    gens = [monoid.generators[monoid.alphabet.index(s)] for s in alphabet.symbols]
+    k, table = len(gens), monoid.table
+    classes = [monoid.identity]
+    for i in range(1, len(words)):
+        parent, symbol = divmod(i - 1, k)
+        classes.append(table[classes[parent]][gens[symbol]])
+    return words, classes
+
+
 def canonical_rules(
     lang_monoid_ctx: RespectContext,
     alphabet: Alphabet,
@@ -133,33 +153,73 @@ def canonical_rules(
 ) -> tuple[Rule, ...]:
     """Every rule within the bounds that respects the language.
 
-    Candidates stream in component order (first component slowest, each in
-    length-lexicographic order); the respect test runs once per class tuple
-    through the context cache.  The exact candidate count is checked against
-    the guard before anything is enumerated.
+    The exact word-tuple count is checked against the guard before anything
+    is built.  Respect depends only on the class tuple of a rule, so the
+    enumeration works per syntactic class:
+
+    - each distinct component bound gets one pool of its words in ll-order,
+      each word's class computed once from its prefix's class;
+    - the respect verdict runs once per class tuple present in the pools
+      (at most m^4 classic, m^3 triplet), through the context's cache;
+    - the respecting class tuples form a trie, and at each depth the walk
+      visits only the pool words whose class some respecting tuple allows
+      after the classes chosen so far (one ll-ordered sub-list per allowed
+      class set), so a prefix no respecting tuple extends is never expanded.
+
+    The walk is the word-tuple nested loop (first component slowest, each
+    pool in ll-order) with non-respecting words skipped, so the rules come
+    out in the same order as a filter over every word tuple would give.
     """
     limit = resolve_candidate_limit(candidate_limit)
     total = candidate_count(alphabet, bounds)
     if total > limit:
         raise CandidateLimitExceededError(total, limit)
-    pools = [list(words_shorter_than(alphabet, lt)) for lt in bounds.component_lts]
-    make: type[Rule] = ClassicRule if bounds.variant == CLASSIC else PixtonRule
     ctx = lang_monoid_ctx
+    lts = bounds.component_lts
+    pools = {lt: _class_pool(ctx.monoid, alphabet, lt) for lt in set(lts)}
+    # classes in order of first occurrence, so verdicts are cached in the
+    # order a word-tuple walk would first meet them
+    present = [list(dict.fromkeys(pools[lt][1])) for lt in lts]
+    kind = "c" if bounds.variant == CLASSIC else "p"
+    trie: dict = {}
+    for classes in itertools.product(*present):
+        if ctx.verdict((kind,) + classes):
+            node = trie
+            for c in classes:
+                node = node.setdefault(c, {})
 
-    def candidates():
-        if bounds.variant == CLASSIC:
-            for u1 in pools[0]:
-                for v1 in pools[1]:
-                    for u2 in pools[2]:
-                        for v2 in pools[3]:
-                            yield make(u1, v1, u2, v2)
-        else:
-            for u1 in pools[0]:
-                for u2 in pools[1]:
-                    for v in pools[2]:
-                        yield make(u1, u2, v)
+    sublists: dict[tuple[int, frozenset], tuple[list[str], list[int]]] = {}
 
-    return tuple(rule for rule in candidates() if ctx.respects(rule))
+    def allowed(depth: int, node: dict):
+        """(pool words whose class the node allows, with their classes;
+        the same for each child node, keyed by class)."""
+        lt = lts[depth]
+        key = (lt, frozenset(node))
+        sub = sublists.get(key)
+        if sub is None:
+            words, classes = pools[lt]
+            keep = [c in node for c in classes]
+            sub = sublists[key] = (
+                list(itertools.compress(words, keep)),
+                list(itertools.compress(classes, keep)),
+            )
+        if depth == len(lts) - 1:
+            return sub, None
+        return sub, {c: allowed(depth + 1, child) for c, child in node.items()}
+
+    make: type[Rule] = ClassicRule if bounds.variant == CLASSIC else PixtonRule
+    rules: list[Rule] = []
+
+    def walk(level, prefix: tuple[str, ...]) -> None:
+        (words, classes), children = level
+        if children is None:
+            rules.extend(make(*prefix, w) for w in words)
+            return
+        for w, c in zip(words, classes):
+            walk(children[c], prefix + (w,))
+
+    walk(allowed(0, trie), ())
+    return tuple(rules)
 
 
 def _canonical(

@@ -3,10 +3,11 @@
 The exact test runs in the syntactic monoid: collect the classes that can
 precede the left site inside the language and the classes that can follow
 the right site, then demand that every such pair flanking the inserted
-word lands in an accepting class.  Because respect only depends on the
-syntactic classes of the rule components, answers are cached per class
-tuple; canonical-system runs collapse astronomically many word-level rules
-into at most m^4 (classic) or m^3 (triplet) distinct queries.
+word lands in an accepting class.  Respect only depends on the syntactic
+classes of the rule components, so the verdict is computed once per class
+tuple and cached; ``RespectContext.respects`` (one rule) and the canonical
+rule enumeration (which walks class tuples directly) share that cache, and
+a canonical system needs at most m^4 (classic) or m^3 (triplet) verdicts.
 
 ``brute_respect`` is the word-level falsification oracle: it searches for an
 actual splicing of two language words (up to a length bound) that escapes
@@ -15,18 +16,23 @@ the language.  It can refute respect but never certify it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .automata import Dfa, enumerate_words
+from .automata import Dfa, enumerate_words, occurrences
 from .errors import IllegalExtensionError
 from .monoid import SyntacticMonoid
 from .splicing import ClassicRule, PixtonRule, Rule
-from .automata import occurrences
 
 
 @dataclass
 class RespectContext:
-    """Monoid plus a cache from rule class-tuples to verdicts."""
+    """Monoid plus a cache from rule class tuples to verdicts.
+
+    ``class_tuple`` maps a rule to its key, ``verdict`` evaluates a key once
+    and caches it, and ``respects`` is the two composed.  Keys are
+    ("c", u1, v1, u2, v2) or ("p", u1, u2, v) in class ids.
+    """
 
     monoid: SyntacticMonoid
     cache: dict[tuple, bool] = field(default_factory=dict)
@@ -45,13 +51,15 @@ class RespectContext:
         return (kind,) + tuple(self.monoid.class_of(c) for c in rule.components)
 
     def respects(self, rule: Rule) -> bool:
-        key = self.class_tuple(rule)
+        return self.verdict(self.class_tuple(rule))
+
+    def verdict(self, key: tuple) -> bool:
+        """Whether the rules with this class tuple respect the language;
+        evaluated once per tuple and cached."""
         cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        verdict = self._evaluate(key)
-        self.cache[key] = verdict
-        return verdict
+        if cached is None:
+            cached = self.cache[key] = self._evaluate(key)
+        return cached
 
     def _evaluate(self, key: tuple) -> bool:
         mon = self.monoid
@@ -184,6 +192,34 @@ def is_extension_of(s: Rule, r: Rule) -> bool:
     return False
 
 
+def _prefixes(word: str) -> list[str]:
+    return [word[:i] for i in range(len(word) + 1)]
+
+
+def _suffixes(word: str) -> list[str]:
+    return [word[i:] for i in range(len(word) + 1)]
+
+
+def _restrictions(rule: Rule):
+    """Components of every rule r with ``is_extension_of(rule, r)``, rule
+    itself included."""
+    if isinstance(rule, ClassicRule):
+        u1, v1, u2, v2 = rule.components
+        return itertools.product(_suffixes(u1), _prefixes(v1), _suffixes(u2), _prefixes(v2))
+    # rule = (X u1' Y, W u2' Z; X v' Z): X is a prefix shared by u1 and v,
+    # Z a suffix shared by u2 and the rest of v.
+    u1, u2, v = rule.components
+    return (
+        (left, right, v[x : len(v) - z])
+        for x in range(min(len(u1), len(v)) + 1)
+        if u1.startswith(v[:x])
+        for z in range(min(len(u2), len(v) - x) + 1)
+        if u2.endswith(v[len(v) - z :])
+        for left in _prefixes(u1[x:])
+        for right in _suffixes(u2[: len(u2) - z])
+    )
+
+
 def prune_minimal(rules, ctx: RespectContext | None = None):
     """Drop every rule that properly extends another rule in the list.
 
@@ -191,15 +227,17 @@ def prune_minimal(rules, ctx: RespectContext | None = None):
     dropped extension is already a splicing by the kept restriction and the
     generated language is unchanged.  Exact duplicates collapse to their
     first (ll-least under the canonical enumeration order) occurrence.
+    A rule is dropped when one of its proper restrictions is in the list,
+    which costs one set lookup per restriction instead of a scan of every
+    other rule.
     """
-    seen: list[Rule] = []
-    for rule in rules:
-        if rule not in seen:
-            seen.append(rule)
-    kept = []
-    for rule in seen:
+    unique = list(dict.fromkeys(rules))
+    present = {rule.components for rule in unique}
+    return [
+        rule
+        for rule in unique
         if not any(
-            other != rule and is_extension_of(rule, other) for other in seen
-        ):
-            kept.append(rule)
-    return kept
+            other in present and other != rule.components
+            for other in _restrictions(rule)
+        )
+    ]

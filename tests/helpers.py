@@ -18,6 +18,7 @@ from splicekit import (
     Dfa,
     PixtonRule,
     minimize,
+    words_shorter_than,
 )
 
 
@@ -110,3 +111,26 @@ def congruence_classes_brute(
             signatures[sig] = len(signatures)
         out[w] = signatures[sig]
     return out
+
+
+def word_level_rules(ctx, alphabet: Alphabet, bounds) -> tuple:
+    """Respecting rules by brute enumeration: every word tuple within the
+    bounds, in component order (first component slowest, each pool in
+    ll-order), filtered by ``ctx.respects`` one rule at a time."""
+    pools = [list(words_shorter_than(alphabet, lt)) for lt in bounds.component_lts]
+    make = ClassicRule if bounds.variant == "classic" else PixtonRule
+
+    def candidates():
+        if bounds.variant == "classic":
+            for u1 in pools[0]:
+                for v1 in pools[1]:
+                    for u2 in pools[2]:
+                        for v2 in pools[3]:
+                            yield make(u1, v1, u2, v2)
+        else:
+            for u1 in pools[0]:
+                for u2 in pools[1]:
+                    for v in pools[2]:
+                        yield make(u1, u2, v)
+
+    return tuple(rule for rule in candidates() if ctx.respects(rule))

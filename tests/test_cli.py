@@ -250,3 +250,13 @@ def test_decide_runs_without_numpy_or_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "yes\n"
+
+
+def test_candidate_guard_counts_unary_word_tuples(capsys):
+    # (a^10)* classic theorem: 200 * 20 * 20 * 200 word tuples, over the limit
+    code, _, err = run(
+        capsys, "decide", "--lang", "(aaaaaaaaaa)*", "--alphabet", "a",
+        "--variant", "classic", "--bounds", "theorem",
+    )
+    assert code == 65
+    assert "16000000 elements" in err

@@ -1,10 +1,16 @@
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splicekit import (
     Alphabet,
     CandidateLimitExceededError,
     ClassicRule,
     PixtonRule,
+    RespectContext,
     SplicingSystem,
     canonical_system,
     closure_language,
@@ -18,7 +24,10 @@ from splicekit import (
     syntactic_monoid,
     theorem_bounds,
 )
-from splicekit.decide import candidate_count, canonical_axioms
+from splicekit.decide import candidate_count, canonical_axioms, canonical_rules
+from splicekit.monoid import SyntacticMonoid
+
+from helpers import random_regex, word_level_rules
 
 A = Alphabet.from_string("a")
 AB = Alphabet.from_string("ab")
@@ -194,3 +203,108 @@ def test_default_bounds_are_the_theorem_bounds(regex, variant):
     assert default.system == explicit.system
     assert default.closure == explicit.closure
     assert {**default.stats, "wall_time_s": 0} == {**explicit.stats, "wall_time_s": 0}
+
+
+# (regex, alphabet, variant, custom (axiom, inner, outer) bounds or None for
+# the theorem bounds of the language's monoid)
+RULE_SYSTEMS = [
+    ("a+b+", "ab", "classic", (3, 3, 3)),
+    ("a+b+", "ab", "classic", (4, 3, 4)),
+    ("a+b+", "ab", "classic", (5, 4, 4)),
+    ("a*b*", "ab", "pixton", (6, 4, 6)),
+    ("(ab)*", "ab", "classic", (6, 3, 4)),
+    ("(ab)*", "ab", "pixton", (6, 4, 5)),
+    ("a*", "a", "classic", None),
+    ("a+", "a", "classic", None),
+    ("aa+", "a", "classic", None),
+    ("(aa)*", "a", "classic", None),
+    ("(aaaaa)*", "a", "classic", None),
+    ("aa+", "a", "pixton", None),
+    ("(aaa)*", "a", "pixton", None),
+    ("a(a|b)*", "ab", "classic", (5, 4, 4)),
+    ("(a|b)*b(a|b)", "ab", "pixton", (5, 4, 5)),
+    ("b*(ab*ab*)*", "ab", "classic", (5, 3, 4)),
+]
+
+
+def rule_setup(regex, symbols, variant, custom):
+    alphabet = Alphabet.from_string(symbols)
+    monoid = syntactic_monoid(lang(regex, alphabet))
+    if custom is None:
+        bounds = theorem_bounds(monoid.size, variant)
+    else:
+        bounds = custom_bounds(variant, *custom)
+    return monoid, alphabet, bounds
+
+
+@pytest.mark.parametrize("regex,symbols,variant,custom", RULE_SYSTEMS)
+def test_canonical_rules_match_word_level_enumeration(regex, symbols, variant, custom):
+    monoid, alphabet, bounds = rule_setup(regex, symbols, variant, custom)
+    ctx = RespectContext(monoid)
+    assert canonical_rules(ctx, alphabet, bounds) == word_level_rules(
+        RespectContext(monoid), alphabet, bounds
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    variant=st.sampled_from(["classic", "pixton"]),
+    inner=st.integers(1, 3),
+    outer=st.integers(1, 4),
+)
+def test_canonical_rules_match_word_level_on_random_languages(seed, variant, inner, outer):
+    regex, _ = random_regex(random.Random(seed), "ab", 3)
+    monoid, alphabet, bounds = rule_setup(regex, "ab", variant, (5, inner, outer))
+    assert canonical_rules(RespectContext(monoid), alphabet, bounds) == word_level_rules(
+        RespectContext(monoid), alphabet, bounds
+    )
+
+
+@pytest.mark.parametrize(
+    "regex,variant,custom,count,digest",
+    [
+        ("a+b+", "classic", (4, 3, 4), 10413,
+         "4d34581e1a0d1598a0fcbd77836acd608028dc09d26562fa8f98cd365edb8f5b"),
+        ("a*b*", "pixton", (6, 4, 6), 8919,
+         "fecca65af3daaa199c8cbbe02937537d3e8ba49e61d0e59de5010bcc70a66286"),
+    ],
+)
+def test_canonical_rules_are_pinned(regex, variant, custom, count, digest):
+    monoid, alphabet, bounds = rule_setup(regex, "ab", variant, custom)
+    rules = canonical_rules(RespectContext(monoid), alphabet, bounds)
+    assert len(rules) == count
+    assert hashlib.sha256(repr(rules).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("variant", ["classic", "pixton"])
+@pytest.mark.parametrize("k", range(2, 10))
+def test_cyclic_unary_languages_decide_no_at_theorem_bounds(k, variant):
+    # (a^k)* has monoid Z_k and no respecting rule, so the closure is the
+    # axioms and the least missing word is the shortest member past them.
+    decision = decide_splicing(lang(f"({'a' * k})*", A), variant)
+    assert decision.stats["monoid_size"] == k
+    assert decision.system.rules == ()
+    assert decision.verdict == "no"
+    assert decision.witness == "a" * (k * (k + 6))
+
+
+def test_rule_enumeration_evaluates_each_class_tuple_once(monkeypatch):
+    monoid, alphabet, bounds = rule_setup("(aaaaa)*", "a", "classic", None)
+    calls = {"class_of": 0, "respects": 0, "_evaluate": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(SyntacticMonoid, "class_of")
+    counting(RespectContext, "respects")
+    counting(RespectContext, "_evaluate")
+    assert canonical_rules(RespectContext(monoid), alphabet, bounds) == ()
+    pool_words = sum(bounds.component_lts)  # |a^{<b}| = b
+    assert sum(calls.values()) <= pool_words + monoid.size**4

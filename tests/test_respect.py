@@ -10,6 +10,7 @@ from splicekit import (
     PixtonRule,
     RespectContext,
     brute_respect,
+    custom_bounds,
     determinize,
     extend_rule,
     is_extension_of,
@@ -21,6 +22,7 @@ from splicekit import (
     respects_pixton,
     syntactic_monoid,
 )
+from splicekit.decide import canonical_rules
 
 from helpers import (
     random_classic_rule,
@@ -235,3 +237,40 @@ def test_prune_minimal_drops_extensions():
     antichain = [ClassicRule("a", "", "", ""), ClassicRule("b", "", "", "")]
     assert prune_minimal(antichain) == antichain
     assert prune_minimal([base, base]) == [base]
+
+
+def pairwise_prune(rules):
+    """Reference: dedupe in order, then drop each rule that extends another."""
+    seen = []
+    for rule in rules:
+        if rule not in seen:
+            seen.append(rule)
+    return [
+        rule
+        for rule in seen
+        if not any(other != rule and is_extension_of(rule, other) for other in seen)
+    ]
+
+
+@pytest.mark.parametrize("classic", [True, False])
+def test_prune_minimal_matches_pairwise_definition(classic):
+    rng = random.Random(91 if classic else 92)
+    make = random_classic_rule if classic else random_pixton_rule
+    wheres = ("u1", "v1", "u2", "v2") if classic else ("left-bridge", "u1", "u2", "right-bridge")
+    for _ in range(150):
+        rules = [make(rng, AB, 2) for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 12)):
+            rule = rng.choice(rules)
+            for _ in range(rng.randint(1, 3)):
+                rule = extend_rule(rule, rng.choice(wheres), random_word(rng, AB, 2))
+            rules.append(rule)
+        rules += rng.choices(rules, k=rng.randint(0, 4))  # duplicates
+        rng.shuffle(rules)
+        assert prune_minimal(rules) == pairwise_prune(rules)
+
+
+def test_prune_minimal_matches_pairwise_on_canonical_rules():
+    for regex, variant in (("a+b+", "classic"), ("(ab)*", "pixton")):
+        monoid = syntactic_monoid(lang(regex))
+        rules = canonical_rules(RespectContext(monoid), AB, custom_bounds(variant, 3, 3, 3))
+        assert prune_minimal(rules) == pairwise_prune(rules)
