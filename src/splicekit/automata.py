@@ -150,18 +150,12 @@ class Nfa:
                 raise ValueError("epsilon edge state id out of range")
 
     def accepts(self, word: str) -> bool:
-        eps = _eps_adjacency(self)
-        current = _eps_close(self.initial, eps)
-        step: dict[tuple[int, str], set[int]] = {}
-        for p, sym, q in self.labeled_edges:
-            step.setdefault((p, sym), set()).add(q)
+        fwd, eps = _mask_tables(self)
+        current = _reach(_mask(self.initial), eps)
         for ch in word:
             self.alphabet.index(ch)
-            nxt: set[int] = set()
-            for s in current:
-                nxt |= step.get((s, ch), set())
-            current = _eps_close(nxt, eps)
-        return bool(current & self.accepting)
+            current = _reach(_image(current, fwd[ch]), eps)
+        return bool(current & _mask(self.accepting))
 
 
 @dataclass(frozen=True)
@@ -249,33 +243,25 @@ class NfaBuilder:
         )
 
 
-# -- internal set/mask plumbing ---------------------------------------------
-
-
-def _eps_adjacency(nfa: Nfa) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {}
-    for p, q in nfa.epsilon_edges:
-        adj.setdefault(p, set()).add(q)
-    return adj
-
-
-def _eps_close(states: Iterable[int], adj: dict[int, set[int]]) -> frozenset[int]:
-    closed = set(states)
-    stack = list(closed)
-    while stack:
-        s = stack.pop()
-        for t in adj.get(s, ()):
-            if t not in closed:
-                closed.add(t)
-                stack.append(t)
-    return frozenset(closed)
+# -- internal mask plumbing ---------------------------------------------------
+#
+# A state set is an int whose bit s is set when state s is in the set, and a
+# relation is a list with one such mask of successors per state.
 
 
 def _bits(mask: int) -> Iterator[int]:
+    """The states of a mask in ascending order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask(states: Iterable[int]) -> int:
+    out = 0
+    for s in states:
+        out |= 1 << s
+    return out
 
 
 def _mask_tables(
@@ -298,6 +284,31 @@ def _mask_tables(
             p, q = q, p
         eps[p] |= 1 << q
     return fwd, eps
+
+
+def _all_moves(fwd: dict[str, list[int]], eps: list[int]) -> list[int]:
+    """One successor mask per state over every edge, labeled or epsilon."""
+    out = list(eps)
+    for row in fwd.values():
+        out = [a | m for a, m in zip(out, row)]
+    return out
+
+
+def _image(mask: int, rows: list[int]) -> int:
+    """Union of ``rows[s]`` over the states s in mask."""
+    out = 0
+    for s in _bits(mask):
+        out |= rows[s]
+    return out
+
+
+def _reach(start: int, succ: list[int]) -> int:
+    """States reachable from the mask start along the successor masks."""
+    seen = frontier = start
+    while frontier:
+        frontier = _image(frontier, succ) & ~seen
+        seen |= frontier
+    return seen
 
 
 def tarjan_scc(state_count: int, adj: dict[int, list[int]]) -> tuple[int, list[int]]:
@@ -379,16 +390,12 @@ def determinize(nfa: Nfa) -> Dfa:
     """Subset construction.  The result is complete and BFS-numbered."""
     fwd, eps = _mask_tables(nfa)
     n = nfa.state_count
-    acc_mask = 0
-    for s in nfa.accepting:
-        acc_mask |= 1 << s
+    acc_mask = _mask(nfa.accepting)
     # Epsilon closure of every single state, reused for move steps.
     eclose = _all_epsilon_closures(n, eps)
     estep = _closed_moves(fwd, eclose)
 
-    start = 0
-    for s in nfa.initial:
-        start |= eclose[s]
+    start = _image(_mask(nfa.initial), eclose)
     ids: dict[int, int] = {start: 0}
     order = [start]
     rows: list[list[int]] = []
@@ -412,14 +419,6 @@ def determinize(nfa: Nfa) -> Dfa:
         accepting=accepting,
         transitions=tuple(tuple(row) for row in rows),
     )
-
-
-def _image(mask: int, rows: list[int]) -> int:
-    """Union of ``rows[s]`` over the states s in mask."""
-    out = 0
-    for s in _bits(mask):
-        out |= rows[s]
-    return out
 
 
 def _closed_moves(moves: dict[str, list[int]], eclose: list[int]) -> dict[str, list[int]]:
@@ -595,18 +594,11 @@ def enumerate_words(d: Dfa, max_len: int) -> list[str]:
         return []
     # Prune states that cannot reach acceptance; keeps the frontier equal to
     # the set of viable prefixes.
-    back: dict[int, set[int]] = {}
-    for s in range(d.state_count):
-        for t in d.transitions[s]:
-            back.setdefault(t, set()).add(s)
-    alive = set(d.accepting)
-    stack = list(alive)
-    while stack:
-        s = stack.pop()
-        for p in back.get(s, ()):
-            if p not in alive:
-                alive.add(p)
-                stack.append(p)
+    back = [0] * d.state_count
+    for s, row in enumerate(d.transitions):
+        for t in row:
+            back[t] |= 1 << s
+    alive = set(_bits(_reach(_mask(d.accepting), back)))
     out: list[str] = []
     level: list[tuple[str, int]] = []
     if d.initial in alive:
@@ -627,75 +619,38 @@ def enumerate_words(d: Dfa, max_len: int) -> list[str]:
 
 
 def trim(nfa: Nfa) -> Nfa:
-    """Restrict to states both reachable and co-reachable, renumbered densely."""
-    fwd: dict[int, set[int]] = {}
-    bwd: dict[int, set[int]] = {}
-    for p, _sym, q in nfa.labeled_edges:
-        fwd.setdefault(p, set()).add(q)
-        bwd.setdefault(q, set()).add(p)
-    for p, q in nfa.epsilon_edges:
-        fwd.setdefault(p, set()).add(q)
-        bwd.setdefault(q, set()).add(p)
-
-    def sweep(start: Iterable[int], adj: dict[int, set[int]]) -> set[int]:
-        seen = set(start)
-        stack = list(seen)
-        while stack:
-            s = stack.pop()
-            for t in adj.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-    keep = sweep(nfa.initial, fwd) & sweep(nfa.accepting, bwd)
-    renum = {s: i for i, s in enumerate(sorted(keep))}
+    """Restrict to states both reachable and co-reachable, renumbered densely
+    in ascending order."""
+    forward = _all_moves(*_mask_tables(nfa))
+    backward = _all_moves(*_mask_tables(nfa, backward=True))
+    keep = _reach(_mask(nfa.initial), forward) & _reach(_mask(nfa.accepting), backward)
+    renum = {s: i for i, s in enumerate(_bits(keep))}
     return Nfa(
         alphabet=nfa.alphabet,
         state_count=len(renum),
-        initial=frozenset(renum[s] for s in nfa.initial if s in keep),
-        accepting=frozenset(renum[s] for s in nfa.accepting if s in keep),
+        initial=frozenset(renum[s] for s in nfa.initial if s in renum),
+        accepting=frozenset(renum[s] for s in nfa.accepting if s in renum),
         labeled_edges=frozenset(
             (renum[p], sym, renum[q])
             for p, sym, q in nfa.labeled_edges
-            if p in keep and q in keep
+            if p in renum and q in renum
         ),
         epsilon_edges=frozenset(
             (renum[p], renum[q])
             for p, q in nfa.epsilon_edges
-            if p in keep and q in keep
+            if p in renum and q in renum
         ),
     )
 
 
 def has_cycle(nfa: Nfa) -> bool:
-    """True when the edge relation (labels and epsilons together) has a cycle."""
-    adj: dict[int, list[int]] = {}
-    for p, _sym, q in nfa.labeled_edges:
-        adj.setdefault(p, []).append(q)
-    for p, q in nfa.epsilon_edges:
-        adj.setdefault(p, []).append(q)
-    color = [0] * nfa.state_count  # 0 new, 1 on stack, 2 done
-    for root in range(nfa.state_count):
-        if color[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack:
-            s, i = stack[-1]
-            succs = adj.get(s, [])
-            if i < len(succs):
-                stack[-1] = (s, i + 1)
-                t = succs[i]
-                if color[t] == 1:
-                    return True
-                if color[t] == 0:
-                    color[t] = 1
-                    stack.append((t, 0))
-            else:
-                color[s] = 2
-                stack.pop()
-    return False
+    """True when the edge relation (labels and epsilons together) has a cycle:
+    a self-loop, or a strongly connected component of more than one state."""
+    succ = _all_moves(*_mask_tables(nfa))
+    if any(m >> s & 1 for s, m in enumerate(succ)):
+        return True
+    ncomp, _ = tarjan_scc(nfa.state_count, {s: list(_bits(m)) for s, m in enumerate(succ)})
+    return ncomp < nfa.state_count
 
 
 # -- serialization -----------------------------------------------------------

@@ -44,14 +44,18 @@ the trie endpoints of the rules with that right site feed.  A rule's own
 part of the automaton is the trie path from its left hub along its insert
 word plus the static epsilon edge from that path's end to its right hub.
 
-Representation.  Saturation keeps state sets as int bitmasks, as
-``determinize`` does.  Edges found in a round are added at its end, so each
-round computes the forward and backward epsilon closure of every state once,
-and a letter step is the closed image of a set.  Site reads share prefixes:
-right sites are read forwards from the reachable set, left sites reversed,
-backwards from the co-reachable set, and each distinct prefix is read once.
-A site's new points come out in ascending state order, left sites before
-right sites and each side in hub order, so ``added`` is deterministic.
+Representation.  Saturation keeps state sets as int bitmasks and walks them
+with the helpers ``automata`` walks every automaton with.  Edges found in a
+round are added at its end, so every read in a round sees one automaton.
+Site reads share prefixes: right sites are read forwards from the reachable
+set, left sites reversed, backwards from the co-reachable set, and the set
+of each distinct prefix is computed once per round, from the set of the
+prefix one letter shorter, by the letter's move and then the epsilon closure
+of that one set.  No per-state closure table is built in any round; the sets
+are the ones such a table would give, because the epsilon closure of a
+set's move is the union of its states' closed moves.  A site's new points
+come out in ascending state order, left sites before right sites and each
+side in hub order, so ``added`` is deterministic.
 
 States are never added after construction, so the rounds hit a fixpoint; at
 the fixpoint a word is accepted iff it lies in the closure of the axioms
@@ -68,16 +72,16 @@ from typing import Iterable, NamedTuple
 from .automata import (
     Dfa,
     Nfa,
-    _all_epsilon_closures,
+    _all_moves,
     _bits,
-    _closed_moves,
     _image,
+    _mask,
     _mask_tables,
+    _reach,
     determinize,
     minimize,
-    tarjan_scc,
 )
-from .splicing import ClassicRule, Rule, SplicingSystem
+from .splicing import SplicingSystem, triplet_form
 
 
 class AddedEdge(NamedTuple):
@@ -129,42 +133,24 @@ class ClosureAutomaton:
         )
 
 
-def insert_word(rule: Rule) -> str:
-    """The word a rule writes between retained prefix and adopted suffix."""
-    if isinstance(rule, ClassicRule):
-        return rule.u1 + rule.v2
-    return rule.v
-
-
-def rule_sites(rule: Rule) -> tuple[str, str]:
-    if isinstance(rule, ClassicRule):
-        return rule.left_site, rule.right_site
-    return rule.u1, rule.u2
-
-
-def _reach(start: int, succ: list[int]) -> int:
-    """States reachable from the mask start along the successor masks."""
-    seen = frontier = start
-    while frontier:
-        frontier = _image(frontier, succ) & ~seen
-        seen |= frontier
-    return seen
-
-
 def _read_prefixes(
-    start: int, words: Iterable[str], steps: dict[str, list[int]]
+    start: int, words: Iterable[str], moves: dict[str, list[int]], eps: list[int]
 ) -> dict[str, int]:
-    """The set reached from start by every prefix of the words.
+    """The epsilon-closed set reached from start by every prefix of the words.
 
-    ``steps`` are closed one-letter moves; each distinct prefix is read once,
-    from the set of the prefix one letter shorter.
+    ``start`` must be epsilon-closed.  The set of a prefix is the epsilon
+    closure of the letter's move from the set of the prefix one letter
+    shorter, which is the union of the closed moves of that set's states, so
+    each distinct prefix costs one move and one closure, and no per-state
+    closure table is needed.
     """
     reached = {"": start}
     for word in words:
         for i in range(1, len(word) + 1):
             prefix = word[:i]
             if prefix not in reached:
-                reached[prefix] = _image(reached[word[: i - 1]], steps[word[i - 1]])
+                step = _image(reached[word[: i - 1]], moves[word[i - 1]])
+                reached[prefix] = _reach(step, eps)
     return reached
 
 
@@ -179,12 +165,12 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
     right_hub: dict[str, int] = {}
     trie: dict[tuple[int, str], int] = {}
     for rule in system.rules:
-        left_site, right_site = rule_sites(rule)
+        left_site, right_site, insert = triplet_form(rule)
         if left_site not in left_hub:
             left_hub[left_site] = count
             count += 1
         state = left_hub[left_site]
-        for ch in insert_word(rule):
+        for ch in insert:
             nxt = trie.get((state, ch))
             if nxt is None:
                 nxt = trie[state, ch] = count
@@ -207,29 +193,18 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
 
     fwd, eps_fwd = _mask_tables(base)
     bwd, eps_bwd = _mask_tables(base, backward=True)
-    any_fwd = [0] * count
-    any_bwd = [0] * count
-    for sym in system.alphabet.symbols:
-        any_fwd = [a | m for a, m in zip(any_fwd, fwd[sym])]
-        any_bwd = [a | m for a, m in zip(any_bwd, bwd[sym])]
-    initial = sum(1 << s for s in base.initial)
-    accepting = sum(1 << s for s in base.accepting)
+    initial = _mask(base.initial)
+    accepting = _mask(base.accepting)
     left_seen = dict.fromkeys(left_hub, 0)
     right_seen = dict.fromkeys(right_hub, 0)
     added: list[AddedEdge] = []
     rounds = 0
     while True:
-        # A round's edges are added at its end, so its closures are fixed.
-        reach = _reach(initial, [a | e for a, e in zip(any_fwd, eps_fwd)])
-        coreach = _reach(accepting, [a | e for a, e in zip(any_bwd, eps_bwd)])
-        post = _read_prefixes(
-            reach, right_hub, _closed_moves(fwd, _all_epsilon_closures(count, eps_fwd))
-        )
-        pre = _read_prefixes(
-            coreach,
-            [site[::-1] for site in left_hub],
-            _closed_moves(bwd, _all_epsilon_closures(count, eps_bwd)),
-        )
+        # A round's edges are added at its end, so its reads see one automaton.
+        reach = _reach(initial, _all_moves(fwd, eps_fwd))
+        coreach = _reach(accepting, _all_moves(bwd, eps_bwd))
+        post = _read_prefixes(reach, right_hub, fwd, eps_fwd)
+        pre = _read_prefixes(coreach, [site[::-1] for site in left_hub], bwd, eps_bwd)
         new_edges: list[AddedEdge] = []
         for site, hub in left_hub.items():
             points = reach & pre[site[::-1]]
@@ -259,31 +234,9 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
     )
 
 
-def _epsilon_scc_quotient(nfa: Nfa) -> Nfa:
-    """Merge states that are mutually epsilon-reachable (language-preserving).
-
-    Saturated automata are epsilon-dense; collapsing the epsilon SCCs keeps
-    determinization tractable.
-    """
-    adj: dict[int, list[int]] = {}
-    for p, q in nfa.epsilon_edges:
-        adj.setdefault(p, []).append(q)
-    ncomp, comp = tarjan_scc(nfa.state_count, adj)
-    return Nfa(
-        alphabet=nfa.alphabet,
-        state_count=ncomp,
-        initial=frozenset(comp[s] for s in nfa.initial),
-        accepting=frozenset(comp[s] for s in nfa.accepting),
-        labeled_edges=frozenset((comp[p], sym, comp[q]) for p, sym, q in nfa.labeled_edges),
-        epsilon_edges=frozenset(
-            (comp[p], comp[q]) for p, q in nfa.epsilon_edges if comp[p] != comp[q]
-        ),
-    )
-
-
 def closure_dfa(closure: ClosureAutomaton) -> Dfa:
     """Minimal complete DFA for the language an already-built closure accepts."""
-    return minimize(determinize(_epsilon_scc_quotient(closure.nfa())))
+    return minimize(determinize(closure.nfa()))
 
 
 def closure_language(system: SplicingSystem) -> Dfa:

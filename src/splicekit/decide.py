@@ -99,9 +99,7 @@ def candidate_count(alphabet: Alphabet, bounds: BoundsProfile) -> int:
     return total
 
 
-def resolve_candidate_limit(limit: int | None) -> int:
-    if limit is not None:
-        return limit
+def _candidate_limit() -> int:
     env = os.environ.get(CANDIDATE_LIMIT_ENV)
     return int(env) if env else DEFAULT_CANDIDATE_LIMIT
 
@@ -149,7 +147,6 @@ def canonical_rules(
     lang_monoid_ctx: RespectContext,
     alphabet: Alphabet,
     bounds: BoundsProfile,
-    candidate_limit: int | None = None,
 ) -> tuple[Rule, ...]:
     """Every rule within the bounds that respects the language.
 
@@ -170,7 +167,7 @@ def canonical_rules(
     pool in ll-order) with non-respecting words skipped, so the rules come
     out in the same order as a filter over every word tuple would give.
     """
-    limit = resolve_candidate_limit(candidate_limit)
+    limit = _candidate_limit()
     total = candidate_count(alphabet, bounds)
     if total > limit:
         raise CandidateLimitExceededError(total, limit)
@@ -228,13 +225,12 @@ def _canonical(
     variant: str,
     bounds: BoundsProfile,
     prune: bool,
-    candidate_limit: int | None,
 ) -> tuple[SplicingSystem, int]:
     """Canonical system for a minimal L with its syntactic monoid, and the
     number of respecting rules before pruning."""
     ctx = RespectContext(monoid)
     axioms = canonical_axioms(lang, bounds)
-    rules = canonical_rules(ctx, lang.alphabet, bounds, candidate_limit)
+    rules = canonical_rules(ctx, lang.alphabet, bounds)
     n_respecting = len(rules)
     if prune:
         rules = tuple(prune_minimal(rules, ctx))
@@ -246,11 +242,10 @@ def canonical_system(
     variant: str,
     bounds: BoundsProfile,
     prune: bool = False,
-    candidate_limit: int | None = None,
 ) -> SplicingSystem:
     """The canonical system for L at the given bounds."""
     lang = minimize(lang)
-    return _canonical(lang, syntactic_monoid(lang), variant, bounds, prune, candidate_limit)[0]
+    return _canonical(lang, syntactic_monoid(lang), variant, bounds, prune)[0]
 
 
 @dataclass(frozen=True)
@@ -280,7 +275,6 @@ def decide_splicing(
     variant: str,
     bounds: BoundsProfile | None = None,
     prune: bool = False,
-    candidate_limit: int | None = None,
 ) -> Decision:
     """Build the canonical system, its closure, and compare with L.
 
@@ -291,7 +285,7 @@ def decide_splicing(
     monoid = syntactic_monoid(lang)
     if bounds is None:
         bounds = theorem_bounds(monoid.size, variant)
-    system, n_respecting = _canonical(lang, monoid, variant, bounds, prune, candidate_limit)
+    system, n_respecting = _canonical(lang, monoid, variant, bounds, prune)
     closure = build_closure(system)
     generated = closure_dfa(closure)
     escape = difference_witness(generated, lang)

@@ -46,9 +46,6 @@ class SyntacticMonoid:
         """The ll-least word mapping to this element."""
         return self.representatives[element]
 
-    def word_in_language(self, word: str) -> bool:
-        return self.class_of(word) in self.accepting
-
 
 def syntactic_monoid(d: Dfa) -> SyntacticMonoid:
     """Transition monoid of the minimal DFA for L(d)."""
@@ -105,14 +102,6 @@ def _check_monoid_laws(monoid: SyntacticMonoid) -> None:
             for c in sample:
                 if t[ab][c] != t[a][t[b][c]]:
                     raise AssertionError("multiplication table is not associative")
-
-
-def class_of(monoid: SyntacticMonoid, word: str) -> int:
-    return monoid.class_of(word)
-
-
-def shortest_representative(monoid: SyntacticMonoid, element: int) -> str:
-    return monoid.shortest_representative(element)
 
 
 @dataclass(frozen=True)

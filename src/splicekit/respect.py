@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .automata import Dfa, enumerate_words, occurrences
 from .errors import IllegalExtensionError
 from .monoid import SyntacticMonoid
-from .splicing import ClassicRule, PixtonRule, Rule
+from .splicing import ClassicRule, PixtonRule, Rule, triplet_form
 
 
 @dataclass
@@ -96,12 +96,7 @@ def respect_counterexample(
     suffixes as strings, which keeps the pair search at desk scale.
     """
     words = enumerate_words(lang, word_bound)
-    if isinstance(rule, ClassicRule):
-        left_site, right_site = rule.left_site, rule.right_site
-        glue = rule.u1 + rule.v2
-    else:
-        left_site, right_site = rule.u1, rule.u2
-        glue = rule.v
+    left_site, right_site, glue = triplet_form(rule)
     # state after x1·glue -> an example (w1, x1) realizing it
     mid_states: dict[int, tuple[str, str]] = {}
     for w1 in words:

@@ -20,6 +20,7 @@ from .automata import (
     NfaBuilder,
     automaton_from_json,
     determinize,
+    enumerate_words,
     has_cycle,
     length_lex_key,
     minimize,
@@ -56,7 +57,7 @@ class ClassicRule:
 
     def pixton_equivalent(self) -> "PixtonRule":
         """The triplet performing exactly the same splicings."""
-        return PixtonRule(self.u1 + self.v1, self.u2 + self.v2, self.u1 + self.v2)
+        return PixtonRule(*triplet_form(self))
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,19 @@ class PixtonRule:
 
 
 Rule = ClassicRule | PixtonRule
+
+
+def triplet_form(rule: Rule) -> tuple[str, str, str]:
+    """(left site, right site, insert word): the components of the triplet
+    performing exactly the rule's splicings.
+
+    The insert word is what a splicing writes between the retained prefix
+    and the adopted suffix: u1·v2 for a classic rule, the bridge v for a
+    triplet.
+    """
+    if isinstance(rule, ClassicRule):
+        return rule.u1 + rule.v1, rule.u2 + rule.v2, rule.u1 + rule.v2
+    return rule.components
 
 
 def splice_classic(w1: str, w2: str, r: ClassicRule) -> set[tuple[str, int]]:
@@ -167,8 +181,6 @@ class SplicingSystem:
         trimmed = self.axiom_nfa()
         dfa = minimize(determinize(trimmed))
         # A trimmed acyclic automaton accepts no word longer than its path count.
-        from .automata import enumerate_words
-
         return tuple(enumerate_words(dfa, max(trimmed.state_count, 1)))
 
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms wherever
 they are used as a second route: regex membership goes through Python's re
-module, syntactic congruence through raw context enumeration over DFA word
-membership, and closure words through literal splicing iteration.
+module, NFA membership through a plain set simulation, syntactic congruence
+through raw context enumeration over DFA word membership, and closure words
+through literal splicing iteration.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from splicekit import (
     Alphabet,
     ClassicRule,
     Dfa,
+    Nfa,
     PixtonRule,
     minimize,
     words_shorter_than,
@@ -58,6 +60,27 @@ def random_regex(
     if op == "cat":
         return f"({left})({right})", f"({pleft})({pright})"
     return f"(({left})|({right}))", f"(({pleft})|({pright}))"
+
+
+def nfa_accepts_brute(nfa: Nfa, word: str) -> bool:
+    """NFA membership by a plain set simulation with an explicit epsilon
+    closure, independent of the library's bitset walks."""
+
+    def close(states: set[int]) -> set[int]:
+        closed = set(states)
+        stack = list(closed)
+        while stack:
+            s = stack.pop()
+            for p, q in nfa.epsilon_edges:
+                if p == s and q not in closed:
+                    closed.add(q)
+                    stack.append(q)
+        return closed
+
+    current = close(set(nfa.initial))
+    for ch in word:
+        current = close({q for p, sym, q in nfa.labeled_edges if p in current and sym == ch})
+    return bool(current & nfa.accepting)
 
 
 def random_min_dfa(rng: random.Random, alphabet: Alphabet, max_states: int) -> Dfa:

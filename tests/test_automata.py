@@ -9,6 +9,7 @@ from splicekit import (
     Alphabet,
     AlphabetMismatchError,
     Nfa,
+    UnknownSymbolError,
     automaton_from_json,
     automaton_to_dot,
     automaton_to_json,
@@ -24,9 +25,9 @@ from splicekit import (
     union,
     words_shorter_than,
 )
-from splicekit.automata import occurrences
+from splicekit.automata import has_cycle, occurrences, trim
 
-from helpers import all_words_upto, random_min_dfa
+from helpers import all_words_upto, nfa_accepts_brute, random_min_dfa, random_regex
 
 A = Alphabet.from_string("a")
 AB = Alphabet.from_string("ab")
@@ -210,3 +211,74 @@ def test_dfa_run_and_accepts():
     assert d.accepts("aabb") and not d.accepts("ba") and not d.accepts("")
     s = d.run(d.initial, "aa")
     assert d.run(s, "b") in d.accepting
+
+
+def random_epsilon_cycle_nfa(rng: random.Random) -> Nfa:
+    """A random NFA over {a,b} whose epsilon edges always contain a cycle."""
+    n = rng.randint(2, 7)
+    cycle = rng.sample(range(n), rng.randint(1, n))
+    eps = {(p, q) for p, q in zip(cycle, cycle[1:] + cycle[:1])}
+    eps |= {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))}
+    labeled = {
+        (rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+        for _ in range(rng.randint(0, 2 * n))
+    }
+    return Nfa(
+        alphabet=AB,
+        state_count=n,
+        initial=frozenset(rng.sample(range(n), rng.randint(0, 2))),
+        accepting=frozenset(rng.sample(range(n), rng.randint(0, 2))),
+        labeled_edges=frozenset(labeled),
+        epsilon_edges=frozenset(eps),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.booleans())
+def test_nfa_accepts_matches_set_simulation(seed, from_regex):
+    rng = random.Random(seed)
+    if from_regex:
+        nfa = parse_regex(random_regex(rng, "ab", 4)[0], AB)
+    else:
+        nfa = random_epsilon_cycle_nfa(rng)
+    dfa = determinize(nfa)
+    for w in all_words_upto(AB, 6):
+        want = nfa_accepts_brute(nfa, w)
+        assert nfa.accepts(w) == want, w
+        assert dfa.accepts(w) == want, w
+    with pytest.raises(UnknownSymbolError):
+        nfa.accepts("c")
+
+
+def test_trim_keeps_useful_states_in_ascending_order():
+    # 0 and 6 are unreachable (6 accepting), 3 and 5 are dead ends; the
+    # useful states 1, 2, 4 carry the cycle 2 -b-> 4 -eps-> 2.
+    nfa = Nfa(
+        alphabet=AB,
+        state_count=7,
+        initial=frozenset({1}),
+        accepting=frozenset({4, 6}),
+        labeled_edges=frozenset({(0, "a", 2), (1, "a", 3), (2, "b", 4), (3, "b", 5), (6, "a", 4)}),
+        epsilon_edges=frozenset({(1, 2), (4, 2), (2, 5)}),
+    )
+    trimmed = trim(nfa)
+    # kept states 1, 2, 4 become 0, 1, 2
+    assert trimmed.state_count == 3
+    assert trimmed.initial == frozenset({0})
+    assert trimmed.accepting == frozenset({2})
+    assert trimmed.labeled_edges == frozenset({(1, "b", 2)})
+    assert trimmed.epsilon_edges == frozenset({(0, 1), (2, 1)})
+
+
+def _graph(n, labeled=(), eps=()):
+    return Nfa(AB, n, frozenset({0}), frozenset(), frozenset(labeled), frozenset(eps))
+
+
+def test_has_cycle_cases():
+    assert has_cycle(_graph(2, labeled={(0, "a", 1), (1, "b", 1)}))
+    assert has_cycle(_graph(2, labeled={(0, "a", 1)}, eps={(0, 0)}))
+    assert has_cycle(_graph(3, labeled={(0, "a", 1)}, eps={(1, 2), (2, 1)}))
+    diamond = {(0, "a", 1), (0, "b", 2), (1, "a", 3)}
+    assert not has_cycle(_graph(4, labeled=diamond, eps={(2, 3)}))
+    chain = {(i, "ab"[i % 2], i + 1) for i in range(0, 2999, 2)}
+    assert not has_cycle(_graph(3000, labeled=chain, eps={(i, i + 1) for i in range(1, 2999, 2)}))

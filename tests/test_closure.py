@@ -9,6 +9,7 @@ from splicekit import (
     InfiniteAxiomLanguageError,
     PixtonRule,
     SplicingSystem,
+    automaton_to_json,
     bounded_closure,
     build_closure,
     canonical_system,
@@ -21,6 +22,7 @@ from splicekit import (
     minimize,
     parse_regex,
 )
+from splicekit.closure import closure_dfa
 from splicekit.splicing import sigma_step
 
 from helpers import ll_sorted, random_pixton_rule, random_word
@@ -248,6 +250,21 @@ def test_canonical_added_edges_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c3f28eda33711dd65a3349ee9d9c4b1c12785798b9788c0f349920578df10e61"
     )
+
+
+@pytest.mark.parametrize(
+    "regex,variant,custom,digest",
+    [
+        ("a+b+", "classic", (4, 3, 4),
+         "544e70d92173753590060d5fbec23a8ebf35082b171d9ce8b156801430dff7b7"),
+        ("a*b*", "pixton", (6, 4, 6),
+         "beb2b285b064ee684545a6b10e2b32e006d34801827057db49895b8a28d4fff2"),
+    ],
+)
+def test_closure_dfa_json_is_pinned(regex, variant, custom, digest):
+    system = canonical_system(lang(regex), variant, custom_bounds(variant, *custom))
+    text = automaton_to_json(closure_dfa(build_closure(system)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _sites_and_insert(rule) -> tuple[str, str, str]:
