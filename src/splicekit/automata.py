@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .errors import AlphabetMismatchError, UnknownSymbolError
+from .errors import AlphabetMismatchError, UnknownSymbolError, json_field
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,9 @@ class NfaBuilder:
 # -- internal mask plumbing ---------------------------------------------------
 #
 # A state set is an int whose bit s is set when state s is in the set, and a
-# relation is a list with one such mask of successors per state.
+# relation is a list with one such mask of successors per state.  An epsilon
+# closure is always of a set, computed on demand by ``_reach`` over the
+# epsilon masks; no per-state closure table is built.
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -311,119 +313,40 @@ def _reach(start: int, succ: list[int]) -> int:
     return seen
 
 
-def tarjan_scc(state_count: int, adj: dict[int, list[int]]) -> tuple[int, list[int]]:
-    """Strongly connected components, iteratively.
-
-    Returns (component count, state -> component id).  Components are
-    numbered in emission order, which is reverse topological order of the
-    condensation: a component only points at lower-numbered ones.
-    """
-    index = [0] * state_count
-    low = [0] * state_count
-    on_stack = [False] * state_count
-    comp = [-1] * state_count
-    counter = 1
-    ncomp = 0
-    stack: list[int] = []
-    for root in range(state_count):
-        if index[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            succs = adj.get(v, [])
-            while pi < len(succs):
-                w = succs[pi]
-                pi += 1
-                if index[w] == 0:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return ncomp, comp
-
-
-def _all_epsilon_closures(n: int, eps: list[int]) -> list[int]:
-    """Epsilon closure mask of every state, via the condensation DAG."""
-    adj = {s: list(_bits(eps[s])) for s in range(n) if eps[s]}
-    ncomp, comp = tarjan_scc(n, adj)
-    members = [0] * ncomp
-    for s in range(n):
-        members[comp[s]] |= 1 << s
-    comp_succs: list[set[int]] = [set() for _ in range(ncomp)]
-    for s in range(n):
-        for t in adj.get(s, ()):
-            if comp[t] != comp[s]:
-                comp_succs[comp[s]].add(comp[t])
-    closure = [0] * ncomp
-    for c in range(ncomp):  # successors carry smaller ids, already done
-        acc = members[c]
-        for d in comp_succs[c]:
-            acc |= closure[d]
-        closure[c] = acc
-    return [closure[comp[s]] for s in range(n)]
-
-
 def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction.  The result is complete and BFS-numbered."""
-    fwd, eps = _mask_tables(nfa)
-    n = nfa.state_count
-    acc_mask = _mask(nfa.accepting)
-    # Epsilon closure of every single state, reused for move steps.
-    eclose = _all_epsilon_closures(n, eps)
-    estep = _closed_moves(fwd, eclose)
+    """Subset construction.  The result is complete and BFS-numbered.
 
-    start = _image(_mask(nfa.initial), eclose)
+    A target subset is the epsilon closure of a subset's move mask, computed
+    by ``_reach`` the first time that move mask occurs; no per-state closure
+    table is built.
+    """
+    fwd, eps = _mask_tables(nfa)
+    acc_mask = _mask(nfa.accepting)
+    start = _reach(_mask(nfa.initial), eps)
     ids: dict[int, int] = {start: 0}
     order = [start]
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
+    closed: dict[int, int] = {}  # move mask -> its epsilon closure
+    rows: list[tuple[int, ...]] = []
+    for subset in order:
         row = []
         for sym in nfa.alphabet.symbols:
-            target = _image(subset, estep[sym])
+            move = _image(subset, fwd[sym])
+            target = closed.get(move)
+            if target is None:
+                target = closed[move] = _reach(move, eps)
             if target not in ids:
                 ids[target] = len(order)
                 order.append(target)
             row.append(ids[target])
-        rows.append(row)
-        i += 1
+        rows.append(tuple(row))
     accepting = frozenset(i for i, subset in enumerate(order) if subset & acc_mask)
     return Dfa(
         alphabet=nfa.alphabet,
         state_count=len(order),
         initial=0,
         accepting=accepting,
-        transitions=tuple(tuple(row) for row in rows),
+        transitions=tuple(rows),
     )
-
-
-def _closed_moves(moves: dict[str, list[int]], eclose: list[int]) -> dict[str, list[int]]:
-    """Per-symbol move masks followed by epsilon closure, one int per state."""
-    return {sym: [_image(m, eclose) for m in row] for sym, row in moves.items()}
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -644,13 +567,24 @@ def trim(nfa: Nfa) -> Nfa:
 
 
 def has_cycle(nfa: Nfa) -> bool:
-    """True when the edge relation (labels and epsilons together) has a cycle:
-    a self-loop, or a strongly connected component of more than one state."""
+    """True when the edge relation (labels and epsilons together) has a cycle.
+
+    Kahn's peel: repeatedly remove a state no remaining state points at.  A
+    state on a cycle, a self-loop included, always keeps an edge into it, so
+    the relation is acyclic exactly when every state gets peeled.
+    """
     succ = _all_moves(*_mask_tables(nfa))
-    if any(m >> s & 1 for s, m in enumerate(succ)):
-        return True
-    ncomp, _ = tarjan_scc(nfa.state_count, {s: list(_bits(m)) for s, m in enumerate(succ)})
-    return ncomp < nfa.state_count
+    indegree = [0] * nfa.state_count
+    for m in succ:
+        for t in _bits(m):
+            indegree[t] += 1
+    peeled = [s for s, d in enumerate(indegree) if d == 0]
+    for s in peeled:
+        for t in _bits(succ[s]):
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                peeled.append(t)
+    return len(peeled) < nfa.state_count
 
 
 # -- serialization -----------------------------------------------------------
@@ -672,14 +606,17 @@ def automaton_to_json(a: Nfa | Dfa) -> str:
 
 def automaton_from_json(text: str | dict) -> Nfa:
     doc = json.loads(text) if isinstance(text, str) else text
-    alphabet = Alphabet(tuple(doc["alphabet"]))
     return Nfa(
-        alphabet=alphabet,
-        state_count=int(doc["states"]),
-        initial=frozenset(int(s) for s in doc["initial"]),
-        accepting=frozenset(int(s) for s in doc["accepting"]),
-        labeled_edges=frozenset((int(p), sym, int(q)) for p, sym, q in doc["edges"]),
-        epsilon_edges=frozenset((int(p), int(q)) for p, q in doc.get("epsilon", [])),
+        alphabet=json_field(doc, "alphabet", lambda v: Alphabet(tuple(v))),
+        state_count=json_field(doc, "states", int),
+        initial=json_field(doc, "initial", lambda v: frozenset(map(int, v))),
+        accepting=json_field(doc, "accepting", lambda v: frozenset(map(int, v))),
+        labeled_edges=json_field(
+            doc, "edges", lambda v: frozenset((int(p), sym, int(q)) for p, sym, q in v)
+        ),
+        epsilon_edges=json_field(
+            doc, "epsilon", lambda v: frozenset((int(p), int(q)) for p, q in v), []
+        ),
     )
 
 

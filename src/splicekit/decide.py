@@ -228,6 +228,8 @@ def _canonical(
 ) -> tuple[SplicingSystem, int]:
     """Canonical system for a minimal L with its syntactic monoid, and the
     number of respecting rules before pruning."""
+    if bounds.variant != variant:
+        raise ValueError(f"{bounds.variant} bounds given for a {variant} system")
     ctx = RespectContext(monoid)
     axioms = canonical_axioms(lang, bounds)
     rules = canonical_rules(ctx, lang.alphabet, bounds)

@@ -1,4 +1,7 @@
-"""Exception hierarchy for splicekit."""
+"""Exception hierarchy for splicekit, and the JSON field reader that reports
+malformed input files as ValueError."""
+
+from typing import Callable
 
 
 class SpliceKitError(Exception):
@@ -41,3 +44,17 @@ class CandidateLimitExceededError(SpliceKitError):
 
 class IllegalExtensionError(SpliceKitError):
     """An extension pattern does not exist for the rule variant."""
+
+
+def json_field(doc, key: str, convert: Callable, default=None):
+    """``convert(doc[key])``, or ``convert(default)`` when the key is absent
+    and a default is given.  A document that is not an object, a missing
+    key, or a value ``convert`` rejects raises ValueError naming the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, not {type(doc).__name__}")
+    if key not in doc and default is None:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return convert(doc.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None

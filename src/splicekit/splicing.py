@@ -28,7 +28,7 @@ from .automata import (
     trim,
 )
 from .automata import automaton_to_json as _automaton_json
-from .errors import InfiniteAxiomLanguageError
+from .errors import InfiniteAxiomLanguageError, json_field
 
 CLASSIC = "classic"
 PIXTON = "pixton"
@@ -151,11 +151,14 @@ class SplicingSystem:
         if self.variant not in (CLASSIC, PIXTON):
             raise ValueError(f"unknown variant {self.variant!r}")
         want = ClassicRule if self.variant == CLASSIC else PixtonRule
+        checked: set[str] = set()  # rules share few distinct component words
         for rule in self.rules:
             if not isinstance(rule, want):
                 raise ValueError(f"{self.variant} system holds a {type(rule).__name__}")
             for comp in rule.components:
-                self.alphabet.check_word(comp)
+                if comp not in checked:
+                    self.alphabet.check_word(comp)
+                    checked.add(comp)
         if isinstance(self.axioms, tuple):
             for w in self.axioms:
                 self.alphabet.check_word(w)
@@ -294,22 +297,30 @@ def system_to_json(system: SplicingSystem) -> str:
 
 def system_from_json(text: str | dict) -> SplicingSystem:
     doc = json.loads(text) if isinstance(text, str) else text
-    alphabet = Alphabet(tuple(doc["alphabet"]))
-    variant = doc["variant"]
-    raw_axioms = doc["axioms"]
-    axioms: tuple[str, ...] | Nfa
-    if isinstance(raw_axioms, dict):
-        axioms = automaton_from_json(raw_axioms)
-    else:
-        axioms = tuple(raw_axioms)
-    rules: list[Rule] = []
-    for comps in doc["rules"]:
-        if variant == CLASSIC:
-            if len(comps) != 4:
-                raise ValueError("classic rules serialize as 4-element arrays")
-            rules.append(ClassicRule(*comps))
-        else:
-            if len(comps) != 3:
-                raise ValueError("pixton rules serialize as 3-element arrays")
-            rules.append(PixtonRule(*comps))
-    return SplicingSystem(variant, alphabet, axioms, tuple(rules))
+    variant = json_field(doc, "variant", str)
+    make, arity = (ClassicRule, 4) if variant == CLASSIC else (PixtonRule, 3)
+
+    def axioms(raw) -> tuple[str, ...] | Nfa:
+        if isinstance(raw, dict):
+            return automaton_from_json(raw)
+        return _strings(raw, "axioms must be a list of words or an automaton")
+
+    def rules(raw) -> tuple[Rule, ...]:
+        shape = f"{variant} rules serialize as {arity}-element arrays of words"
+        return tuple(make(*_strings(comps, shape, arity)) for comps in raw)
+
+    return SplicingSystem(
+        variant,
+        json_field(doc, "alphabet", lambda v: Alphabet(tuple(v))),
+        json_field(doc, "axioms", axioms),
+        json_field(doc, "rules", rules),
+    )
+
+
+def _strings(raw, shape: str, arity: int | None = None) -> tuple[str, ...]:
+    """raw as a tuple of strings, of the given length if one is given."""
+    if not isinstance(raw, list) or not all(isinstance(w, str) for w in raw):
+        raise ValueError(shape)
+    if arity is not None and len(raw) != arity:
+        raise ValueError(shape)
+    return tuple(raw)

@@ -2,9 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms wherever
 they are used as a second route: regex membership goes through Python's re
-module, NFA membership through a plain set simulation, syntactic congruence
-through raw context enumeration over DFA word membership, and closure words
-through literal splicing iteration.
+module, NFA membership, subset construction and cycle detection through
+plain set walks, syntactic congruence through raw context enumeration over
+DFA word membership, and closure words through literal splicing iteration.
 """
 
 from __future__ import annotations
@@ -62,25 +62,80 @@ def random_regex(
     return f"(({left})|({right}))", f"(({pleft})|({pright}))"
 
 
+def _epsilon_closure_brute(nfa: Nfa, states) -> frozenset[int]:
+    """The states reachable from states along epsilon edges, by a plain
+    stack walk over the edge set."""
+    closed = set(states)
+    stack = list(closed)
+    while stack:
+        s = stack.pop()
+        for p, q in nfa.epsilon_edges:
+            if p == s and q not in closed:
+                closed.add(q)
+                stack.append(q)
+    return frozenset(closed)
+
+
+def _step_brute(nfa: Nfa, states, ch: str) -> frozenset[int]:
+    return _epsilon_closure_brute(
+        nfa, {q for p, sym, q in nfa.labeled_edges if p in states and sym == ch}
+    )
+
+
 def nfa_accepts_brute(nfa: Nfa, word: str) -> bool:
     """NFA membership by a plain set simulation with an explicit epsilon
     closure, independent of the library's bitset walks."""
-
-    def close(states: set[int]) -> set[int]:
-        closed = set(states)
-        stack = list(closed)
-        while stack:
-            s = stack.pop()
-            for p, q in nfa.epsilon_edges:
-                if p == s and q not in closed:
-                    closed.add(q)
-                    stack.append(q)
-        return closed
-
-    current = close(set(nfa.initial))
+    current = _epsilon_closure_brute(nfa, nfa.initial)
     for ch in word:
-        current = close({q for p, sym, q in nfa.labeled_edges if p in current and sym == ch})
+        current = _step_brute(nfa, current, ch)
     return bool(current & nfa.accepting)
+
+
+def determinize_brute(nfa: Nfa) -> Dfa:
+    """Subset construction over frozensets with an explicit epsilon closure,
+    independent of the library's bitset walks.  Subsets are numbered in BFS
+    discovery order, symbols taken in alphabet order."""
+    start = _epsilon_closure_brute(nfa, nfa.initial)
+    ids = {start: 0}
+    order = [start]
+    rows = []
+    for subset in order:
+        row = []
+        for ch in nfa.alphabet.symbols:
+            target = _step_brute(nfa, subset, ch)
+            if target not in ids:
+                ids[target] = len(order)
+                order.append(target)
+            row.append(ids[target])
+        rows.append(tuple(row))
+    return Dfa(
+        alphabet=nfa.alphabet,
+        state_count=len(order),
+        initial=0,
+        accepting=frozenset(i for i, subset in enumerate(order) if subset & nfa.accepting),
+        transitions=tuple(rows),
+    )
+
+
+def has_cycle_brute(nfa: Nfa) -> bool:
+    """Whether some state reaches itself in one or more steps, labeled and
+    epsilon edges alike, by a walk from every state's successors."""
+    succ: dict[int, set[int]] = {}
+    for p, _sym, q in nfa.labeled_edges:
+        succ.setdefault(p, set()).add(q)
+    for p, q in nfa.epsilon_edges:
+        succ.setdefault(p, set()).add(q)
+    for s in range(nfa.state_count):
+        seen: set[int] = set()
+        stack = list(succ.get(s, ()))
+        while stack:
+            t = stack.pop()
+            if t == s:
+                return True
+            if t not in seen:
+                seen.add(t)
+                stack.extend(succ.get(t, ()))
+    return False
 
 
 def random_min_dfa(rng: random.Random, alphabet: Alphabet, max_states: int) -> Dfa:

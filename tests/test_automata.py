@@ -27,7 +27,14 @@ from splicekit import (
 )
 from splicekit.automata import has_cycle, occurrences, trim
 
-from helpers import all_words_upto, nfa_accepts_brute, random_min_dfa, random_regex
+from helpers import (
+    all_words_upto,
+    determinize_brute,
+    has_cycle_brute,
+    nfa_accepts_brute,
+    random_min_dfa,
+    random_regex,
+)
 
 A = Alphabet.from_string("a")
 AB = Alphabet.from_string("ab")
@@ -233,14 +240,17 @@ def random_epsilon_cycle_nfa(rng: random.Random) -> Nfa:
     )
 
 
+def drawn_nfa(seed: int, from_regex: bool) -> Nfa:
+    rng = random.Random(seed)
+    if from_regex:
+        return parse_regex(random_regex(rng, "ab", 4)[0], AB)
+    return random_epsilon_cycle_nfa(rng)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30), st.booleans())
 def test_nfa_accepts_matches_set_simulation(seed, from_regex):
-    rng = random.Random(seed)
-    if from_regex:
-        nfa = parse_regex(random_regex(rng, "ab", 4)[0], AB)
-    else:
-        nfa = random_epsilon_cycle_nfa(rng)
+    nfa = drawn_nfa(seed, from_regex)
     dfa = determinize(nfa)
     for w in all_words_upto(AB, 6):
         want = nfa_accepts_brute(nfa, w)
@@ -248,6 +258,14 @@ def test_nfa_accepts_matches_set_simulation(seed, from_regex):
         assert dfa.accepts(w) == want, w
     with pytest.raises(UnknownSymbolError):
         nfa.accepts("c")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30), st.booleans())
+def test_determinize_matches_set_subset_construction(seed, from_regex):
+    # pins the subset numbering too, not only the language
+    nfa = drawn_nfa(seed, from_regex)
+    assert automaton_to_json(determinize(nfa)) == automaton_to_json(determinize_brute(nfa))
 
 
 def test_trim_keeps_useful_states_in_ascending_order():
@@ -282,3 +300,45 @@ def test_has_cycle_cases():
     assert not has_cycle(_graph(4, labeled=diamond, eps={(2, 3)}))
     chain = {(i, "ab"[i % 2], i + 1) for i in range(0, 2999, 2)}
     assert not has_cycle(_graph(3000, labeled=chain, eps={(i, i + 1) for i in range(1, 2999, 2)}))
+
+
+def random_graph(rng: random.Random) -> Nfa:
+    """A random graph over {a,b}: edges climbing a random order of the states
+    (acyclic), plus, each at random, a self-loop, an epsilon back edge and a
+    labeled back edge.  The order is random, so a cycle may lie where the
+    initial state 0 cannot reach."""
+    n = rng.randint(1, 8)
+    rank = rng.sample(range(n), n)
+
+    def climb():
+        i, j = sorted(rng.sample(range(n), 2))
+        return rank[i], rank[j]
+
+    labeled, eps = set(), set()
+    if n > 1:
+        for _ in range(rng.randint(0, 2 * n)):
+            p, q = climb()
+            if rng.random() < 0.5:
+                labeled.add((p, rng.choice("ab"), q))
+            else:
+                eps.add((p, q))
+        if rng.random() < 0.3:
+            p, q = climb()
+            eps.add((q, p))
+        if rng.random() < 0.3:
+            p, q = climb()
+            labeled.add((q, rng.choice("ab"), p))
+    if rng.random() < 0.3:
+        s = rng.randrange(n)
+        if rng.random() < 0.5:
+            eps.add((s, s))
+        else:
+            labeled.add((s, rng.choice("ab"), s))
+    return _graph(n, labeled, eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**30))
+def test_has_cycle_matches_brute_self_reachability(seed):
+    nfa = random_graph(random.Random(seed))
+    assert has_cycle(nfa) == has_cycle_brute(nfa)

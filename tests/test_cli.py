@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from splicekit import (
     automaton_from_json,
     automaton_to_json,
@@ -199,6 +201,28 @@ def test_tool_errors_exit_65(capsys):
         "--variant", "classic", "--rule", "x,;,",
     )
     assert code == 65
+
+
+@pytest.mark.parametrize(
+    "command,text,field",
+    [
+        ("decide", '{"alphabet":["a"],"states":1,"initial":[0],"edges":[]}', "accepting"),
+        ("closure", '{"variant":"pixton","alphabet":["a"],"axioms":[],"rules":[[1,2,3]]}', "rules"),
+        ("closure", '{"variant":"pixton","alphabet":["a"],"axioms":[]}', "rules"),
+        ("closure", '[{"variant":"pixton"}]', "JSON object"),
+    ],
+)
+def test_malformed_json_files_exit_65(tmp_path, capsys, command, text, field):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if command == "decide":
+        argv = ("decide", "--lang", f"@{path}", "--variant", "classic")
+    else:
+        argv = ("closure", "--system", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 65 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("splicekit: ") and field in err
 
 
 def test_candidate_guard_maps_to_tool_error(capsys):

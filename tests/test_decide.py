@@ -157,6 +157,21 @@ def test_classic_certificate_embeds_to_equivalent_pixton_system():
     assert equivalent(closure_language(embedded), closure_language(decision.system))[0]
 
 
+@pytest.mark.parametrize("variant,other", [("classic", "pixton"), ("pixton", "classic")])
+def test_bounds_of_the_other_variant_are_rejected_before_enumeration(
+    variant, other, monkeypatch
+):
+    def enumerate_nothing(*args):
+        raise AssertionError("rules enumerated")
+
+    monkeypatch.setattr("splicekit.decide.canonical_rules", enumerate_nothing)
+    bounds = custom_bounds(other, 3, 3, 3)
+    # (aa)*: no rule respects it, so a late check would never fire
+    for build in (decide_splicing, canonical_system):
+        with pytest.raises(ValueError, match=f"{other} bounds given for a {variant} system"):
+            build(lang("(aa)*", A), variant, bounds)
+
+
 def test_candidate_guard_trips_cleanly():
     apbp = lang("a+b+")
     with pytest.raises(CandidateLimitExceededError) as err:

@@ -8,6 +8,7 @@ from splicekit import (
     InfiniteAxiomLanguageError,
     PixtonRule,
     SplicingSystem,
+    UnknownSymbolError,
     bounded_closure,
     parse_regex,
     parse_rule,
@@ -143,6 +144,14 @@ def test_rule_text_round_trip():
         parse_rule("a;b;c", "classic", AB)
     with pytest.raises(ValueError):
         parse_rule("a,b,c;d", "classic", AB)
+
+
+def test_unknown_symbol_in_the_last_rule_is_rejected():
+    rules = [ClassicRule("a", "b", "", "ab")] * 50 + [ClassicRule("a", "b", "c", "ab")]
+    with pytest.raises(UnknownSymbolError, match="symbol 'c' not in alphabet"):
+        SplicingSystem("classic", AB, ("ab",), tuple(rules))
+    with pytest.raises(UnknownSymbolError, match="symbol 'c' not in alphabet"):
+        SplicingSystem("pixton", AB, (), (PixtonRule("a", "b", ""), PixtonRule("a", "b", "ac")))
 
 
 def test_system_json_round_trip_word_axioms():
