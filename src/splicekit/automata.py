@@ -350,35 +350,74 @@ def determinize(nfa: Nfa) -> Dfa:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Minimal complete DFA, canonically numbered (BFS, alphabet order)."""
-    n = dfa.state_count
-    # Restrict to reachable states first.
+    """Minimal complete DFA, canonically numbered (BFS, alphabet order).
+
+    Hopcroft's partition refinement over the reachable states: start from
+    accepting versus rejecting, and split every block by the predecessors
+    of a splitter (block, symbol) taken from a worklist, found through the
+    inverse transitions.  A split block keeps its id for the larger part,
+    so splitters already queued for it stand for that part, and the smaller
+    part gets a fresh id queued with every symbol; splitting by a block and
+    by one of its parts also splits by the other part, so the larger part
+    need not be queued.  A state thus enters a splitter O(log n) times, and
+    the refinement costs O(k·n log n) for k symbols and n states, where
+    Moore's signature passes, one per distinguishing length, cost Θ(n²)
+    on chains such as length-bounded products.  The coarsest stable
+    partition is the Myhill–Nerode one whatever the splitter order, and the
+    BFS renumbering depends only on that partition, so the output is the
+    unique minimal DFA with the same numbering and bytes as Moore's.
+    """
+    k = len(dfa.alphabet)
+    delta = dfa.transitions
     reach = [dfa.initial]
     seen = {dfa.initial}
     for s in reach:
-        for t in dfa.transitions[s]:
+        for t in delta[s]:
             if t not in seen:
                 seen.add(t)
                 reach.append(t)
-    states = reach
-    cls = {s: (1 if s in dfa.accepting else 0) for s in states}
-    while True:
-        sigs: dict[tuple, int] = {}
-        new_cls = {}
-        for s in states:
-            sig = (cls[s],) + tuple(
-                cls[dfa.transitions[s][i]] for i in range(len(dfa.alphabet))
-            )
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_cls[s] = sigs[sig]
-        if len(sigs) == len(set(cls.values())):
-            cls = new_cls
-            break
-        cls = new_cls
+    # preds[i][t]: the reachable states whose symbol-i successor is t
+    preds: list[dict[int, list[int]]] = [{} for _ in range(k)]
+    for s in reach:
+        for i, t in enumerate(delta[s]):
+            preds[i].setdefault(t, []).append(s)
+    final = {s for s in reach if s in dfa.accepting}
+    blocks = [b for b in (final, seen - final) if b]
+    cls = [0] * dfa.state_count
+    for b, members in enumerate(blocks):
+        for s in members:
+            cls[s] = b
+    waiting: list[tuple[int, int]] = []
+    if len(blocks) == 2:
+        smaller = 0 if len(blocks[0]) <= len(blocks[1]) else 1
+        waiting = [(smaller, i) for i in range(k)]
+    while waiting:
+        splitter, i = waiting.pop()
+        into = preds[i]
+        # hits[b]: the states of block b whose symbol-i edge enters the splitter
+        hits: dict[int, list[int]] = {}
+        for t in blocks[splitter]:
+            for s in into.get(t, ()):
+                hits.setdefault(cls[s], []).append(s)
+        for b, hit in hits.items():
+            members = blocks[b]
+            if len(hit) == len(members):
+                continue
+            hit_set = set(hit)
+            if 2 * len(hit) <= len(members):
+                small = hit_set
+                members -= hit_set
+            else:
+                small = members - hit_set
+                blocks[b] = hit_set
+            new = len(blocks)
+            blocks.append(small)
+            for s in small:
+                cls[s] = new
+            waiting.extend((new, j) for j in range(k))
     # Canonical renumbering by BFS from the initial class.
     rep_of_class: dict[int, int] = {}
-    for s in states:
+    for s in reach:
         rep_of_class.setdefault(cls[s], s)
     numbering = {cls[dfa.initial]: 0}
     order = [cls[dfa.initial]]

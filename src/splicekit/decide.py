@@ -101,7 +101,15 @@ def candidate_count(alphabet: Alphabet, bounds: BoundsProfile) -> int:
 
 def _candidate_limit() -> int:
     env = os.environ.get(CANDIDATE_LIMIT_ENV)
-    return int(env) if env else DEFAULT_CANDIDATE_LIMIT
+    if not env:
+        return DEFAULT_CANDIDATE_LIMIT
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{CANDIDATE_LIMIT_ENV} must be a positive integer, got {env!r}")
+    return limit
 
 
 def _length_bounded_dfa(alphabet: Alphabet, lt: int) -> Dfa:

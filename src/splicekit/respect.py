@@ -6,8 +6,11 @@ the right site, then demand that every such pair flanking the inserted
 word lands in an accepting class.  Respect only depends on the syntactic
 classes of the rule components, so the verdict is computed once per class
 tuple and cached; ``RespectContext.respects`` (one rule) and the canonical
-rule enumeration (which walks class tuples directly) share that cache, and
-a canonical system needs at most m^4 (classic) or m^3 (triplet) verdicts.
+rule enumeration (which walks class tuples directly) share that cache.  A
+verdict reads only three products of the tuple's classes (the flank
+triple), so it is computed once per triple: a canonical system fills m^4
+cached keys (classic) or m^3 (triplet), with at most m^3 flank evaluations
+either way.
 
 ``brute_respect`` is the word-level falsification oracle: it searches for an
 actual splicing of two language words (up to a length bound) that escapes
@@ -31,13 +34,18 @@ class RespectContext:
 
     ``class_tuple`` maps a rule to its key, ``verdict`` evaluates a key once
     and caches it, and ``respects`` is the two composed.  Keys are
-    ("c", u1, v1, u2, v2) or ("p", u1, u2, v) in class ids.
+    ("c", u1, v1, u2, v2) or ("p", u1, u2, v) in class ids.  Up to m^4
+    cached keys share at most m^3 flank evaluations: each key's verdict is
+    memoized on its flank triple, which is all the evaluation reads.
     """
 
     monoid: SyntacticMonoid
     cache: dict[tuple, bool] = field(default_factory=dict)
     _left_viable: list[bool] = field(default_factory=list, repr=False)
     _right_viable: list[bool] = field(default_factory=list, repr=False)
+    _flank_verdicts: dict[tuple[int, int, int], bool] = field(
+        default_factory=dict, repr=False
+    )
 
     def __post_init__(self):
         m, t, acc = self.monoid.size, self.monoid.table, self.monoid.accepting
@@ -62,16 +70,23 @@ class RespectContext:
         return cached
 
     def _evaluate(self, key: tuple) -> bool:
+        """The verdict for one class tuple, through its flank triple: the
+        left site's class, the right site's class and the class spliced in
+        between (u1·v1, u2·v2, u1·v2 classic; u1, u2, v triplet)."""
+        if key[0] == "p":
+            flanks = key[1:]
+        else:
+            mul = self.monoid.mul
+            _, hu1, hv1, hu2, hv2 = key
+            flanks = (mul(hu1, hv1), mul(hu2, hv2), mul(hu1, hv2))
+        verdict = self._flank_verdicts.get(flanks)
+        if verdict is None:
+            verdict = self._flank_verdicts[flanks] = self._flank_verdict(*flanks)
+        return verdict
+
+    def _flank_verdict(self, h_left: int, h_right: int, h_mid: int) -> bool:
         mon = self.monoid
         m, mul, acc = mon.size, mon.mul, mon.accepting
-        if key[0] == "p":
-            _, hu1, hu2, hv = key
-            h_left, h_right, h_mid = hu1, hu2, hv
-        else:
-            _, hu1, hv1, hu2, hv2 = key
-            h_left = mul(hu1, hv1)
-            h_right = mul(hu2, hv2)
-            h_mid = mul(hu1, hv2)
         s1 = [x for x in range(m) if self._left_viable[mul(x, h_left)]]
         s2 = [y for y in range(m) if self._right_viable[mul(h_right, y)]]
         mids = {mul(x, h_mid) for x in s1}

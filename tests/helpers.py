@@ -212,3 +212,80 @@ def word_level_rules(ctx, alphabet: Alphabet, bounds) -> tuple:
                         yield make(u1, u2, v)
 
     return tuple(rule for rule in candidates() if ctx.respects(rule))
+
+
+def minimize_moore(dfa: Dfa) -> Dfa:
+    """Moore's refinement, the reference for ``minimize``: one signature pass
+    per distinguishing length, then the same canonical BFS renumbering."""
+    n = dfa.state_count
+    # Restrict to reachable states first.
+    reach = [dfa.initial]
+    seen = {dfa.initial}
+    for s in reach:
+        for t in dfa.transitions[s]:
+            if t not in seen:
+                seen.add(t)
+                reach.append(t)
+    states = reach
+    cls = {s: (1 if s in dfa.accepting else 0) for s in states}
+    while True:
+        sigs: dict[tuple, int] = {}
+        new_cls = {}
+        for s in states:
+            sig = (cls[s],) + tuple(
+                cls[dfa.transitions[s][i]] for i in range(len(dfa.alphabet))
+            )
+            if sig not in sigs:
+                sigs[sig] = len(sigs)
+            new_cls[s] = sigs[sig]
+        if len(sigs) == len(set(cls.values())):
+            cls = new_cls
+            break
+        cls = new_cls
+    # Canonical renumbering by BFS from the initial class.
+    rep_of_class: dict[int, int] = {}
+    for s in states:
+        rep_of_class.setdefault(cls[s], s)
+    numbering = {cls[dfa.initial]: 0}
+    order = [cls[dfa.initial]]
+    for c in order:
+        rep = rep_of_class[c]
+        for i in range(len(dfa.alphabet)):
+            tc = cls[dfa.transitions[rep][i]]
+            if tc not in numbering:
+                numbering[tc] = len(order)
+                order.append(tc)
+    rows = []
+    for c in order:
+        rep = rep_of_class[c]
+        rows.append(
+            tuple(numbering[cls[dfa.transitions[rep][i]]] for i in range(len(dfa.alphabet)))
+        )
+    accepting = frozenset(
+        numbering[c] for c in order if rep_of_class[c] in dfa.accepting
+    )
+    return Dfa(
+        alphabet=dfa.alphabet,
+        state_count=len(order),
+        initial=0,
+        accepting=accepting,
+        transitions=tuple(rows),
+    )
+
+
+def respect_verdict_reference(monoid, key: tuple) -> bool:
+    """The class-tuple respect verdict by its formula, with no cache or memo:
+    the classes X that can precede the left site inside L and the classes Y
+    that can follow the right site, then every X·mid·Y must be accepting.
+    Keys are ("c", u1, v1, u2, v2) or ("p", u1, u2, v) in class ids."""
+    m, mul, acc = monoid.size, monoid.mul, monoid.accepting
+    if key[0] == "p":
+        _, h_left, h_right, h_mid = key
+    else:
+        _, hu1, hv1, hu2, hv2 = key
+        h_left, h_right, h_mid = mul(hu1, hv1), mul(hu2, hv2), mul(hu1, hv2)
+    left_viable = [any(mul(e, y) in acc for y in range(m)) for e in range(m)]
+    right_viable = [any(mul(x, e) in acc for x in range(m)) for e in range(m)]
+    s1 = [x for x in range(m) if left_viable[mul(x, h_left)]]
+    s2 = [y for y in range(m) if right_viable[mul(h_right, y)]]
+    return all(mul(mul(x, h_mid), y) in acc for x in s1 for y in s2)

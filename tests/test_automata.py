@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from splicekit import (
     Alphabet,
     AlphabetMismatchError,
+    Dfa,
     Nfa,
     UnknownSymbolError,
     automaton_from_json,
@@ -26,11 +27,13 @@ from splicekit import (
     words_shorter_than,
 )
 from splicekit.automata import has_cycle, occurrences, trim
+from splicekit.decide import _length_bounded_dfa
 
 from helpers import (
     all_words_upto,
     determinize_brute,
     has_cycle_brute,
+    minimize_moore,
     nfa_accepts_brute,
     random_min_dfa,
     random_regex,
@@ -117,6 +120,44 @@ def test_minimize_idempotent_and_preserving():
         m2 = minimize(m1)
         assert m2.state_count == m1.state_count
         assert equivalent(m1, d)[0]
+
+
+@st.composite
+def complete_dfas(draw, max_states=60):
+    """Complete DFAs over 1-3 letters with any initial state (so some states
+    may be unreachable), optional self-looping sinks, and accepting sets
+    drawn at random, full or empty."""
+    alphabet = Alphabet.from_string("abc"[: draw(st.integers(1, 3))])
+    n = draw(st.integers(1, max_states))
+    state = st.integers(0, n - 1)
+    sinks = draw(st.sets(state, max_size=3))
+    rows = tuple(
+        (s,) * len(alphabet) if s in sinks
+        else tuple(draw(state) for _ in alphabet.symbols)
+        for s in range(n)
+    )
+    kind = draw(st.sampled_from(["random", "all", "none"]))
+    if kind == "random":
+        accepting = frozenset(draw(st.sets(state)))
+    else:
+        accepting = frozenset(range(n)) if kind == "all" else frozenset()
+    return Dfa(alphabet, n, draw(state), accepting, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(complete_dfas())
+def test_minimize_matches_moore_refinement(dfa):
+    assert automaton_to_json(minimize(dfa)) == automaton_to_json(minimize_moore(dfa))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_dfas(max_states=8), st.integers(1, 150))
+def test_minimize_matches_moore_on_length_bounded_products(dfa, lt):
+    # the shape of canonical_axioms: long chains of length-counting states
+    product = intersect(dfa, _length_bounded_dfa(dfa.alphabet, lt))
+    assert automaton_to_json(minimize(product)) == automaton_to_json(
+        minimize_moore(product)
+    )
 
 
 def test_boolean_ops_examples():

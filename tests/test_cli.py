@@ -284,3 +284,18 @@ def test_candidate_guard_counts_unary_word_tuples(capsys):
     )
     assert code == 65
     assert "16000000 elements" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_candidate_limit_env_must_be_positive_integer(monkeypatch, capsys, value):
+    monkeypatch.setenv("SPLICEKIT_CANDIDATE_LIMIT", value)
+    code, out, err = run(
+        capsys, "decide", "--lang", "(aa)*", "--alphabet", "a",
+        "--variant", "classic", "--bounds", "theorem",
+    )
+    assert code == 65
+    assert out == ""
+    assert err == (
+        "splicekit: SPLICEKIT_CANDIDATE_LIMIT must be a positive integer, "
+        f"got {value!r}\n"
+    )

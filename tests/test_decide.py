@@ -323,3 +323,27 @@ def test_rule_enumeration_evaluates_each_class_tuple_once(monkeypatch):
     assert canonical_rules(RespectContext(monoid), alphabet, bounds) == ()
     pool_words = sum(bounds.component_lts)  # |a^{<b}| = b
     assert sum(calls.values()) <= pool_words + monoid.size**4
+
+
+def test_respect_verdicts_evaluate_each_flank_triple_once(monkeypatch):
+    # (a^5)* classic theorem: every one of the m^4 class tuples is present in
+    # the pools and evaluated, but they share at most m^3 flank triples
+    monoid, alphabet, bounds = rule_setup("(aaaaa)*", "a", "classic", None)
+    calls = {"_evaluate": 0, "_flank_verdict": 0}
+
+    def counting(name):
+        original = getattr(RespectContext, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(RespectContext, name, wrapper)
+
+    counting("_evaluate")
+    counting("_flank_verdict")
+    ctx = RespectContext(monoid)
+    assert canonical_rules(ctx, alphabet, bounds) == ()
+    assert monoid.size == 5
+    assert calls["_evaluate"] == len(ctx.cache) == 625
+    assert calls["_flank_verdict"] <= 125

@@ -29,6 +29,7 @@ from helpers import (
     random_min_dfa,
     random_pixton_rule,
     random_word,
+    respect_verdict_reference,
 )
 
 A = Alphabet.from_string("a")
@@ -274,3 +275,20 @@ def test_prune_minimal_matches_pairwise_on_canonical_rules():
         monoid = syntactic_monoid(lang(regex))
         rules = canonical_rules(RespectContext(monoid), AB, custom_bounds(variant, 3, 3, 3))
         assert prune_minimal(rules) == pairwise_prune(rules)
+
+
+def test_memoized_verdicts_match_reference_on_every_class_tuple():
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 12:
+        monoid = syntactic_monoid(random_min_dfa(rng, AB, 4))
+        if not 2 <= monoid.size <= 8:
+            continue
+        checked += 1
+        ctx = RespectContext(monoid)
+        elements = range(monoid.size)
+        keys = [("c",) + t for t in itertools.product(elements, repeat=4)]
+        keys += [("p",) + t for t in itertools.product(elements, repeat=3)]
+        rng.shuffle(keys)
+        for key in keys:
+            assert ctx.verdict(key) == respect_verdict_reference(monoid, key), key
