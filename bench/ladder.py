@@ -1,12 +1,12 @@
 """Per-stage ladder of unary theorem-bound decisions, written as JSON.
 
-    python3 bench/ladder.py [--repeats 5] [--out BENCH_7.json]
+    python3 bench/ladder.py [--repeats 5] [--out BENCH_8.json]
 
-Cases: ``(a^k)*`` for k = 2..9 in both variants, and ``a+`` and ``aa+``
-classic, all at theorem bounds.  Each case runs in its own subprocess (a
-fresh interpreter, so ``ru_maxrss`` is that case's own peak), which times
-the stages of ``decide_splicing`` by calling the same library functions in
-the same order:
+Cases: ``(a^k)*`` for k = 2..9 in both variants, and ``a+``, ``aa+`` and
+``aaa+`` classic, all at theorem bounds.  Each case runs in its own
+subprocess (a fresh interpreter, so ``ru_maxrss`` is that case's own peak),
+which times the stages of ``decide_splicing`` by calling the same library
+functions in the same order:
 
 - resolve: regex -> NFA -> DFA -> minimal DFA;
 - monoid: the syntactic monoid;
@@ -53,7 +53,7 @@ from splicekit.closure import closure_dfa  # noqa: E402
 from splicekit.decide import canonical_axioms, canonical_rules  # noqa: E402
 
 CASES = [(f"({'a' * k})*", variant) for k in range(2, 10) for variant in ("classic", "pixton")]
-CASES += [("a+", "classic"), ("aa+", "classic")]
+CASES += [("a+", "classic"), ("aa+", "classic"), ("aaa+", "classic")]
 STAGES = ("resolve", "monoid", "rules", "closure", "comparison")
 
 
@@ -111,7 +111,7 @@ def measure(regex: str, variant: str, repeats: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_7.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_8.json"))
     parser.add_argument("--case", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.case is not None:

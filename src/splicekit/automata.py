@@ -637,8 +637,8 @@ def automaton_to_json(a: Nfa | Dfa) -> str:
         "states": nfa.state_count,
         "initial": sorted(nfa.initial),
         "accepting": sorted(nfa.accepting),
-        "edges": sorted([p, sym, q] for p, sym, q in nfa.labeled_edges),
-        "epsilon": sorted([p, q] for p, q in nfa.epsilon_edges),
+        "edges": sorted(nfa.labeled_edges),
+        "epsilon": sorted(nfa.epsilon_edges),
     }
     return json.dumps(doc, separators=(",", ":"))
 

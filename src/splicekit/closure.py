@@ -44,18 +44,35 @@ the trie endpoints of the rules with that right site feed.  A rule's own
 part of the automaton is the trie path from its left hub along its insert
 word plus the static epsilon edge from that path's end to its right hub.
 
-Representation.  Saturation keeps state sets as int bitmasks and walks them
-with the helpers ``automata`` walks every automaton with.  Edges found in a
-round are added at its end, so every read in a round sees one automaton.
-Site reads share prefixes: right sites are read forwards from the reachable
-set, left sites reversed, backwards from the co-reachable set, and the set
-of each distinct prefix is computed once per round, from the set of the
-prefix one letter shorter, by the letter's move and then the epsilon closure
-of that one set.  No per-state closure table is built in any round; the sets
-are the ones such a table would give, because the epsilon closure of a
-set's move is the union of its states' closed moves.  A site's new points
-come out in ascending state order, left sites before right sites and each
-side in hub order, so ``added`` is deterministic.
+Representation.  Trie nodes are keyed by (left site, insert prefix), so a
+rule whose whole insert path exists already costs one lookup.  Saturation
+keeps state sets as int bitmasks and never walks a per-state epsilon row.
+Every epsilon edge belongs to a biclique, a pair (source mask, target mask)
+joining each source to each target: the static edges grouped by target (the
+trie ends that feed a right hub, and any epsilon edges of the axiom
+automaton), one per left site (its points so far to its hub) and one per
+right site (its hub to its points so far).  A forward epsilon-closure step
+adds the target mask of every biclique whose source mask meets the frontier,
+and a backward step is the mirror, so a step costs one AND per biclique
+however dense the masks are.  Letter moves image a set's states through the
+letter's per-state rows.
+
+Rounds are semi-naive: the reachable and co-reachable sets and the set of
+each site prefix carry over from the round before, and only their new
+states are imaged.  This keeps the fixpoint for three reasons.  Edges are
+only ever added, so every such set only grows.  A letter image distributes
+over union, so a set's image is last round's image plus the image of its
+new states.  And closing twice is closing once, so closing last round's set
+together with the image of the new states gives the set a round computed
+from scratch would.  Last round's set is already closed under the bicliques
+that did not grow, so its closure starts from the ones that did.
+
+Edges found in a round are added at its end, so every read in a round sees
+one automaton.  Right sites are read forwards from the reachable set, left
+sites reversed, backwards from the co-reachable set, and the set of each
+distinct prefix comes from the set of the prefix one letter shorter.  A
+site's new points come out in ascending state order, left sites before
+right sites and each side in hub order, so ``added`` is deterministic.
 
 States are never added after construction, so the rounds hit a fixpoint; at
 the fixpoint a word is accepted iff it lies in the closure of the axioms
@@ -67,17 +84,16 @@ edges the fixpoint must contain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .automata import (
     Dfa,
     Nfa,
-    _all_moves,
     _bits,
     _image,
     _mask,
     _mask_tables,
-    _reach,
     determinize,
     minimize,
 )
@@ -122,7 +138,8 @@ class ClosureAutomaton:
     def added_epsilon(self) -> frozenset[tuple[int, int]]:
         return frozenset((e.src, e.dst) for e in self.added)
 
-    def nfa(self) -> Nfa:
+    @cached_property
+    def _nfa(self) -> Nfa:
         return Nfa(
             alphabet=self.base.alphabet,
             state_count=self.base.state_count,
@@ -132,25 +149,68 @@ class ClosureAutomaton:
             epsilon_edges=self.base.epsilon_edges | self.added_epsilon,
         )
 
+    def nfa(self) -> Nfa:
+        """The saturated automaton, built on first use and then kept."""
+        return self._nfa
 
-def _read_prefixes(
-    start: int, words: Iterable[str], moves: dict[str, list[int]], eps: list[int]
+
+def _eps_step(mask: int, bicliques: list[tuple[int, int]]) -> int:
+    """Union of the target masks of the bicliques whose source mask meets mask."""
+    out = 0
+    for src, dst in bicliques:
+        if src & mask:
+            out |= dst
+    return out
+
+
+def _close(
+    seen: int,
+    frontier: int,
+    bicliques: list[tuple[int, int]],
+    moves: Iterable[list[int]] = (),
+) -> int:
+    """Close seen | frontier under the bicliques and the letter rows in moves.
+
+    ``seen`` must already be closed except through the frontier: every
+    successor of a state in seen lies in seen or is reached from the
+    frontier.  Each step costs one AND per biclique plus the letter image of
+    the states new in that step.
+    """
+    frontier &= ~seen
+    while frontier:
+        seen |= frontier
+        step = _eps_step(frontier, bicliques)
+        for rows in moves:
+            step |= _image(frontier, rows)
+        frontier = step & ~seen
+    return seen
+
+
+def _extend_prefixes(
+    last: dict[str, int],
+    start: int,
+    words: Iterable[str],
+    moves: dict[str, list[int]],
+    bicliques: list[tuple[int, int]],
+    fresh: list[tuple[int, int]],
 ) -> dict[str, int]:
-    """The epsilon-closed set reached from start by every prefix of the words.
+    """This round's epsilon-closed set reached from start by every prefix of
+    the words, from ``last``, the sets of the round before (empty at first).
 
-    ``start`` must be epsilon-closed.  The set of a prefix is the epsilon
-    closure of the letter's move from the set of the prefix one letter
-    shorter, which is the union of the closed moves of that set's states, so
-    each distinct prefix costs one move and one closure, and no per-state
-    closure table is needed.
+    A prefix's set is last round's set, closed under the bicliques that grew
+    since (``fresh``) and then under all of them, together with the letter
+    image of only the states new in its one-shorter prefix's set.
     """
     reached = {"": start}
     for word in words:
         for i in range(1, len(word) + 1):
             prefix = word[:i]
             if prefix not in reached:
-                step = _image(reached[word[: i - 1]], moves[word[i - 1]])
-                reached[prefix] = _reach(step, eps)
+                parent = word[: i - 1]
+                old = last.get(prefix, 0)
+                delta = reached[parent] & ~last.get(parent, 0)
+                step = _image(delta, moves[word[i - 1]]) | _eps_step(old, fresh)
+                reached[prefix] = _close(old, step, bicliques)
     return reached
 
 
@@ -163,24 +223,26 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
 
     left_hub: dict[str, int] = {}
     right_hub: dict[str, int] = {}
-    trie: dict[tuple[int, str], int] = {}
+    trie: dict[tuple[str, str], int] = {}  # (left site, insert prefix) -> node
     for rule in system.rules:
         left_site, right_site, insert = triplet_form(rule)
-        if left_site not in left_hub:
-            left_hub[left_site] = count
-            count += 1
-        state = left_hub[left_site]
-        for ch in insert:
-            nxt = trie.get((state, ch))
-            if nxt is None:
-                nxt = trie[state, ch] = count
+        end = trie.get((left_site, insert))
+        if end is None:
+            if left_site not in left_hub:
+                left_hub[left_site] = count
                 count += 1
-                labeled.add((state, ch, nxt))
-            state = nxt
+            end = left_hub[left_site]
+            for i in range(1, len(insert) + 1):
+                nxt = trie.get((left_site, insert[:i]))
+                if nxt is None:
+                    nxt = trie[left_site, insert[:i]] = count
+                    count += 1
+                    labeled.add((end, insert[i - 1], nxt))
+                end = nxt
         if right_site not in right_hub:
             right_hub[right_site] = count
             count += 1
-        static_eps.add((state, right_hub[right_site]))
+        static_eps.add((end, right_hub[right_site]))
 
     base = Nfa(
         alphabet=system.alphabet,
@@ -191,39 +253,59 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         epsilon_edges=frozenset(static_eps),
     )
 
-    fwd, eps_fwd = _mask_tables(base)
-    bwd, eps_bwd = _mask_tables(base, backward=True)
+    fwd, _ = _mask_tables(base)
+    bwd, into = _mask_tables(base, backward=True)
+    # Each static epsilon edge joins the biclique of its target.
+    static = [(src, 1 << t) for t, src in enumerate(into) if src]
+    bicliques = static
+    fresh: list[tuple[int, int]] = []  # the bicliques that grew last round
     initial = _mask(base.initial)
     accepting = _mask(base.accepting)
+    right_words = list(right_hub)
+    left_words = [site[::-1] for site in left_hub]
     left_seen = dict.fromkeys(left_hub, 0)
     right_seen = dict.fromkeys(right_hub, 0)
+    reach = coreach = 0
+    post: dict[str, int] = {}
+    pre: dict[str, int] = {}
     added: list[AddedEdge] = []
     rounds = 0
     while True:
         # A round's edges are added at its end, so its reads see one automaton.
-        reach = _reach(initial, _all_moves(fwd, eps_fwd))
-        coreach = _reach(accepting, _all_moves(bwd, eps_bwd))
-        post = _read_prefixes(reach, right_hub, fwd, eps_fwd)
-        pre = _read_prefixes(coreach, [site[::-1] for site in left_hub], bwd, eps_bwd)
+        backward = [(dst, src) for src, dst in bicliques]
+        fresh_back = [(dst, src) for src, dst in fresh]
+        reach = _close(reach, initial | _eps_step(reach, fresh), bicliques, fwd.values())
+        coreach = _close(
+            coreach, accepting | _eps_step(coreach, fresh_back), backward, bwd.values()
+        )
+        post = _extend_prefixes(post, reach, right_words, fwd, bicliques, fresh)
+        pre = _extend_prefixes(pre, coreach, left_words, bwd, backward, fresh_back)
         new_edges: list[AddedEdge] = []
+        fresh = []
         for site, hub in left_hub.items():
             points = reach & pre[site[::-1]]
-            for p in _bits(points & ~left_seen[site]):
+            grown = points & ~left_seen[site]
+            for p in _bits(grown):
                 new_edges.append(AddedEdge(p, hub, site, "in", rounds + 1))
             left_seen[site] |= points
+            if grown:
+                fresh.append((left_seen[site], 1 << hub))
         for site, hub in right_hub.items():
             points = coreach & post[site]
-            for q in _bits(points & ~right_seen[site]):
+            grown = points & ~right_seen[site]
+            for q in _bits(grown):
                 new_edges.append(AddedEdge(hub, q, site, "out", rounds + 1))
             right_seen[site] |= points
+            if grown:
+                fresh.append((1 << hub, right_seen[site]))
         if not new_edges:
             break
         rounds += 1
         if rounds > count * count:
             raise AssertionError("saturation failed to converge within |states|^2 rounds")
-        for edge in new_edges:
-            eps_fwd[edge.src] |= 1 << edge.dst
-            eps_bwd[edge.dst] |= 1 << edge.src
+        bicliques = static + [
+            (mask, 1 << left_hub[site]) for site, mask in left_seen.items() if mask
+        ] + [(1 << right_hub[site], mask) for site, mask in right_seen.items() if mask]
         added.extend(new_edges)
     return ClosureAutomaton(
         base=base,

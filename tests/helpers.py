@@ -5,6 +5,9 @@ they are used as a second route: regex membership goes through Python's re
 module, NFA membership, subset construction and cycle detection through
 plain set walks, syntactic congruence through raw context enumeration over
 DFA word membership, and closure words through literal splicing iteration.
+The saturation reference ``build_closure_reference`` recomputes every round
+from scratch along per-state epsilon rows: it shares the library's bitset
+walks, but none of its biclique or semi-naive code.
 """
 
 from __future__ import annotations
@@ -19,9 +22,13 @@ from splicekit import (
     Dfa,
     Nfa,
     PixtonRule,
+    SplicingSystem,
     minimize,
     words_shorter_than,
 )
+from splicekit.automata import _all_moves, _bits, _image, _mask, _mask_tables, _reach
+from splicekit.closure import AddedEdge, ClosureAutomaton
+from splicekit.splicing import triplet_form
 
 
 def ll_sorted(alphabet: Alphabet, words) -> list[str]:
@@ -289,3 +296,108 @@ def respect_verdict_reference(monoid, key: tuple) -> bool:
     s1 = [x for x in range(m) if left_viable[mul(x, h_left)]]
     s2 = [y for y in range(m) if right_viable[mul(h_right, y)]]
     return all(mul(mul(x, h_mid), y) in acc for x in s1 for y in s2)
+
+
+def _read_prefixes(
+    start: int, words, moves: dict[str, list[int]], eps: list[int]
+) -> dict[str, int]:
+    """The epsilon-closed set reached from start by every prefix of the words.
+
+    ``start`` must be epsilon-closed.  The set of a prefix is the epsilon
+    closure of the letter's move from the set of the prefix one letter
+    shorter, which is the union of the closed moves of that set's states, so
+    each distinct prefix costs one move and one closure, and no per-state
+    closure table is needed.
+    """
+    reached = {"": start}
+    for word in words:
+        for i in range(1, len(word) + 1):
+            prefix = word[:i]
+            if prefix not in reached:
+                step = _image(reached[word[: i - 1]], moves[word[i - 1]])
+                reached[prefix] = _reach(step, eps)
+    return reached
+
+
+def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
+    """Saturation that recomputes every round from scratch, the reference for
+    ``build_closure``: reachability over every state's edge row, and each
+    site prefix's set from the whole set of the prefix one letter shorter,
+    closed along per-state epsilon rows that the round's new edges extend.
+    The trie is walked letter by letter from its left hub."""
+    base_axioms = system.axiom_nfa()
+    count = base_axioms.state_count
+    labeled = set(base_axioms.labeled_edges)
+    static_eps = set(base_axioms.epsilon_edges)
+
+    left_hub: dict[str, int] = {}
+    right_hub: dict[str, int] = {}
+    trie: dict[tuple[int, str], int] = {}
+    for rule in system.rules:
+        left_site, right_site, insert = triplet_form(rule)
+        if left_site not in left_hub:
+            left_hub[left_site] = count
+            count += 1
+        state = left_hub[left_site]
+        for ch in insert:
+            nxt = trie.get((state, ch))
+            if nxt is None:
+                nxt = trie[state, ch] = count
+                count += 1
+                labeled.add((state, ch, nxt))
+            state = nxt
+        if right_site not in right_hub:
+            right_hub[right_site] = count
+            count += 1
+        static_eps.add((state, right_hub[right_site]))
+
+    base = Nfa(
+        alphabet=system.alphabet,
+        state_count=count,
+        initial=base_axioms.initial,
+        accepting=base_axioms.accepting,
+        labeled_edges=frozenset(labeled),
+        epsilon_edges=frozenset(static_eps),
+    )
+
+    fwd, eps_fwd = _mask_tables(base)
+    bwd, eps_bwd = _mask_tables(base, backward=True)
+    initial = _mask(base.initial)
+    accepting = _mask(base.accepting)
+    left_seen = dict.fromkeys(left_hub, 0)
+    right_seen = dict.fromkeys(right_hub, 0)
+    added: list[AddedEdge] = []
+    rounds = 0
+    while True:
+        # A round's edges are added at its end, so its reads see one automaton.
+        reach = _reach(initial, _all_moves(fwd, eps_fwd))
+        coreach = _reach(accepting, _all_moves(bwd, eps_bwd))
+        post = _read_prefixes(reach, right_hub, fwd, eps_fwd)
+        pre = _read_prefixes(coreach, [site[::-1] for site in left_hub], bwd, eps_bwd)
+        new_edges: list[AddedEdge] = []
+        for site, hub in left_hub.items():
+            points = reach & pre[site[::-1]]
+            for p in _bits(points & ~left_seen[site]):
+                new_edges.append(AddedEdge(p, hub, site, "in", rounds + 1))
+            left_seen[site] |= points
+        for site, hub in right_hub.items():
+            points = coreach & post[site]
+            for q in _bits(points & ~right_seen[site]):
+                new_edges.append(AddedEdge(hub, q, site, "out", rounds + 1))
+            right_seen[site] |= points
+        if not new_edges:
+            break
+        rounds += 1
+        if rounds > count * count:
+            raise AssertionError("saturation failed to converge within |states|^2 rounds")
+        for edge in new_edges:
+            eps_fwd[edge.src] |= 1 << edge.dst
+            eps_bwd[edge.dst] |= 1 << edge.src
+        added.extend(new_edges)
+    return ClosureAutomaton(
+        base=base,
+        left_hubs=tuple(sorted(left_hub.items())),
+        right_hubs=tuple(sorted(right_hub.items())),
+        added=tuple(added),
+        rounds=rounds,
+    )

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splicekit import (
     Alphabet,
@@ -21,11 +23,13 @@ from splicekit import (
     equivalent,
     minimize,
     parse_regex,
+    syntactic_monoid,
+    theorem_bounds,
 )
 from splicekit.closure import closure_dfa
 from splicekit.splicing import sigma_step
 
-from helpers import ll_sorted, random_pixton_rule, random_word
+from helpers import build_closure_reference, ll_sorted, random_pixton_rule, random_word
 
 A = Alphabet.from_string("a")
 AB = Alphabet.from_string("ab")
@@ -195,6 +199,13 @@ def test_rounds_and_state_set_are_bounded():
     assert all(e.src < n and e.dst < n for e in closure.added)
 
 
+def test_closure_nfa_is_built_once():
+    closure = build_closure(EXAMPLE1)
+    assert closure.nfa() is closure.nfa()
+    # the kept automaton is not a field, so equality still compares fields
+    assert closure == build_closure(EXAMPLE1)
+
+
 def test_added_edges_attach_to_hubs():
     closure = build_closure(EXAMPLE1)
     left = {hub for _site, hub in closure.left_hubs}
@@ -346,3 +357,65 @@ def test_closure_with_shared_sites_and_insert_words_matches_oracle():
         got = set(enumerate_words(closure_language(system), 5))
         want = stabilized_oracle(system, 5)
         assert got == want, (system, ll_sorted(ABC, got ^ want))
+
+
+def finite_regexes(symbols: str):
+    """Star-free regexes over the symbols, empty groups included, so their
+    Thompson automata keep epsilon edges after trimming."""
+    leaves = st.sampled_from(list(symbols) + ["()"])
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return pairs.map(lambda t: f"({t[0]})({t[1]})") | pairs.map(
+            lambda t: f"(({t[0]})|({t[1]}))"
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@st.composite
+def small_systems(draw):
+    """Random systems over 2-3 letters, in both variants, with word-tuple
+    axioms or with star-free regex automata as axioms."""
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    word = st.text(alphabet="".join(alphabet.symbols), max_size=2)
+    if draw(st.booleans()):
+        axioms = tuple(
+            draw(st.lists(st.text(alphabet="".join(alphabet.symbols), max_size=4),
+                          min_size=1, max_size=3))
+        )
+    else:
+        axioms = parse_regex(draw(finite_regexes("".join(alphabet.symbols))), alphabet)
+    variant = draw(st.sampled_from(["classic", "pixton"]))
+    make, arity = (ClassicRule, 4) if variant == "classic" else (PixtonRule, 3)
+    rules = draw(st.lists(st.tuples(*[word] * arity).map(lambda t: make(*t)), max_size=6))
+    return SplicingSystem(variant, alphabet, axioms, tuple(rules))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_saturation_matches_from_scratch_reference(system):
+    assert build_closure(system) == build_closure_reference(system)
+
+
+def _theorem_system(regex, variant):
+    language = lang(regex, A)
+    bounds = theorem_bounds(syntactic_monoid(language).size, variant)
+    return canonical_system(language, variant, bounds)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: canonical_system(lang("a+b+"), "classic", custom_bounds("classic", 3, 3, 3)),
+        lambda: canonical_system(lang("a*b*"), "pixton", custom_bounds("pixton", 6, 4, 6)),
+        lambda: canonical_system(lang("(ab)*"), "pixton", custom_bounds("pixton", 6, 3, 4)),
+        lambda: _theorem_system("a+", "classic"),
+        lambda: _theorem_system("aa+", "pixton"),
+    ],
+    ids=["a+b+ classic (3,3,3)", "a*b* pixton (6,4,6)", "(ab)* pixton (6,3,4)",
+         "a+ classic theorem", "aa+ pixton theorem"],
+)
+def test_canonical_saturation_matches_from_scratch_reference(make):
+    system = make()
+    assert build_closure(system) == build_closure_reference(system)
