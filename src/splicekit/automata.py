@@ -98,7 +98,9 @@ def count_words_shorter_than(alphabet_size: int, bound: int) -> int:
     """|Sigma^{<bound}| computed exactly."""
     if bound <= 0:
         return 0
-    if alphabet_size <= 1:
+    if alphabet_size == 0:
+        return 1  # the empty word alone
+    if alphabet_size == 1:
         return bound
     return (alphabet_size**bound - 1) // (alphabet_size - 1)
 

@@ -164,12 +164,13 @@ def canonical_rules(
 
     - each distinct component bound gets one pool of its words in ll-order,
       each word's class computed once from its prefix's class;
-    - the respect verdict runs once per class tuple present in the pools
-      (at most m^4 classic, m^3 triplet), through the context's cache;
-    - the respecting class tuples form a trie, and at each depth the walk
-      visits only the pool words whose class some respecting tuple allows
-      after the classes chosen so far (one ll-ordered sub-list per allowed
-      class set), so a prefix no respecting tuple extends is never expanded.
+    - the respect verdict is asked once per class tuple present in the pools
+      (at most m^4 classic, m^3 triplet), through the context's cache,
+      which is keyed by flank triple;
+    - the respecting class tuples form a trie, and the walk extends a prefix
+      only by the pool words whose class the prefix's trie node allows (each
+      node's pool filtered once, on its first visit), so a prefix no
+      respecting tuple extends is never expanded.
 
     The walk is the word-tuple nested loop (first component slowest, each
     pool in ll-order) with non-respecting words skipped, so the rules come
@@ -182,9 +183,7 @@ def canonical_rules(
     ctx = lang_monoid_ctx
     lts = bounds.component_lts
     pools = {lt: _class_pool(ctx.monoid, alphabet, lt) for lt in set(lts)}
-    # classes in order of first occurrence, so verdicts are cached in the
-    # order a word-tuple walk would first meet them
-    present = [list(dict.fromkeys(pools[lt][1])) for lt in lts]
+    present = [sorted(set(pools[lt][1])) for lt in lts]
     kind = "c" if bounds.variant == CLASSIC else "p"
     trie: dict = {}
     for classes in itertools.product(*present):
@@ -193,37 +192,27 @@ def canonical_rules(
             for c in classes:
                 node = node.setdefault(c, {})
 
-    sublists: dict[tuple[int, frozenset], tuple[list[str], list[int]]] = {}
-
-    def allowed(depth: int, node: dict):
-        """(pool words whose class the node allows, with their classes;
-        the same for each child node, keyed by class)."""
-        lt = lts[depth]
-        key = (lt, frozenset(node))
-        sub = sublists.get(key)
-        if sub is None:
-            words, classes = pools[lt]
-            keep = [c in node for c in classes]
-            sub = sublists[key] = (
-                list(itertools.compress(words, keep)),
-                list(itertools.compress(classes, keep)),
-            )
-        if depth == len(lts) - 1:
-            return sub, None
-        return sub, {c: allowed(depth + 1, child) for c, child in node.items()}
-
     make: type[Rule] = ClassicRule if bounds.variant == CLASSIC else PixtonRule
+    last = len(lts) - 1
     rules: list[Rule] = []
+    # id of a trie node -> (pool word, child node) for each word it allows;
+    # the trie keeps every node alive, so ids stay unique
+    kept: dict[int, list[tuple[str, dict]]] = {}
 
-    def walk(level, prefix: tuple[str, ...]) -> None:
-        (words, classes), children = level
-        if children is None:
-            rules.extend(make(*prefix, w) for w in words)
-            return
-        for w, c in zip(words, classes):
-            walk(children[c], prefix + (w,))
+    def walk(depth: int, node: dict, prefix: tuple[str, ...]) -> None:
+        words = kept.get(id(node))
+        if words is None:
+            pool, classes = pools[lts[depth]]
+            words = kept[id(node)] = [
+                (w, node[c]) for w, c in zip(pool, classes) if c in node
+            ]
+        if depth == last:
+            rules.extend(make(*prefix, w) for w, _ in words)
+        else:
+            for w, child in words:
+                walk(depth + 1, child, prefix + (w,))
 
-    walk(allowed(0, trie), ())
+    walk(0, trie, ())
     return tuple(rules)
 
 
@@ -243,7 +232,7 @@ def _canonical(
     rules = canonical_rules(ctx, lang.alphabet, bounds)
     n_respecting = len(rules)
     if prune:
-        rules = tuple(prune_minimal(rules, ctx))
+        rules = tuple(prune_minimal(rules))
     return SplicingSystem(variant, lang.alphabet, axioms, tuple(rules)), n_respecting
 
 

@@ -105,5 +105,10 @@ class _Parser:
 def parse_regex(text: str, alphabet: Alphabet) -> Nfa:
     """Compile a pattern to an NFA accepting exactly the denoted language."""
     builder = NfaBuilder(alphabet)
-    frag = _Parser(text, alphabet, builder).parse()
+    parser = _Parser(text, alphabet, builder)
+    try:
+        frag = parser.parse()
+    except RecursionError:
+        # the parser descends once per nesting level
+        raise RegexSyntaxError("pattern nested too deeply", parser.pos) from None
     return builder.build(initial={frag.start}, accepting={frag.end})

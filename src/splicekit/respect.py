@@ -4,13 +4,12 @@ The exact test runs in the syntactic monoid: collect the classes that can
 precede the left site inside the language and the classes that can follow
 the right site, then demand that every such pair flanking the inserted
 word lands in an accepting class.  Respect only depends on the syntactic
-classes of the rule components, so the verdict is computed once per class
-tuple and cached; ``RespectContext.respects`` (one rule) and the canonical
-rule enumeration (which walks class tuples directly) share that cache.  A
-verdict reads only three products of the tuple's classes (the flank
-triple), so it is computed once per triple: a canonical system fills m^4
-cached keys (classic) or m^3 (triplet), with at most m^3 flank evaluations
-either way.
+classes of the rule components, and the test reads only three of their
+products, the flank triple: the left site's class, the right site's class
+and the class spliced in between.  ``RespectContext`` keeps one memo from
+flank triples to verdicts, shared by ``respects`` (one rule) and the
+canonical rule enumeration (which asks per class tuple), so a canonical
+system costs at most m^3 flank evaluations in either variant.
 
 ``brute_respect`` is the word-level falsification oracle: it searches for an
 actual splicing of two language words (up to a length bound) that escapes
@@ -30,22 +29,19 @@ from .splicing import ClassicRule, PixtonRule, Rule, triplet_form
 
 @dataclass
 class RespectContext:
-    """Monoid plus a cache from rule class tuples to verdicts.
+    """Monoid plus a memo from flank triples to verdicts.
 
-    ``class_tuple`` maps a rule to its key, ``verdict`` evaluates a key once
-    and caches it, and ``respects`` is the two composed.  Keys are
-    ("c", u1, v1, u2, v2) or ("p", u1, u2, v) in class ids.  Up to m^4
-    cached keys share at most m^3 flank evaluations: each key's verdict is
-    memoized on its flank triple, which is all the evaluation reads.
+    ``class_tuple`` maps a rule to its key, ("c", u1, v1, u2, v2) or
+    ("p", u1, u2, v) in class ids; ``verdict`` maps a key to its flank
+    triple (u1·v1, u2·v2, u1·v2 classic; u1, u2, v triplet) and evaluates
+    each triple once; ``respects`` is the two composed.  ``cache`` holds one
+    entry per evaluated triple (h_left, h_right, h_mid), at most m^3.
     """
 
     monoid: SyntacticMonoid
-    cache: dict[tuple, bool] = field(default_factory=dict)
+    cache: dict[tuple[int, int, int], bool] = field(default_factory=dict)
     _left_viable: list[bool] = field(default_factory=list, repr=False)
     _right_viable: list[bool] = field(default_factory=list, repr=False)
-    _flank_verdicts: dict[tuple[int, int, int], bool] = field(
-        default_factory=dict, repr=False
-    )
 
     def __post_init__(self):
         m, t, acc = self.monoid.size, self.monoid.table, self.monoid.accepting
@@ -63,25 +59,16 @@ class RespectContext:
 
     def verdict(self, key: tuple) -> bool:
         """Whether the rules with this class tuple respect the language;
-        evaluated once per tuple and cached."""
-        cached = self.cache.get(key)
-        if cached is None:
-            cached = self.cache[key] = self._evaluate(key)
-        return cached
-
-    def _evaluate(self, key: tuple) -> bool:
-        """The verdict for one class tuple, through its flank triple: the
-        left site's class, the right site's class and the class spliced in
-        between (u1·v1, u2·v2, u1·v2 classic; u1, u2, v triplet)."""
+        evaluated once per flank triple."""
         if key[0] == "p":
             flanks = key[1:]
         else:
-            mul = self.monoid.mul
-            _, hu1, hv1, hu2, hv2 = key
-            flanks = (mul(hu1, hv1), mul(hu2, hv2), mul(hu1, hv2))
-        verdict = self._flank_verdicts.get(flanks)
+            t = self.monoid.table
+            _, u1, v1, u2, v2 = key
+            flanks = (t[u1][v1], t[u2][v2], t[u1][v2])
+        verdict = self.cache.get(flanks)
         if verdict is None:
-            verdict = self._flank_verdicts[flanks] = self._flank_verdict(*flanks)
+            verdict = self.cache[flanks] = self._flank_verdict(*flanks)
         return verdict
 
     def _flank_verdict(self, h_left: int, h_right: int, h_mid: int) -> bool:
@@ -110,6 +97,8 @@ def respect_counterexample(
     Prefixes are deduplicated through the residual DFA state they reach and
     suffixes as strings, which keeps the pair search at desk scale.
     """
+    if word_bound < 0:
+        raise ValueError("word_bound must be non-negative")
     words = enumerate_words(lang, word_bound)
     left_site, right_site, glue = triplet_form(rule)
     # state after x1·glue -> an example (w1, x1) realizing it
@@ -230,7 +219,7 @@ def _restrictions(rule: Rule):
     )
 
 
-def prune_minimal(rules, ctx: RespectContext | None = None):
+def prune_minimal(rules):
     """Drop every rule that properly extends another rule in the list.
 
     All inputs are assumed to respect the language, so any splicing by a

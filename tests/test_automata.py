@@ -26,7 +26,7 @@ from splicekit import (
     union,
     words_shorter_than,
 )
-from splicekit.automata import has_cycle, occurrences, trim
+from splicekit.automata import count_words_shorter_than, has_cycle, occurrences, trim
 from splicekit.decide import _length_bounded_dfa
 
 from helpers import (
@@ -71,6 +71,16 @@ def test_words_shorter_than_order_and_count():
     words = list(words_shorter_than(AB, 3))
     assert words == ["", "a", "b", "aa", "ab", "ba", "bb"]
     assert list(words_shorter_than(AB, 0)) == []
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_count_words_shorter_than_matches_enumeration(k):
+    # k = 0 included: over the empty alphabet only the empty word exists
+    alphabet = Alphabet.from_string("abc"[:k])
+    for bound in range(7):
+        assert count_words_shorter_than(k, bound) == len(
+            list(words_shorter_than(alphabet, bound))
+        )
 
 
 def test_occurrences_overlapping_and_empty():

@@ -201,6 +201,16 @@ def test_tool_errors_exit_65(capsys):
         "--variant", "classic", "--rule", "x,;,",
     )
     assert code == 65
+    nested = "(" * 300 + "a" + ")" * 300
+    code, out, err = run(capsys, "monoid", "--lang", nested, "--alphabet", "a")
+    assert code == 65 and out == ""
+    assert err.startswith("splicekit: ") and len(err.splitlines()) == 1
+    code, _, err = run(
+        capsys, "respect", "--lang", "(aa)*", "--alphabet", "a",
+        "--variant", "classic", "--rule", "aa,;aa,", "--witness", "--bound", "-3",
+    )
+    assert code == 65
+    assert err == "splicekit: word_bound must be non-negative\n"
 
 
 @pytest.mark.parametrize(
@@ -274,6 +284,15 @@ def test_decide_runs_without_numpy_or_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "yes\n"
+
+
+def test_empty_alphabet_counts_one_candidate_rule(capsys):
+    # Sigma^{<b} over the empty alphabet is {epsilon}: one word tuple
+    code, out, _ = run(
+        capsys, "decide", "--lang", "()", "--alphabet", "", "--variant", "classic", "--stats",
+    )
+    assert code == 0
+    assert json.loads(out.splitlines()[1])["candidate_rules"] == 1
 
 
 def test_candidate_guard_counts_unary_word_tuples(capsys):

@@ -306,7 +306,7 @@ def test_cyclic_unary_languages_decide_no_at_theorem_bounds(k, variant):
 
 def test_rule_enumeration_evaluates_each_class_tuple_once(monkeypatch):
     monoid, alphabet, bounds = rule_setup("(aaaaa)*", "a", "classic", None)
-    calls = {"class_of": 0, "respects": 0, "_evaluate": 0}
+    calls = {"class_of": 0, "respects": 0, "verdict": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -319,7 +319,7 @@ def test_rule_enumeration_evaluates_each_class_tuple_once(monkeypatch):
 
     counting(SyntacticMonoid, "class_of")
     counting(RespectContext, "respects")
-    counting(RespectContext, "_evaluate")
+    counting(RespectContext, "verdict")
     assert canonical_rules(RespectContext(monoid), alphabet, bounds) == ()
     pool_words = sum(bounds.component_lts)  # |a^{<b}| = b
     assert sum(calls.values()) <= pool_words + monoid.size**4
@@ -327,9 +327,10 @@ def test_rule_enumeration_evaluates_each_class_tuple_once(monkeypatch):
 
 def test_respect_verdicts_evaluate_each_flank_triple_once(monkeypatch):
     # (a^5)* classic theorem: every one of the m^4 class tuples is present in
-    # the pools and evaluated, but they share at most m^3 flank triples
+    # the pools and asked for, but they share at most m^3 flank triples, each
+    # evaluated once and held as the memo's only entry for it
     monoid, alphabet, bounds = rule_setup("(aaaaa)*", "a", "classic", None)
-    calls = {"_evaluate": 0, "_flank_verdict": 0}
+    calls = {"verdict": 0, "_flank_verdict": 0}
 
     def counting(name):
         original = getattr(RespectContext, name)
@@ -340,10 +341,10 @@ def test_respect_verdicts_evaluate_each_flank_triple_once(monkeypatch):
 
         monkeypatch.setattr(RespectContext, name, wrapper)
 
-    counting("_evaluate")
+    counting("verdict")
     counting("_flank_verdict")
     ctx = RespectContext(monoid)
     assert canonical_rules(ctx, alphabet, bounds) == ()
     assert monoid.size == 5
-    assert calls["_evaluate"] == len(ctx.cache) == 625
-    assert calls["_flank_verdict"] <= 125
+    assert calls["verdict"] == 625
+    assert calls["_flank_verdict"] == len(ctx.cache) <= 125

@@ -50,6 +50,12 @@ def test_syntax_errors_carry_positions():
     assert err.value.position == 1
 
 
+def test_deep_nesting_is_a_syntax_error():
+    assert parse_regex("(" * 100 + "a" + ")" * 100, AB).accepts("a")
+    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+        parse_regex("(" * 300 + "a" + ")" * 300, AB)
+
+
 def test_membership_agrees_with_python_re():
     # random regexes, depth <= 4, alphabet <= 3 symbols: the DFA and
     # re.fullmatch must agree on every word up to length 8

@@ -83,6 +83,15 @@ def test_brute_respect_examples():
     assert not brute_respect(apbp, ClassicRule("", "", "", ""), 2)
 
 
+def test_negative_word_bound_is_rejected():
+    paa = lang("(aa)*", A)
+    rule = ClassicRule("aa", "", "aa", "")
+    with pytest.raises(ValueError, match="word_bound"):
+        respect_counterexample(paa, rule, -3)
+    with pytest.raises(ValueError, match="word_bound"):
+        brute_respect(paa, rule, -1)
+
+
 def test_brute_respect_sound_for_respecting_rules():
     ctx = ctx_for("a+b+")
     apbp = lang("a+b+")
@@ -180,8 +189,9 @@ def test_cache_coherence():
     again = [ctx.respects(r) for r in rules]
     fresh = ctx_for("a+b+")
     assert first == again == [fresh.respects(r) for r in rules]
-    for key, verdict in ctx.cache.items():
-        assert fresh.cache.get(key, fresh._evaluate(key)) == verdict
+    assert len(ctx.cache) <= ctx.monoid.size**3
+    for flanks, verdict in ctx.cache.items():
+        assert fresh._flank_verdict(*flanks) == verdict
 
 
 def test_extend_rule_patterns():
