@@ -315,39 +315,55 @@ def _reach(start: int, succ: list[int]) -> int:
     return seen
 
 
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction.  The result is complete and BFS-numbered.
+def _subset_dfa(
+    alphabet: Alphabet,
+    fwd: dict[str, list[int]],
+    initial: int,
+    accepting: int,
+    close: Callable[[int], int],
+) -> Dfa:
+    """Subset construction over the letter rows fwd, with close giving the
+    epsilon closure of a mask.  The result is complete and BFS-numbered.
 
-    A target subset is the epsilon closure of a subset's move mask, computed
-    by ``_reach`` the first time that move mask occurs; no per-state closure
-    table is built.
+    A target subset is the closure of a subset's move mask, computed the
+    first time that move mask occurs.
     """
-    fwd, eps = _mask_tables(nfa)
-    acc_mask = _mask(nfa.accepting)
-    start = _reach(_mask(nfa.initial), eps)
+    start = close(initial)
     ids: dict[int, int] = {start: 0}
     order = [start]
     closed: dict[int, int] = {}  # move mask -> its epsilon closure
     rows: list[tuple[int, ...]] = []
     for subset in order:
         row = []
-        for sym in nfa.alphabet.symbols:
+        for sym in alphabet.symbols:
             move = _image(subset, fwd[sym])
             target = closed.get(move)
             if target is None:
-                target = closed[move] = _reach(move, eps)
+                target = closed[move] = close(move)
             if target not in ids:
                 ids[target] = len(order)
                 order.append(target)
             row.append(ids[target])
         rows.append(tuple(row))
-    accepting = frozenset(i for i, subset in enumerate(order) if subset & acc_mask)
     return Dfa(
-        alphabet=nfa.alphabet,
+        alphabet=alphabet,
         state_count=len(order),
         initial=0,
-        accepting=accepting,
+        accepting=frozenset(i for i, subset in enumerate(order) if subset & accepting),
         transitions=tuple(rows),
+    )
+
+
+def determinize(nfa: Nfa) -> Dfa:
+    """Subset construction, closing move masks by ``_reach`` along the
+    per-state epsilon rows; no per-state closure table is built."""
+    fwd, eps = _mask_tables(nfa)
+    return _subset_dfa(
+        nfa.alphabet,
+        fwd,
+        _mask(nfa.initial),
+        _mask(nfa.accepting),
+        lambda mask: _reach(mask, eps),
     )
 
 
@@ -634,15 +650,52 @@ def has_cycle(nfa: Nfa) -> bool:
 def automaton_to_json(a: Nfa | Dfa) -> str:
     """Automaton JSON, bit-exact: fixed key order, edges sorted as triples."""
     nfa = a.to_nfa() if isinstance(a, Dfa) else a
-    doc = {
-        "alphabet": list(nfa.alphabet.symbols),
-        "states": nfa.state_count,
-        "initial": sorted(nfa.initial),
-        "accepting": sorted(nfa.accepting),
-        "edges": sorted(nfa.labeled_edges),
-        "epsilon": sorted(nfa.epsilon_edges),
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    eps: list[list[int]] = [[] for _ in range(nfa.state_count)]
+    for p, q in sorted(nfa.epsilon_edges):
+        eps[p].append(q)
+    fwd, _ = _mask_tables(nfa)
+    return _rows_to_json(
+        nfa.alphabet, nfa.state_count, nfa.initial, nfa.accepting, fwd, eps
+    )
+
+
+def _rows_to_json(
+    alphabet: Alphabet,
+    state_count: int,
+    initial: Iterable[int],
+    accepting: Iterable[int],
+    fwd: dict[str, list[int]],
+    eps: list[list[int]],
+) -> str:
+    """The automaton JSON writer, from per-state rows: letter successor
+    masks, and epsilon successor lists in ascending order.
+
+    Walking the states in order, each state's symbols in string order and
+    each row's targets ascending lists the edges already sorted as triples,
+    so no edge set is built and nothing is sorted here.
+    """
+    head = json.dumps(
+        {
+            "alphabet": list(alphabet.symbols),
+            "states": state_count,
+            "initial": sorted(initial),
+            "accepting": sorted(accepting),
+        },
+        separators=(",", ":"),
+    )
+    syms = [(json.dumps(sym), fwd[sym]) for sym in sorted(alphabet.symbols)]
+    edges = [
+        f"[{p},{sym},{q}]"
+        for p in range(state_count)
+        for sym, rows in syms
+        for q in _bits(rows[p])
+    ]
+    pairs = []
+    for p, row in enumerate(eps):
+        if row:
+            pre = f"[{p},"
+            pairs.append(pre + ("]," + pre).join(map(str, row)) + "]")
+    return f'{head[:-1]},"edges":[{",".join(edges)}],"epsilon":[{",".join(pairs)}]}}'
 
 
 def automaton_from_json(text: str | dict) -> Nfa:
@@ -674,7 +727,8 @@ def automaton_to_dot(
         lines.append(f"  __start{i} [shape=point];")
         lines.append(f"  __start{i} -> {s};")
     for p, sym, q in sorted(nfa.labeled_edges):
-        lines.append(f'  {p} -> {q} [label="{sym}"];')
+        label = sym.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {p} -> {q} [label="{label}"];')
     for p, q in sorted(nfa.epsilon_edges):
         color = (epsilon_colors or {}).get((p, q))
         attr = f', color="{color}"' if color else ""

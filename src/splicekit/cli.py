@@ -18,7 +18,6 @@ from .automata import (
     Dfa,
     automaton_from_json,
     automaton_to_dot,
-    automaton_to_json,
     determinize,
     length_lex_key,
     minimize,
@@ -157,9 +156,9 @@ def _cmd_closure(args) -> int:
                 print(f"  eps {e.src} -> {e.dst} (site {e.site!r}, {e.side})")
     print(f"states: {closure.base.state_count}")
     print(f"rounds: {closure.rounds}")
-    print(f"epsilon-added: {len(closure.added)}")
+    print(f"epsilon-added: {closure.added_count}")
     if args.emit_closure:
-        _emit(args.emit_closure, automaton_to_json(closure.nfa()))
+        _emit(args.emit_closure, closure.to_json())
     if args.dot:
         sites = sorted({e.site for e in closure.added})
         palette = {site: _PALETTE[i % len(_PALETTE)] for i, site in enumerate(sites)}
@@ -234,7 +233,7 @@ def _cmd_decide(args) -> int:
     if args.emit_system:
         _emit(args.emit_system, system_to_json(decision.system))
     if args.emit_closure:
-        _emit(args.emit_closure, automaton_to_json(decision.closure.nfa()))
+        _emit(args.emit_closure, decision.closure.to_json())
     return decision.exit_code
 
 

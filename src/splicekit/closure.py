@@ -37,25 +37,31 @@ keeps the accepted language, and since saturation picks its edges from
 reachability, site reads and co-reachability, which the merge preserves,
 the saturation fixpoint's language is unchanged as well.
 
-Provenance.  An added edge names its site word and side: an "in" edge
-feeds the left hub of its site, the root of the trie shared by the rules
-with that left site; an "out" edge leaves the right hub of its site, which
-the trie endpoints of the rules with that right site feed.  A rule's own
-part of the automaton is the trie path from its left hub along its insert
-word plus the static epsilon edge from that path's end to its right hub.
+Provenance.  Saturation records, per round, the mask of the points each
+site gained; an added edge is one point of such a mask joined to its site's
+hub, and the edge list is derived from the masks only when asked for.  An
+edge names its site word and side: an "in" edge feeds the left hub of its
+site, the root of the trie shared by the rules with that left site; an
+"out" edge leaves the right hub of its site, which the trie endpoints of
+the rules with that right site feed.  A rule's own part of the automaton is
+the trie path from its left hub along its insert word plus the static
+epsilon edge from that path's end to its right hub.
 
 Representation.  Trie nodes are keyed by (left site, insert prefix), so a
-rule whose whole insert path exists already costs one lookup.  Saturation
-keeps state sets as int bitmasks and never walks a per-state epsilon row.
-Every epsilon edge belongs to a biclique, a pair (source mask, target mask)
-joining each source to each target: the static edges grouped by target (the
-trie ends that feed a right hub, and any epsilon edges of the axiom
-automaton), one per left site (its points so far to its hub) and one per
-right site (its hub to its points so far).  A forward epsilon-closure step
-adds the target mask of every biclique whose source mask meets the frontier,
-and a backward step is the mirror, so a step costs one AND per biclique
-however dense the masks are.  Letter moves image a set's states through the
-letter's per-state rows.
+rule whose whole insert path exists already costs one lookup.  The closure
+is kept as masks from saturation to output, and no step walks a per-state
+epsilon row built from an edge set.  Every epsilon edge belongs to a
+biclique, a pair (source mask, target mask) joining each source to each
+target: the static edges grouped by target (the trie ends that feed a right
+hub, and any epsilon edges of the axiom automaton), one per left site (its
+points so far to its hub) and one per right site (its hub to its points so
+far).  A forward epsilon-closure step adds the target mask of every
+biclique whose source mask meets the frontier, and a backward step is the
+mirror, so a step costs one AND per biclique however dense the masks are.
+Letter moves image a set's states through the letter's per-state rows.
+The comparison's subset construction (``closure_dfa``) closes its move
+masks through the same bicliques, and the closure JSON is written from
+per-state epsilon rows built from them.
 
 Rounds are semi-naive: the reachable and co-reachable sets and the set of
 each site prefix carry over from the round before, and only their new
@@ -71,8 +77,9 @@ Edges found in a round are added at its end, so every read in a round sees
 one automaton.  Right sites are read forwards from the reachable set, left
 sites reversed, backwards from the co-reachable set, and the set of each
 distinct prefix comes from the set of the prefix one letter shorter.  A
-site's new points come out in ascending state order, left sites before
-right sites and each side in hub order, so ``added`` is deterministic.
+round records its sites' new point masks left sites before right sites and
+each side in hub order, and a mask lists its points in ascending state
+order, so ``added`` is deterministic.
 
 States are never added after construction, so the rounds hit a fixpoint; at
 the fixpoint a word is accepted iff it lies in the closure of the axioms
@@ -94,7 +101,8 @@ from .automata import (
     _image,
     _mask,
     _mask_tables,
-    determinize,
+    _rows_to_json,
+    _subset_dfa,
     minimize,
 )
 from .splicing import SplicingSystem, triplet_form
@@ -114,6 +122,42 @@ class AddedEdge(NamedTuple):
     round: int
 
 
+class Growth(NamedTuple):
+    """The points one site gained in one saturation round.
+
+    ``points`` is the mask of the states that became points of ``site`` on
+    ``side`` in ``round``: each gets an edge into ``hub`` ("in") or from it
+    ("out").
+    """
+
+    round: int
+    side: str
+    site: str
+    hub: int
+    points: int
+
+
+def _static_bicliques(nfa: Nfa) -> list[tuple[int, int]]:
+    """The epsilon edges of nfa grouped by target: (sources, target) masks."""
+    into = [0] * nfa.state_count
+    for p, q in nfa.epsilon_edges:
+        into[q] |= 1 << p
+    return [(src, 1 << t) for t, src in enumerate(into) if src]
+
+
+def _site_bicliques(
+    static: list[tuple[int, int]], left: dict[int, int], right: dict[int, int]
+) -> list[tuple[int, int]]:
+    """Every epsilon edge as (source mask, target mask) pairs: the static
+    bicliques, each left hub's points into the hub, and each right hub out
+    to its points; ``left`` and ``right`` map hubs to their points so far."""
+    return (
+        static
+        + [(points, 1 << hub) for hub, points in left.items() if points]
+        + [(1 << hub, points) for hub, points in right.items() if points]
+    )
+
+
 @dataclass(frozen=True)
 class ClosureAutomaton:
     """Saturated automaton with bridge provenance.
@@ -121,22 +165,92 @@ class ClosureAutomaton:
     ``base`` holds the axiom part, the per-site hubs, the insert-word tries
     rooted at the left hubs, and the static epsilon edges from each rule's
     trie endpoint to its right hub; ``left_hubs`` and ``right_hubs`` map
-    site words to their hub states.  The epsilon edges discovered by
-    saturation live in ``added``, so traces and DOT output can attribute
-    every discovered edge to its site word, and through the hub to the rules
-    with that site: the rules whose trie an "in" edge feeds, or whose trie
-    endpoints feed the hub an "out" edge leaves.
+    site words to their hub states.  Saturation is recorded in ``growth``:
+    one point mask per site and round in which the site gained points, in
+    the order ``build_closure`` found them.  The rest is derived from those
+    masks when asked for: ``added``, one provenance-tagged edge per point,
+    so traces and DOT output can attribute every discovered edge to its
+    site word, and through the hub to the rules with that site (the rules
+    whose trie an "in" edge feeds, or whose trie endpoints feed the hub an
+    "out" edge leaves); the bicliques that ``closure_dfa`` closes subsets
+    through; the JSON that ``to_json`` writes from per-state epsilon rows;
+    and ``nfa()``, the saturated automaton as an edge set.  ``added``, the
+    bicliques and ``nfa()`` are kept once built; ``build_closure`` hands
+    over the bicliques and letter rows it ends with.
     """
 
     base: Nfa
     left_hubs: tuple[tuple[str, int], ...]
     right_hubs: tuple[tuple[str, int], ...]
-    added: tuple[AddedEdge, ...]
+    growth: tuple[Growth, ...]
     rounds: int
+
+    @cached_property
+    def added(self) -> tuple[AddedEdge, ...]:
+        """Every added edge: rounds ascending, left sites before right sites,
+        each side in hub order, and a site's points ascending."""
+        out = []
+        for rnd, side, site, hub, points in self.growth:
+            if side == "in":
+                out.extend(AddedEdge(p, hub, site, side, rnd) for p in _bits(points))
+            else:
+                out.extend(AddedEdge(hub, q, site, side, rnd) for q in _bits(points))
+        return tuple(out)
+
+    @property
+    def added_count(self) -> int:
+        """The number of added edges, counted without building them."""
+        return sum(g.points.bit_count() for g in self.growth)
 
     @property
     def added_epsilon(self) -> frozenset[tuple[int, int]]:
         return frozenset((e.src, e.dst) for e in self.added)
+
+    @cached_property
+    def _bicliques(self) -> list[tuple[int, int]]:
+        """Every epsilon edge of the saturated automaton, as (source mask,
+        target mask) pairs, with each site's points gathered from growth."""
+        left: dict[int, int] = {}
+        right: dict[int, int] = {}
+        for g in self.growth:
+            seen = left if g.side == "in" else right
+            seen[g.hub] = seen.get(g.hub, 0) | g.points
+        return _site_bicliques(_static_bicliques(self.base), left, right)
+
+    @cached_property
+    def _fwd(self) -> dict[str, list[int]]:
+        """Per-symbol successor masks, one int per state; saturation adds
+        no letter edges, so these are the base automaton's."""
+        return _mask_tables(self.base)[0]
+
+    def to_json(self) -> str:
+        """``automaton_to_json(self.nfa())``, written from per-state epsilon
+        rows built from the bicliques.
+
+        The bicliques with one target are grouped by target and appended to
+        their sources' rows in ascending target order, so those rows come
+        out sorted and free of repeats; a state that is the source of a
+        wider biclique (a right hub) gets its row from one mask instead.
+        """
+        base = self.base
+        into: dict[int, int] = {}  # target -> sources, for one-target bicliques
+        wide: dict[int, int] = {}  # source -> targets, for the others
+        for src, dst in self._bicliques:
+            if dst & (dst - 1):
+                for p in _bits(src):
+                    wide[p] = wide.get(p, 0) | dst
+            else:
+                t = dst.bit_length() - 1
+                into[t] = into.get(t, 0) | src
+        eps: list[list[int]] = [[] for _ in range(base.state_count)]
+        for t in sorted(into):
+            for p in _bits(into[t]):
+                eps[p].append(t)
+        for p, targets in wide.items():
+            eps[p] = list(_bits(targets | _mask(eps[p])))
+        return _rows_to_json(
+            base.alphabet, base.state_count, base.initial, base.accepting, self._fwd, eps
+        )
 
     @cached_property
     def _nfa(self) -> Nfa:
@@ -254,21 +368,20 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
     )
 
     fwd, _ = _mask_tables(base)
-    bwd, into = _mask_tables(base, backward=True)
-    # Each static epsilon edge joins the biclique of its target.
-    static = [(src, 1 << t) for t, src in enumerate(into) if src]
+    bwd, _ = _mask_tables(base, backward=True)
+    static = _static_bicliques(base)
     bicliques = static
     fresh: list[tuple[int, int]] = []  # the bicliques that grew last round
     initial = _mask(base.initial)
     accepting = _mask(base.accepting)
     right_words = list(right_hub)
     left_words = [site[::-1] for site in left_hub]
-    left_seen = dict.fromkeys(left_hub, 0)
-    right_seen = dict.fromkeys(right_hub, 0)
+    left_seen = dict.fromkeys(left_hub.values(), 0)  # hub -> its points so far
+    right_seen = dict.fromkeys(right_hub.values(), 0)
     reach = coreach = 0
     post: dict[str, int] = {}
     pre: dict[str, int] = {}
-    added: list[AddedEdge] = []
+    growth: list[Growth] = []
     rounds = 0
     while True:
         # A round's edges are added at its end, so its reads see one automaton.
@@ -280,45 +393,57 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         )
         post = _extend_prefixes(post, reach, right_words, fwd, bicliques, fresh)
         pre = _extend_prefixes(pre, coreach, left_words, bwd, backward, fresh_back)
-        new_edges: list[AddedEdge] = []
+        new: list[Growth] = []
         fresh = []
         for site, hub in left_hub.items():
-            points = reach & pre[site[::-1]]
-            grown = points & ~left_seen[site]
-            for p in _bits(grown):
-                new_edges.append(AddedEdge(p, hub, site, "in", rounds + 1))
-            left_seen[site] |= points
+            grown = reach & pre[site[::-1]] & ~left_seen[hub]
             if grown:
-                fresh.append((left_seen[site], 1 << hub))
+                new.append(Growth(rounds + 1, "in", site, hub, grown))
+                left_seen[hub] |= grown
+                fresh.append((left_seen[hub], 1 << hub))
         for site, hub in right_hub.items():
-            points = coreach & post[site]
-            grown = points & ~right_seen[site]
-            for q in _bits(grown):
-                new_edges.append(AddedEdge(hub, q, site, "out", rounds + 1))
-            right_seen[site] |= points
+            grown = coreach & post[site] & ~right_seen[hub]
             if grown:
-                fresh.append((1 << hub, right_seen[site]))
-        if not new_edges:
+                new.append(Growth(rounds + 1, "out", site, hub, grown))
+                right_seen[hub] |= grown
+                fresh.append((1 << hub, right_seen[hub]))
+        if not new:
             break
         rounds += 1
         if rounds > count * count:
             raise AssertionError("saturation failed to converge within |states|^2 rounds")
-        bicliques = static + [
-            (mask, 1 << left_hub[site]) for site, mask in left_seen.items() if mask
-        ] + [(1 << right_hub[site], mask) for site, mask in right_seen.items() if mask]
-        added.extend(new_edges)
-    return ClosureAutomaton(
+        bicliques = _site_bicliques(static, left_seen, right_seen)
+        growth.extend(new)
+    closure = ClosureAutomaton(
         base=base,
         left_hubs=tuple(sorted(left_hub.items())),
         right_hubs=tuple(sorted(right_hub.items())),
-        added=tuple(added),
+        growth=tuple(growth),
         rounds=rounds,
     )
+    # Saturation ends holding the letter rows and the final bicliques, the
+    # values the closure derives from base and growth; keep them.
+    closure.__dict__.update(_fwd=fwd, _bicliques=bicliques)
+    return closure
 
 
 def closure_dfa(closure: ClosureAutomaton) -> Dfa:
-    """Minimal complete DFA for the language an already-built closure accepts."""
-    return minimize(determinize(closure.nfa()))
+    """Minimal complete DFA for the language an already-built closure accepts.
+
+    The subset construction closes each move mask through the closure's
+    bicliques, as saturation does; no epsilon edge set is built.
+    """
+    base = closure.base
+    bicliques = closure._bicliques
+    return minimize(
+        _subset_dfa(
+            base.alphabet,
+            closure._fwd,
+            _mask(base.initial),
+            _mask(base.accepting),
+            lambda mask: _close(0, mask, bicliques),
+        )
+    )
 
 
 def closure_language(system: SplicingSystem) -> Dfa:

@@ -300,7 +300,7 @@ def decide_splicing(
         "rules_emitted": len(system.rules),
         "closure_states": closure.base.state_count,
         "closure_rounds": closure.rounds,
-        "closure_epsilon_edges": len(closure.added),
+        "closure_epsilon_edges": closure.added_count,
         "wall_time_s": round(time.monotonic() - start, 3),
     }
     if equal:

@@ -3,16 +3,18 @@
 The oracles here deliberately avoid the library's own algorithms wherever
 they are used as a second route: regex membership goes through Python's re
 module, NFA membership, subset construction and cycle detection through
-plain set walks, syntactic congruence through raw context enumeration over
+plain set walks, automaton JSON through one ``json.dumps`` of sorted edges, syntactic congruence through raw context enumeration over
 DFA word membership, and closure words through literal splicing iteration.
 The saturation reference ``build_closure_reference`` recomputes every round
 from scratch along per-state epsilon rows: it shares the library's bitset
-walks, but none of its biclique or semi-naive code.
+walks, but none of its biclique or semi-naive code, and it checks the
+closure's derived ``added`` view against the edges it found itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 
@@ -27,7 +29,7 @@ from splicekit import (
     words_shorter_than,
 )
 from splicekit.automata import _all_moves, _bits, _image, _mask, _mask_tables, _reach
-from splicekit.closure import AddedEdge, ClosureAutomaton
+from splicekit.closure import AddedEdge, ClosureAutomaton, Growth
 from splicekit.splicing import triplet_form
 
 
@@ -122,6 +124,20 @@ def determinize_brute(nfa: Nfa) -> Dfa:
         accepting=frozenset(i for i, subset in enumerate(order) if subset & nfa.accepting),
         transitions=tuple(rows),
     )
+
+
+def automaton_to_json_reference(nfa: Nfa) -> str:
+    """The automaton JSON as one ``json.dumps`` of a document whose edge
+    lists are sorted as tuples, independent of the library's row writer."""
+    doc = {
+        "alphabet": list(nfa.alphabet.symbols),
+        "states": nfa.state_count,
+        "initial": sorted(nfa.initial),
+        "accepting": sorted(nfa.accepting),
+        "edges": sorted(nfa.labeled_edges),
+        "epsilon": sorted(nfa.epsilon_edges),
+    }
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def has_cycle_brute(nfa: Nfa) -> bool:
@@ -367,6 +383,7 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
     left_seen = dict.fromkeys(left_hub, 0)
     right_seen = dict.fromkeys(right_hub, 0)
     added: list[AddedEdge] = []
+    growth: list[Growth] = []
     rounds = 0
     while True:
         # A round's edges are added at its end, so its reads see one automaton.
@@ -376,15 +393,19 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
         pre = _read_prefixes(coreach, [site[::-1] for site in left_hub], bwd, eps_bwd)
         new_edges: list[AddedEdge] = []
         for site, hub in left_hub.items():
-            points = reach & pre[site[::-1]]
-            for p in _bits(points & ~left_seen[site]):
+            new = reach & pre[site[::-1]] & ~left_seen[site]
+            for p in _bits(new):
                 new_edges.append(AddedEdge(p, hub, site, "in", rounds + 1))
-            left_seen[site] |= points
+            if new:
+                growth.append(Growth(rounds + 1, "in", site, hub, new))
+            left_seen[site] |= new
         for site, hub in right_hub.items():
-            points = coreach & post[site]
-            for q in _bits(points & ~right_seen[site]):
+            new = coreach & post[site] & ~right_seen[site]
+            for q in _bits(new):
                 new_edges.append(AddedEdge(hub, q, site, "out", rounds + 1))
-            right_seen[site] |= points
+            if new:
+                growth.append(Growth(rounds + 1, "out", site, hub, new))
+            right_seen[site] |= new
         if not new_edges:
             break
         rounds += 1
@@ -394,10 +415,14 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
             eps_fwd[edge.src] |= 1 << edge.dst
             eps_bwd[edge.dst] |= 1 << edge.src
         added.extend(new_edges)
-    return ClosureAutomaton(
+    closure = ClosureAutomaton(
         base=base,
         left_hubs=tuple(sorted(left_hub.items())),
         right_hubs=tuple(sorted(right_hub.items())),
-        added=tuple(added),
+        growth=tuple(growth),
         rounds=rounds,
     )
+    # The growth masks are the whole record of saturation: the derived edge
+    # view must give back exactly the edges found here, in the same order.
+    assert closure.added == tuple(added)
+    return closure

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from splicekit.decide import _length_bounded_dfa
 
 from helpers import (
     all_words_upto,
+    automaton_to_json_reference,
     determinize_brute,
     has_cycle_brute,
     minimize_moore,
@@ -258,10 +260,77 @@ def test_json_golden_bytes():
     )
 
 
+@st.composite
+def small_nfas(draw):
+    symbols = draw(st.lists(st.sampled_from('ab"\\é\n'), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 6))
+    state = st.integers(0, max(n - 1, 0))
+    pairs = st.lists(st.tuples(state, state), max_size=12) if n else st.just([])
+    triples = (
+        st.lists(st.tuples(state, st.sampled_from(symbols), state), max_size=12)
+        if n
+        else st.just([])
+    )
+    return Nfa(
+        alphabet=Alphabet(tuple(symbols)),
+        state_count=n,
+        initial=frozenset(draw(st.lists(state, max_size=2)) if n else ()),
+        accepting=frozenset(draw(st.lists(state, max_size=3)) if n else ()),
+        labeled_edges=frozenset(draw(triples)),
+        epsilon_edges=frozenset(draw(pairs)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_nfas())
+def test_json_matches_sorted_document_dump(nfa):
+    assert automaton_to_json(nfa) == automaton_to_json_reference(nfa)
+
+
 def test_dot_output_mentions_all_parts():
     dot = automaton_to_dot(lang("(aa)*", A))
     assert dot.startswith("digraph")
     assert "doublecircle" in dot and 'label="a"' in dot
+
+
+def test_dot_golden_bytes():
+    nfa = Nfa(
+        alphabet=A,
+        state_count=2,
+        initial=frozenset({0}),
+        accepting=frozenset({1}),
+        labeled_edges=frozenset({(0, "a", 1)}),
+        epsilon_edges=frozenset({(1, 0)}),
+    )
+    assert automaton_to_dot(nfa) == (
+        "digraph automaton {\n"
+        "  rankdir=LR;\n"
+        "  node [shape=circle];\n"
+        "  1 [shape=doublecircle];\n"
+        "  __start0 [shape=point];\n"
+        "  __start0 -> 0;\n"
+        '  0 -> 1 [label="a"];\n'
+        '  1 -> 0 [label="ε", style=dashed];\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("symbol,label", [('"', '\\"'), ("\\", "\\\\")], ids=["quote", "backslash"])
+def test_dot_escapes_label_symbols(symbol, label):
+    nfa = Nfa(
+        alphabet=Alphabet((symbol, "b")),
+        state_count=2,
+        initial=frozenset({0}),
+        accepting=frozenset({1}),
+        labeled_edges=frozenset({(0, symbol, 1), (1, "b", 1)}),
+        epsilon_edges=frozenset(),
+    )
+    lines = automaton_to_dot(nfa).splitlines()
+    assert f'  0 -> 1 [label="{label}"];' in lines
+    assert '  1 -> 1 [label="b"];' in lines
+    # every label is one DOT string whose unescaped text is the symbol
+    labels = re.findall(r'label="((?:[^"\\]|\\.)*)"\]', "\n".join(lines))
+    assert sorted(re.sub(r"\\(.)", r"\1", text) for text in labels) == sorted([symbol, "b"])
 
 
 def test_dfa_run_and_accepts():

@@ -16,7 +16,9 @@ from splicekit import (
     Alphabet,
     system_from_json,
 )
+from splicekit import closure as closure_module
 from splicekit.cli import main
+from splicekit.closure import ClosureAutomaton
 
 
 def run(capsys, *argv):
@@ -83,6 +85,30 @@ def test_decide_emits_the_closure_it_compared(tmp_path, capsys):
     )
     assert code == 0
     fresh = build_closure(system_from_json(system_path.read_text()))
+    assert closure_path.read_text() == automaton_to_json(fresh.nfa()) + "\n"
+
+
+def test_decide_path_stays_on_the_masks(tmp_path, capsys, monkeypatch):
+    """decide with --stats and --emit-closure builds neither the saturated
+    edge set nor the per-edge provenance tuple."""
+
+    def refuse(*_args):
+        raise AssertionError("the decide path left the closure's masks")
+
+    monkeypatch.setattr(ClosureAutomaton, "nfa", refuse)
+    monkeypatch.setattr(ClosureAutomaton, "added", property(refuse))
+    monkeypatch.setattr(closure_module, "AddedEdge", refuse)
+    system_path = tmp_path / "system.json"
+    closure_path = tmp_path / "closure.json"
+    code, out, _ = run(
+        capsys, "decide", "--lang", "a+b+", "--alphabet", "ab", "--variant", "classic",
+        "--axiom-lt", "3", "--inner-lt", "3", "--outer-lt", "3", "--stats",
+        "--emit-system", str(system_path), "--emit-closure", str(closure_path),
+    )
+    assert code == 0
+    monkeypatch.undo()
+    fresh = build_closure(system_from_json(system_path.read_text()))
+    assert json.loads(out.splitlines()[1])["closure_epsilon_edges"] == len(fresh.added)
     assert closure_path.read_text() == automaton_to_json(fresh.nfa()) + "\n"
 
 

@@ -29,7 +29,14 @@ from splicekit import (
 from splicekit.closure import closure_dfa
 from splicekit.splicing import sigma_step
 
-from helpers import build_closure_reference, ll_sorted, random_pixton_rule, random_word
+from helpers import (
+    automaton_to_json_reference,
+    build_closure_reference,
+    determinize_brute,
+    ll_sorted,
+    random_pixton_rule,
+    random_word,
+)
 
 A = Alphabet.from_string("a")
 AB = Alphabet.from_string("ab")
@@ -398,13 +405,35 @@ def test_saturation_matches_from_scratch_reference(system):
     assert build_closure(system) == build_closure_reference(system)
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_systems())
+def test_mask_views_match_edge_set_routes(system):
+    """What the closure derives from its masks against independent routes
+    over the edge set: the comparison DFA against a frozenset subset
+    construction, the emitted JSON against ``automaton_to_json``, and the
+    edge view against the edges the from-scratch reference finds.  The
+    views are checked both on the bicliques saturation ends with and on
+    those the reference's closure derives from its growth masks."""
+    closure = build_closure(system)
+    reference = build_closure_reference(system)
+    nfa = closure.nfa()
+    dfa = minimize(determinize_brute(nfa))
+    text = automaton_to_json(nfa)
+    assert text == automaton_to_json_reference(nfa)
+    for c in (closure, reference):
+        assert closure_dfa(c) == dfa
+        assert c.to_json() == text
+    assert closure.added == reference.added
+    assert closure.added_count == len(closure.added)
+
+
 def _theorem_system(regex, variant):
     language = lang(regex, A)
     bounds = theorem_bounds(syntactic_monoid(language).size, variant)
     return canonical_system(language, variant, bounds)
 
 
-@pytest.mark.parametrize(
+CANONICAL_SYSTEMS = pytest.mark.parametrize(
     "make",
     [
         lambda: canonical_system(lang("a+b+"), "classic", custom_bounds("classic", 3, 3, 3)),
@@ -416,6 +445,22 @@ def _theorem_system(regex, variant):
     ids=["a+b+ classic (3,3,3)", "a*b* pixton (6,4,6)", "(ab)* pixton (6,3,4)",
          "a+ classic theorem", "aa+ pixton theorem"],
 )
+
+
+@CANONICAL_SYSTEMS
 def test_canonical_saturation_matches_from_scratch_reference(make):
     system = make()
     assert build_closure(system) == build_closure_reference(system)
+
+
+@CANONICAL_SYSTEMS
+def test_canonical_mask_views_match_edge_set_routes(make):
+    system = make()
+    closure = build_closure(system)
+    nfa = closure.nfa()
+    dfa = minimize(determinize(nfa))
+    text = automaton_to_json(nfa)
+    for c in (closure, build_closure_reference(system)):
+        assert closure_dfa(c) == dfa
+        assert c.to_json() == text
+    assert closure.added_count == len(closure.added)
