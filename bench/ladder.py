@@ -1,17 +1,18 @@
 """Per-stage ladder of unary theorem-bound decisions, written as JSON.
 
-    python3 bench/ladder.py [--repeats 5] [--out BENCH_8.json]
+    python3 bench/ladder.py --out OUT.json [--repeats 5]
 
-Cases: ``(a^k)*`` for k = 2..9 in both variants, and ``a+``, ``aa+`` and
-``aaa+`` classic, all at theorem bounds.  Each case runs in its own
-subprocess (a fresh interpreter, so ``ru_maxrss`` is that case's own peak),
-which times the stages of ``decide_splicing`` by calling the same library
-functions in the same order:
+Cases: ``(a^k)*`` for k = 2..9 in both variants, and ``a+``, ``aa+``,
+``aaa+`` and ``aaaa+`` classic, all at theorem bounds.  Each case runs in
+its own subprocess (a fresh interpreter, so ``ru_maxrss`` is that case's
+own peak), which times the stages of ``decide_splicing`` by calling the
+same library functions in the same order:
 
 - resolve: regex -> NFA -> DFA -> minimal DFA;
 - monoid: the syntactic monoid;
 - rules: canonical axioms and canonical rules;
-- closure: the closure automaton and its DFA;
+- saturate: the closure automaton;
+- closure_dfa: its minimal DFA;
 - comparison: the subset check and the equivalence with its witness.
 
 Every repeat rebuilds everything from the regex; a record holds the median
@@ -53,8 +54,8 @@ from splicekit.closure import closure_dfa  # noqa: E402
 from splicekit.decide import canonical_axioms, canonical_rules  # noqa: E402
 
 CASES = [(f"({'a' * k})*", variant) for k in range(2, 10) for variant in ("classic", "pixton")]
-CASES += [("a+", "classic"), ("aa+", "classic"), ("aaa+", "classic")]
-STAGES = ("resolve", "monoid", "rules", "closure", "comparison")
+CASES += [("a+", "classic"), ("aa+", "classic"), ("aaa+", "classic"), ("aaaa+", "classic")]
+STAGES = ("resolve", "monoid", "rules", "saturate", "closure_dfa", "comparison")
 
 
 def run_once(regex: str, variant: str) -> tuple[dict, dict]:
@@ -70,6 +71,7 @@ def run_once(regex: str, variant: str) -> tuple[dict, dict]:
     rules = canonical_rules(RespectContext(monoid), alphabet, bounds)
     marks.append(time.perf_counter())
     closure = build_closure(SplicingSystem(variant, alphabet, axioms, rules))
+    marks.append(time.perf_counter())
     generated = closure_dfa(closure)
     marks.append(time.perf_counter())
     escape = difference_witness(generated, lang)
@@ -111,12 +113,14 @@ def measure(regex: str, variant: str, repeats: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_8.json"))
+    parser.add_argument("--out", help="the JSON file to write (required)")
     parser.add_argument("--case", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.case is not None:
         print(json.dumps(measure(*CASES[args.case], args.repeats)))
         return
+    if args.out is None:
+        parser.error("--out is required")
     records = []
     for i, (regex, variant) in enumerate(CASES):
         done = subprocess.run(
