@@ -5,20 +5,19 @@
 Cases: ``(a^k)*`` for k = 2..9 in both variants, and ``a+``, ``aa+``,
 ``aaa+`` and ``aaaa+`` classic, all at theorem bounds.  Each case runs in
 its own subprocess (a fresh interpreter, so ``ru_maxrss`` is that case's
-own peak), which times the stages of ``decide_splicing`` by calling the
-same library functions in the same order:
+own peak).  Each repeat times ``resolve`` (regex -> NFA -> DFA -> minimal
+DFA) and then calls ``decide_splicing`` once, whose ``Decision.seconds``
+gives the other stages at decide's own boundaries:
 
-- resolve: regex -> NFA -> DFA -> minimal DFA;
-- monoid: the syntactic monoid;
-- rules: canonical axioms and canonical rules;
+- monoid: decide's minimization and the syntactic monoid;
+- rules: canonical axioms, canonical rules and the system's validation;
 - saturate: the closure automaton;
 - closure_dfa: its minimal DFA;
 - comparison: the subset check and the equivalence with its witness.
 
-Every repeat rebuilds everything from the regex; a record holds the median
-seconds of each stage over the repeats, the median total, the verdict, the
-monoid size, the rule and closure-state counts and the peak RSS.  The
-verdict and witness are checked against ``decide_splicing`` once per case.
+A record holds the median seconds of each stage over the repeats, the
+median total, the verdict and witness, the monoid size, the rule and
+closure-state counts and the peak RSS.
 """
 
 from __future__ import annotations
@@ -36,58 +35,26 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from splicekit import (  # noqa: E402
-    Alphabet,
-    RespectContext,
-    SplicingSystem,
-    build_closure,
-    decide_splicing,
-    determinize,
-    difference_witness,
-    equivalent,
-    minimize,
-    parse_regex,
-    syntactic_monoid,
-    theorem_bounds,
-)
-from splicekit.closure import closure_dfa  # noqa: E402
-from splicekit.decide import canonical_axioms, canonical_rules  # noqa: E402
+from splicekit import Alphabet, decide_splicing, determinize, minimize, parse_regex  # noqa: E402
 
 CASES = [(f"({'a' * k})*", variant) for k in range(2, 10) for variant in ("classic", "pixton")]
 CASES += [("a+", "classic"), ("aa+", "classic"), ("aaa+", "classic"), ("aaaa+", "classic")]
-STAGES = ("resolve", "monoid", "rules", "saturate", "closure_dfa", "comparison")
 
 
 def run_once(regex: str, variant: str) -> tuple[dict, dict]:
-    """One pass through the pipeline: (seconds per stage, outcome)."""
-    alphabet = Alphabet.from_string("a")
-    marks = [time.perf_counter()]
-    lang = minimize(determinize(parse_regex(regex, alphabet)))
-    marks.append(time.perf_counter())
-    monoid = syntactic_monoid(lang)
-    marks.append(time.perf_counter())
-    bounds = theorem_bounds(monoid.size, variant)
-    axioms = canonical_axioms(lang, bounds)
-    rules = canonical_rules(RespectContext(monoid), alphabet, bounds)
-    marks.append(time.perf_counter())
-    closure = build_closure(SplicingSystem(variant, alphabet, axioms, rules))
-    marks.append(time.perf_counter())
-    generated = closure_dfa(closure)
-    marks.append(time.perf_counter())
-    escape = difference_witness(generated, lang)
-    equal, witness = equivalent(generated, lang)
-    marks.append(time.perf_counter())
-    if escape is not None:
-        raise AssertionError(f"closure generated {escape!r} outside the language")
-    seconds = {stage: b - a for stage, a, b in zip(STAGES, marks, marks[1:])}
+    """One decision from the regex: (seconds per stage, outcome)."""
+    start = time.perf_counter()
+    lang = minimize(determinize(parse_regex(regex, Alphabet.from_string("a"))))
+    resolve = time.perf_counter() - start
+    decision = decide_splicing(lang, variant)
     outcome = {
-        "verdict": "yes" if equal else "no",
-        "witness": witness,
-        "monoid_size": monoid.size,
-        "rules": len(rules),
-        "closure_states": closure.base.state_count,
+        "verdict": decision.verdict,
+        "witness": decision.witness,
+        "monoid_size": decision.stats["monoid_size"],
+        "rules": decision.stats["rules_emitted"],
+        "closure_states": decision.stats["closure_states"],
     }
-    return seconds, outcome
+    return {"resolve": resolve, **decision.seconds}, outcome
 
 
 def measure(regex: str, variant: str, repeats: int) -> dict:
@@ -96,15 +63,11 @@ def measure(regex: str, variant: str, repeats: int) -> dict:
     outcome = runs[0][1]
     if any(o != outcome for _, o in runs):
         raise AssertionError("repeats disagree")
-    lang = minimize(determinize(parse_regex(regex, Alphabet.from_string("a"))))
-    decision = decide_splicing(lang, variant)
-    if (decision.verdict, decision.witness) != (outcome["verdict"], outcome["witness"]):
-        raise AssertionError(f"decide_splicing gave {decision.verdict} {decision.witness!r}")
     return {
         "case": f"{regex} {variant} theorem",
         **outcome,
         "repeats": repeats,
-        "median_s": {s: round(statistics.median(r[s] for r, _ in runs), 6) for s in STAGES},
+        "median_s": {s: round(statistics.median(r[s] for r, _ in runs), 6) for s in runs[0][0]},
         "total_s": round(statistics.median(sum(r.values()) for r, _ in runs), 6),
         "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }

@@ -103,6 +103,8 @@ def _cmd_monoid(args) -> int:
 
 
 def _cmd_respect(args) -> int:
+    if args.witness and args.bound < 0:
+        raise ValueError("word_bound must be non-negative")
     lang = _resolve_lang(args.lang, args.alphabet)
     rule = parse_rule(args.rule, args.variant, lang.alphabet)
     ctx = RespectContext(syntactic_monoid(lang))
@@ -202,16 +204,14 @@ def _cmd_pump(args) -> int:
 def _cmd_decide(args) -> int:
     lang = _resolve_lang(args.lang, args.alphabet)
     bounds = None  # theorem bounds for the monoid decide_splicing computes
-    if args.bounds != THEOREM:
-        missing = [
-            name
-            for name, value in (
-                ("--axiom-lt", args.axiom_lt),
-                ("--inner-lt", args.inner_lt),
-                ("--outer-lt", args.outer_lt),
-            )
-            if value is None
-        ]
+    lengths = {
+        "--axiom-lt": args.axiom_lt,
+        "--inner-lt": args.inner_lt,
+        "--outer-lt": args.outer_lt,
+    }
+    # custom length flags imply custom bounds
+    if args.bounds == CUSTOM or any(value is not None for value in lengths.values()):
+        missing = [name for name, value in lengths.items() if value is None]
         if missing:
             raise _UsageError(
                 f"custom bounds need {', '.join(missing)} (or use --bounds theorem)"
@@ -307,12 +307,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "bounds", None) == THEOREM and any(
-            getattr(args, name, None) is not None
-            for name in ("axiom_lt", "inner_lt", "outer_lt")
-        ):
-            # custom length flags imply custom bounds
-            args.bounds = CUSTOM
         return args.func(args)
     except _UsageError as exc:
         print(f"splicekit: {exc}", file=sys.stderr)

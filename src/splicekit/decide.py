@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .automata import (
     Alphabet,
@@ -38,6 +38,9 @@ CANDIDATE_LIMIT_ENV = "SPLICEKIT_CANDIDATE_LIMIT"
 
 THEOREM = "theorem"
 CUSTOM = "custom"
+
+# the stages of decide_splicing, in pipeline order; Decision.seconds keys
+_STAGES = ("monoid", "rules", "saturate", "closure_dfa", "comparison")
 
 
 @dataclass(frozen=True)
@@ -255,6 +258,9 @@ class Decision:
     a yes) and ``closure`` the closure automaton the comparison with L ran
     on; ``witness`` is a word of L the system cannot generate (only emitted
     at theorem bounds); ``reason`` explains an inconclusive verdict.
+    ``seconds`` holds the wall-clock seconds of each stage (monoid, rules,
+    saturate, closure_dfa, comparison, in that order); it takes no part in
+    equality and is not in ``stats``.
     """
 
     verdict: str  # "yes" | "no" | "inconclusive"
@@ -263,6 +269,7 @@ class Decision:
     witness: str | None
     reason: str | None
     stats: dict
+    seconds: dict = field(compare=False)
 
     @property
     def exit_code(self) -> int:
@@ -279,20 +286,26 @@ def decide_splicing(
 
     ``bounds`` defaults to the theorem bounds for the syntactic monoid of L.
     """
-    start = time.monotonic()
+    marks = [time.perf_counter()]
     lang = minimize(lang)
     monoid = syntactic_monoid(lang)
+    marks.append(time.perf_counter())
     if bounds is None:
         bounds = theorem_bounds(monoid.size, variant)
     system, n_respecting = _canonical(lang, monoid, variant, bounds, prune)
+    marks.append(time.perf_counter())
     closure = build_closure(system)
+    marks.append(time.perf_counter())
     generated = closure_dfa(closure)
+    marks.append(time.perf_counter())
     escape = difference_witness(generated, lang)
     if escape is not None:
         raise AssertionError(
             f"closure generated {escape!r} outside the language; this is a bug"
         )
     equal, witness = equivalent(generated, lang)
+    marks.append(time.perf_counter())
+    seconds = {stage: b - a for stage, a, b in zip(_STAGES, marks, marks[1:])}
     stats = {
         "monoid_size": monoid.size,
         "candidate_rules": candidate_count(lang.alphabet, bounds),
@@ -301,13 +314,14 @@ def decide_splicing(
         "closure_states": closure.base.state_count,
         "closure_rounds": closure.rounds,
         "closure_epsilon_edges": closure.added_count,
-        "wall_time_s": round(time.monotonic() - start, 3),
+        "wall_time_s": round(marks[-1] - marks[0], 3),
     }
     if equal:
-        return Decision("yes", system, closure, None, None, stats)
+        return Decision("yes", system, closure, None, None, stats, seconds)
     if bounds.source == THEOREM:
         # closure subset of L was just asserted, so the witness lies in L.
-        return Decision("no", system, closure, witness, None, stats)
+        return Decision("no", system, closure, witness, None, stats, seconds)
     return Decision(
-        "inconclusive", system, closure, None, "bounds below theorem guarantee", stats
+        "inconclusive", system, closure, None, "bounds below theorem guarantee",
+        stats, seconds,
     )

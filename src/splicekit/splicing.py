@@ -133,6 +133,12 @@ def sigma_step(words: set[str], rules) -> set[str]:
     return out
 
 
+def _known_variant(variant: str) -> str:
+    if variant not in (CLASSIC, PIXTON):
+        raise ValueError(f"unknown variant {variant!r}")
+    return variant
+
+
 @dataclass(frozen=True)
 class SplicingSystem:
     """Axioms plus rules of one variant.
@@ -148,8 +154,7 @@ class SplicingSystem:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        if self.variant not in (CLASSIC, PIXTON):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        _known_variant(self.variant)
         want = ClassicRule if self.variant == CLASSIC else PixtonRule
         checked: set[str] = set()  # rules share few distinct component words
         for rule in self.rules:
@@ -297,7 +302,7 @@ def system_to_json(system: SplicingSystem) -> str:
 
 def system_from_json(text: str | dict) -> SplicingSystem:
     doc = json.loads(text) if isinstance(text, str) else text
-    variant = json_field(doc, "variant", str)
+    variant = json_field(doc, "variant", _known_variant)
     make, arity = (ClassicRule, 4) if variant == CLASSIC else (PixtonRule, 3)
 
     def axioms(raw) -> tuple[str, ...] | Nfa:

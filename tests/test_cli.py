@@ -231,12 +231,25 @@ def test_tool_errors_exit_65(capsys):
     code, out, err = run(capsys, "monoid", "--lang", nested, "--alphabet", "a")
     assert code == 65 and out == ""
     assert err.startswith("splicekit: ") and len(err.splitlines()) == 1
-    code, _, err = run(
-        capsys, "respect", "--lang", "(aa)*", "--alphabet", "a",
-        "--variant", "classic", "--rule", "aa,;aa,", "--witness", "--bound", "-3",
+
+
+@pytest.mark.parametrize("regex,rule", [("(aa)*", "aa,;aa,"), ("a*", "a,;a,")])
+def test_respect_witness_rejects_a_negative_bound_before_any_output(capsys, regex, rule):
+    # the first rule breaks (aa)*, the second respects a*: the verdict must not matter
+    code, out, err = run(
+        capsys, "respect", "--lang", regex, "--alphabet", "a",
+        "--variant", "classic", "--rule", rule, "--witness", "--bound", "-1",
     )
-    assert code == 65
-    assert err == "splicekit: word_bound must be non-negative\n"
+    assert (code, out, err) == (65, "", "splicekit: word_bound must be non-negative\n")
+
+
+@pytest.mark.parametrize("flags", [("--bounds", "custom", "--axiom-lt", "3"), ("--axiom-lt", "3")])
+def test_custom_bounds_need_every_length_flag(capsys, flags):
+    code, out, err = run(
+        capsys, "decide", "--lang", "(aa)*", "--alphabet", "a", "--variant", "classic", *flags,
+    )
+    assert code == 64 and out == ""
+    assert err.startswith("splicekit: custom bounds need --inner-lt, --outer-lt")
 
 
 @pytest.mark.parametrize(
@@ -246,6 +259,10 @@ def test_tool_errors_exit_65(capsys):
         ("closure", '{"variant":"pixton","alphabet":["a"],"axioms":[],"rules":[[1,2,3]]}', "rules"),
         ("closure", '{"variant":"pixton","alphabet":["a"],"axioms":[]}', "rules"),
         ("closure", '[{"variant":"pixton"}]', "JSON object"),
+        ("closure", '{"variant":"foo","alphabet":["a"],"axioms":[],"rules":[["a","a","a"]]}',
+         "field 'variant': unknown variant 'foo'"),
+        ("closure", '{"variant":"foo","alphabet":["a"],"axioms":[],"rules":[["a","a","a","a"]]}',
+         "field 'variant': unknown variant 'foo'"),
     ],
 )
 def test_malformed_json_files_exit_65(tmp_path, capsys, command, text, field):

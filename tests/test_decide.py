@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -206,6 +207,21 @@ def test_decision_stats_shape():
     assert stats["closure_rounds"] >= 1
     assert stats["closure_states"] == decision.closure.base.state_count > 0
     assert stats["wall_time_s"] >= 0
+
+
+def test_decision_seconds_time_each_stage_outside_equality():
+    first = decide_splicing(lang("a+", A), "classic")
+    second = decide_splicing(lang("a+", A), "classic")
+    stages = ("monoid", "rules", "saturate", "closure_dfa", "comparison")
+    for decision in (first, second):
+        assert tuple(decision.seconds) == stages
+        assert all(s >= 0 for s in decision.seconds.values())
+        assert "seconds" not in decision.stats
+    # wall_time_s is part of stats and may differ by a millisecond
+    wall = first.stats["wall_time_s"]
+    second = dataclasses.replace(second, stats={**second.stats, "wall_time_s": wall})
+    assert first == second
+    assert first == dataclasses.replace(first, seconds={})
 
 
 @pytest.mark.parametrize("regex,variant", [("(aa)*", "classic"), ("a*", "pixton")])
