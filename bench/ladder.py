@@ -9,7 +9,7 @@ own peak).  Each repeat times ``resolve`` (regex -> NFA -> DFA -> minimal
 DFA) and then calls ``decide_splicing`` once, whose ``Decision.seconds``
 gives the other stages at decide's own boundaries:
 
-- monoid: decide's minimization and the syntactic monoid;
+- monoid: the syntactic monoid, which minimizes its input itself;
 - rules: canonical axioms, canonical rules and the system's validation;
 - saturate: the closure automaton;
 - closure_dfa: its minimal DFA;

@@ -1,10 +1,15 @@
 """Regular-language core: alphabets, NFAs, DFAs, and the standard algorithms.
 
-All types are immutable after construction and safe to share across threads;
-every operation is a pure function returning fresh values.  DFAs are always
-complete (an explicit sink is materialized where needed) and carry a
-canonical state numbering (BFS from the initial state, symbols taken in
-alphabet order), so serialized output is stable byte for byte.
+``Alphabet``, ``Nfa`` and ``Dfa`` are frozen, and the algorithms return
+fresh values without changing their arguments; ``NfaBuilder`` is the one
+mutable type, scratch for assembling an Nfa.  DFAs are always complete (an
+explicit sink is materialized where needed) and carry a canonical state
+numbering: BFS from the initial state, symbols taken in alphabet order.
+``_explore`` is the one place that numbering is written.  Subset
+construction, ``minimize``, the products, the witness search and the
+syntactic monoid take their numbers from it, and ``_access_words`` reads the
+ll-least word of each state off its rows.  Serialized output is therefore
+stable byte for byte.
 """
 
 from __future__ import annotations
@@ -315,6 +320,54 @@ def _reach(start: int, succ: list[int]) -> int:
     return seen
 
 
+def _explore(start, successors: Callable) -> Iterator[tuple[object, tuple[int, ...]]]:
+    """The canonical numbering: every state reachable from start, yielded
+    with its row of successor numbers, in the order a BFS discovers them.
+
+    ``successors(state)`` gives a state's k successors in alphabet order,
+    so the states come numbered 0, 1, ... as yielded, each discovered by the
+    least (state, symbol) pair that reaches it.  Every DFA this module
+    builds, and the syntactic monoid, is numbered here.
+    """
+    ids = {start: 0}
+    order = [start]
+    for state in order:
+        row = []
+        for t in successors(state):
+            number = ids.setdefault(t, len(order))
+            if number == len(order):
+                order.append(t)
+            row.append(number)
+        yield state, tuple(row)
+
+
+def _access_words(rows: Iterable[tuple[int, ...]], symbols: Iterable[str]) -> list[str]:
+    """The ll-least word of each state that the rows of ``_explore``
+    discover, state 0 first.
+
+    A state's word extends the word of the state that discovered it by the
+    discovering symbol; the first occurrence of a number in the rows is its
+    discovery, and numbers are discovered in increasing order.
+    """
+    words = [""]
+    for i, row in enumerate(rows):
+        for sym, t in zip(symbols, row):
+            if t == len(words):
+                words.append(words[i] + sym)
+    return words
+
+
+def _to_dfa(alphabet: Alphabet, explored: Iterable, accepts: Callable) -> Dfa:
+    """The complete DFA of the states ``_explore`` yields, numbered as yielded."""
+    rows: list[tuple[int, ...]] = []
+    accepting = []
+    for state, row in explored:
+        if accepts(state):
+            accepting.append(len(rows))
+        rows.append(row)
+    return Dfa(alphabet, len(rows), 0, frozenset(accepting), tuple(rows))
+
+
 def _subset_dfa(
     alphabet: Alphabet,
     fwd: dict[str, list[int]],
@@ -323,34 +376,27 @@ def _subset_dfa(
     close: Callable[[int], int],
 ) -> Dfa:
     """Subset construction over the letter rows fwd, with close giving the
-    epsilon closure of a mask.  The result is complete and BFS-numbered.
+    epsilon closure of a mask.  The result is complete and canonically
+    numbered.
 
     A target subset is the closure of a subset's move mask, computed the
     first time that move mask occurs.
     """
-    start = close(initial)
-    ids: dict[int, int] = {start: 0}
-    order = [start]
+    letters = [fwd[sym] for sym in alphabet.symbols]
     closed: dict[int, int] = {}  # move mask -> its epsilon closure
-    rows: list[tuple[int, ...]] = []
-    for subset in order:
-        row = []
-        for sym in alphabet.symbols:
-            move = _image(subset, fwd[sym])
+
+    def successors(subset: int) -> list[int]:
+        out = []
+        for rows in letters:
+            move = _image(subset, rows)
             target = closed.get(move)
             if target is None:
                 target = closed[move] = close(move)
-            if target not in ids:
-                ids[target] = len(order)
-                order.append(target)
-            row.append(ids[target])
-        rows.append(tuple(row))
-    return Dfa(
-        alphabet=alphabet,
-        state_count=len(order),
-        initial=0,
-        accepting=frozenset(i for i, subset in enumerate(order) if subset & accepting),
-        transitions=tuple(rows),
+            out.append(target)
+        return out
+
+    return _to_dfa(
+        alphabet, _explore(close(initial), successors), lambda s: s & accepting
     )
 
 
@@ -433,34 +479,13 @@ def minimize(dfa: Dfa) -> Dfa:
             for s in small:
                 cls[s] = new
             waiting.extend((new, j) for j in range(k))
-    # Canonical renumbering by BFS from the initial class.
     rep_of_class: dict[int, int] = {}
     for s in reach:
         rep_of_class.setdefault(cls[s], s)
-    numbering = {cls[dfa.initial]: 0}
-    order = [cls[dfa.initial]]
-    for c in order:
-        rep = rep_of_class[c]
-        for i in range(len(dfa.alphabet)):
-            tc = cls[dfa.transitions[rep][i]]
-            if tc not in numbering:
-                numbering[tc] = len(order)
-                order.append(tc)
-    rows = []
-    for c in order:
-        rep = rep_of_class[c]
-        rows.append(
-            tuple(numbering[cls[dfa.transitions[rep][i]]] for i in range(len(dfa.alphabet)))
-        )
-    accepting = frozenset(
-        numbering[c] for c in order if rep_of_class[c] in dfa.accepting
-    )
-    return Dfa(
-        alphabet=dfa.alphabet,
-        state_count=len(order),
-        initial=0,
-        accepting=accepting,
-        transitions=tuple(rows),
+    return _to_dfa(
+        dfa.alphabet,
+        _explore(cls[dfa.initial], lambda c: [cls[t] for t in delta[rep_of_class[c]]]),
+        lambda c: rep_of_class[c] in dfa.accepting,
     )
 
 
@@ -479,32 +504,18 @@ def complement(d: Dfa) -> Dfa:
     )
 
 
-def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
+def _pairs(a: Dfa, b: Dfa) -> Iterator:
+    """``_explore`` over the product of a and b: state pairs (p, q)."""
     _require_same_alphabet(a, b)
-    start = (a.initial, b.initial)
-    ids = {start: 0}
-    order = [start]
-    rows: list[tuple[int, ...]] = []
-    for pa, pb in order:
-        row = []
-        for i in range(len(a.alphabet)):
-            t = (a.transitions[pa][i], b.transitions[pb][i])
-            if t not in ids:
-                ids[t] = len(order)
-                order.append(t)
-            row.append(ids[t])
-        rows.append(tuple(row))
-    accepting = frozenset(
-        ids[(pa, pb)]
-        for pa, pb in order
-        if keep(pa in a.accepting, pb in b.accepting)
-    )
-    return Dfa(
-        alphabet=a.alphabet,
-        state_count=len(order),
-        initial=0,
-        accepting=accepting,
-        transitions=tuple(rows),
+    ta, tb = a.transitions, b.transitions
+    return _explore((a.initial, b.initial), lambda pq: zip(ta[pq[0]], tb[pq[1]]))
+
+
+def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
+    return _to_dfa(
+        a.alphabet,
+        _pairs(a, b),
+        lambda pq: keep(pq[0] in a.accepting, pq[1] in b.accepting),
     )
 
 
@@ -525,35 +536,15 @@ def _least_product_witness(
 ) -> str | None:
     """Length-lexicographically least word whose pair of verdicts satisfies pred.
 
-    BFS over the product automaton, expanding symbols in alphabet order, finds
-    each product state by its least word; the first state satisfying pred
-    therefore yields the least witness overall.
+    ``_explore`` yields each product pair in the ll-order of its least word,
+    so the first pair satisfying pred gives the least witness overall; its
+    word is read from the rows of the pairs before it.
     """
-    _require_same_alphabet(a, b)
-    start = (a.initial, b.initial)
-    if pred(a.initial in a.accepting, b.initial in b.accepting):
-        return ""
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
-    seen = {start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        pa, pb = queue[qi]
-        qi += 1
-        for i, sym in enumerate(a.alphabet.symbols):
-            t = (a.transitions[pa][i], b.transitions[pb][i])
-            if t in seen:
-                continue
-            seen.add(t)
-            parent[t] = ((pa, pb), sym)
-            if pred(t[0] in a.accepting, t[1] in b.accepting):
-                out = []
-                cur = t
-                while cur != start:
-                    cur, sym2 = parent[cur]
-                    out.append(sym2)
-                return "".join(reversed(out))
-            queue.append(t)
+    rows: list[tuple[int, ...]] = []
+    for (p, q), row in _pairs(a, b):
+        if pred(p in a.accepting, q in b.accepting):
+            return _access_words(rows, a.alphabet.symbols)[len(rows)]
+        rows.append(row)
     return None
 
 

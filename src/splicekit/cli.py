@@ -209,8 +209,11 @@ def _cmd_decide(args) -> int:
         "--inner-lt": args.inner_lt,
         "--outer-lt": args.outer_lt,
     }
-    # custom length flags imply custom bounds
-    if args.bounds == CUSTOM or any(value is not None for value in lengths.values()):
+    given = [name for name, value in lengths.items() if value is not None]
+    if args.bounds == THEOREM and given:
+        raise _UsageError(f"--bounds theorem takes no length flags, got {', '.join(given)}")
+    # length flags alone imply custom bounds
+    if args.bounds == CUSTOM or given:
         missing = [name for name, value in lengths.items() if value is None]
         if missing:
             raise _UsageError(
@@ -229,7 +232,8 @@ def _cmd_decide(args) -> int:
     if decision.reason is not None:
         print(f"reason: {decision.reason}")
     if args.stats:
-        _print_json(decision.stats)
+        wall = round(sum(decision.seconds.values()), 3)
+        _print_json({**decision.stats, "wall_time_s": wall})
     if args.emit_system:
         _emit(args.emit_system, system_to_json(decision.system))
     if args.emit_closure:
@@ -291,7 +295,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decide", help="is the language a splicing language?")
     lang_args(p)
     p.add_argument("--variant", choices=["classic", "pixton"], required=True)
-    p.add_argument("--bounds", choices=[THEOREM, CUSTOM], default=THEOREM)
+    p.add_argument(
+        "--bounds", choices=[THEOREM, CUSTOM], help="default: theorem, or custom with length flags"
+    )
     p.add_argument("--axiom-lt", type=int, help="custom: axiom length strict bound")
     p.add_argument("--inner-lt", type=int, help="custom: inner component strict bound")
     p.add_argument("--outer-lt", type=int, help="custom: outer component strict bound")

@@ -64,6 +64,19 @@ class BoundsProfile:
             raise ValueError("all bounds must be at least 1")
 
 
+def _bounds(
+    variant: str, axiom_lt: int, inner_lt: int, outer_lt: int, source: str
+) -> BoundsProfile:
+    """Lay the inner and outer bounds out in the variant's component order."""
+    if variant == CLASSIC:
+        lts = (outer_lt, inner_lt, inner_lt, outer_lt)
+    elif variant == PIXTON:
+        lts = (inner_lt, inner_lt, outer_lt)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return BoundsProfile(variant, axiom_lt, lts, source)
+
+
 def theorem_bounds(m: int, variant: str) -> BoundsProfile:
     """The bounds at which the canonical-system theorems are complete.
 
@@ -73,26 +86,13 @@ def theorem_bounds(m: int, variant: str) -> BoundsProfile:
     """
     if m < 1:
         raise ValueError("monoid size must be positive")
-    inner = 2 * m
-    outer = m * m + 10 * m
-    axiom = m * m + 6 * m
-    if variant == CLASSIC:
-        return BoundsProfile(CLASSIC, axiom, (outer, inner, inner, outer), THEOREM)
-    if variant == PIXTON:
-        return BoundsProfile(PIXTON, axiom, (inner, inner, outer), THEOREM)
-    raise ValueError(f"unknown variant {variant!r}")
+    return _bounds(variant, m * m + 6 * m, 2 * m, m * m + 10 * m, THEOREM)
 
 
 def custom_bounds(
     variant: str, axiom_len_lt: int, inner_lt: int, outer_lt: int
 ) -> BoundsProfile:
-    if variant == CLASSIC:
-        lts = (outer_lt, inner_lt, inner_lt, outer_lt)
-    elif variant == PIXTON:
-        lts = (inner_lt, inner_lt, outer_lt)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return BoundsProfile(variant, axiom_len_lt, lts, CUSTOM)
+    return _bounds(variant, axiom_len_lt, inner_lt, outer_lt, CUSTOM)
 
 
 def candidate_count(alphabet: Alphabet, bounds: BoundsProfile) -> int:
@@ -226,8 +226,8 @@ def _canonical(
     bounds: BoundsProfile,
     prune: bool,
 ) -> tuple[SplicingSystem, int]:
-    """Canonical system for a minimal L with its syntactic monoid, and the
-    number of respecting rules before pruning."""
+    """Canonical system for L with its syntactic monoid, and the number of
+    respecting rules before pruning."""
     if bounds.variant != variant:
         raise ValueError(f"{bounds.variant} bounds given for a {variant} system")
     ctx = RespectContext(monoid)
@@ -246,7 +246,6 @@ def canonical_system(
     prune: bool = False,
 ) -> SplicingSystem:
     """The canonical system for L at the given bounds."""
-    lang = minimize(lang)
     return _canonical(lang, syntactic_monoid(lang), variant, bounds, prune)[0]
 
 
@@ -258,9 +257,10 @@ class Decision:
     a yes) and ``closure`` the closure automaton the comparison with L ran
     on; ``witness`` is a word of L the system cannot generate (only emitted
     at theorem bounds); ``reason`` explains an inconclusive verdict.
+    ``stats`` holds counts only, so equal decisions compare equal;
     ``seconds`` holds the wall-clock seconds of each stage (monoid, rules,
-    saturate, closure_dfa, comparison, in that order); it takes no part in
-    equality and is not in ``stats``.
+    saturate, closure_dfa, comparison, in that order) and takes no part in
+    equality.
     """
 
     verdict: str  # "yes" | "no" | "inconclusive"
@@ -287,7 +287,6 @@ def decide_splicing(
     ``bounds`` defaults to the theorem bounds for the syntactic monoid of L.
     """
     marks = [time.perf_counter()]
-    lang = minimize(lang)
     monoid = syntactic_monoid(lang)
     marks.append(time.perf_counter())
     if bounds is None:
@@ -314,7 +313,6 @@ def decide_splicing(
         "closure_states": closure.base.state_count,
         "closure_rounds": closure.rounds,
         "closure_epsilon_edges": closure.added_count,
-        "wall_time_s": round(marks[-1] - marks[0], 3),
     }
     if equal:
         return Decision("yes", system, closure, None, None, stats, seconds)

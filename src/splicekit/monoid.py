@@ -2,17 +2,18 @@
 
 The monoid is computed as the transition monoid of the minimal complete DFA:
 two words are syntactically congruent exactly when they induce the same
-transformation of the minimal DFA's states.  Elements are numbered in BFS
-order of generation from the identity, extending by generators in alphabet
-order, which makes each element's recorded representative the
-length-lexicographically least word of its class.
+transformation of the minimal DFA's states.  Elements are numbered by
+``automata._explore`` from the identity, extending by generators in
+alphabet order, and each element's representative is read by
+``automata._access_words``, which makes it the length-lexicographically
+least word of its class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, minimize
+from .automata import Alphabet, Dfa, _access_words, _explore, minimize
 
 
 @dataclass(frozen=True)
@@ -50,40 +51,28 @@ class SyntacticMonoid:
 def syntactic_monoid(d: Dfa) -> SyntacticMonoid:
     """Transition monoid of the minimal DFA for L(d)."""
     d = minimize(d)
-    n = d.state_count
-    identity = tuple(range(n))
-    symbol_maps = [
-        tuple(d.transitions[s][i] for s in range(n)) for i in range(len(d.alphabet))
-    ]
-    ids: dict[tuple[int, ...], int] = {identity: 0}
-    elements = [identity]
-    reps = [""]
-    i = 0
-    while i < len(elements):
-        cur = elements[i]
-        for gi, gmap in enumerate(symbol_maps):
-            composed = tuple(gmap[cur[s]] for s in range(n))
-            if composed not in ids:
-                ids[composed] = len(elements)
-                elements.append(composed)
-                reps.append(reps[i] + d.alphabet.symbols[gi])
-        i += 1
-    m = len(elements)
-    table = tuple(
-        tuple(ids[tuple(right[left[s]] for s in range(n))] for right in elements)
-        for left in elements
+    symbol_maps = list(zip(*d.transitions))  # per symbol: state -> successor
+    elements, rows = zip(
+        *_explore(
+            tuple(range(d.state_count)),
+            lambda cur: [tuple(map(gmap.__getitem__, cur)) for gmap in symbol_maps],
+        )
     )
-    accepting = frozenset(
-        e for e, t in enumerate(elements) if t[d.initial] in d.accepting
+    ids = {t: e for e, t in enumerate(elements)}
+    table = tuple(
+        tuple(ids[tuple(map(right.__getitem__, left))] for right in elements)
+        for left in elements
     )
     monoid = SyntacticMonoid(
         alphabet=d.alphabet,
-        size=m,
+        size=len(elements),
         identity=0,
         table=table,
-        generators=tuple(ids[tuple(gmap)] for gmap in symbol_maps),
-        representatives=tuple(reps),
-        accepting=accepting,
+        generators=rows[0],
+        representatives=tuple(_access_words(rows, d.alphabet.symbols)),
+        accepting=frozenset(
+            e for e, t in enumerate(elements) if t[d.initial] in d.accepting
+        ),
     )
     _check_monoid_laws(monoid)
     return monoid

@@ -18,10 +18,12 @@ from splicekit import (
     complement,
     determinize,
     difference,
+    difference_witness,
     enumerate_words,
     equivalent,
     intersect,
     length_lex_cmp,
+    length_lex_key,
     minimize,
     parse_regex,
     union,
@@ -43,6 +45,9 @@ from helpers import (
 
 A = Alphabet.from_string("a")
 AB = Alphabet.from_string("ab")
+# alphabets whose order is not character order, so a numbering or a witness
+# that takes symbols in sorted order shows
+UNSORTED = [Alphabet.from_string("ba"), Alphabet.from_string("cab")]
 
 
 def lang(regex, alphabet=AB):
@@ -136,10 +141,12 @@ def test_minimize_idempotent_and_preserving():
 
 @st.composite
 def complete_dfas(draw, max_states=60):
-    """Complete DFAs over 1-3 letters with any initial state (so some states
-    may be unreachable), optional self-looping sinks, and accepting sets
-    drawn at random, full or empty."""
-    alphabet = Alphabet.from_string("abc"[: draw(st.integers(1, 3))])
+    """Complete DFAs over 1-3 letters in any order (so alphabet order and
+    character order can differ) with any initial state (so some states may
+    be unreachable), optional self-looping sinks, and accepting sets drawn
+    at random, full or empty."""
+    letters = draw(st.permutations("abc"))[: draw(st.integers(1, 3))]
+    alphabet = Alphabet(tuple(letters))
     n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
     sinks = draw(st.sets(state, max_size=3))
@@ -226,6 +233,42 @@ def test_witness_is_ll_least():
             if a.accepts(w) != b.accepts(w):
                 assert (len(w), w) >= (len(witness), witness) or w == witness
                 break
+
+
+def ll_least_brute(alphabet, max_len, holds):
+    """The ll-least word of length <= max_len that holds is true of, or None:
+    every such word sorted under length_lex_key, then scanned."""
+    words = sorted(all_words_upto(alphabet, max_len), key=length_lex_key(alphabet))
+    return next((w for w in words if holds(w)), None)
+
+
+@pytest.mark.parametrize("alphabet", UNSORTED, ids=lambda ab: "".join(ab))
+def test_witnesses_are_ll_least_in_alphabet_order(alphabet):
+    rng = random.Random(17)
+    for _ in range(100):
+        a = random_min_dfa(rng, alphabet, 4)
+        b = random_min_dfa(rng, alphabet, 4)
+        equal, witness = equivalent(a, b)
+        # with no witness, words up to length 4 must not separate a and b
+        bound = 4 if witness is None else len(witness)
+        assert witness == ll_least_brute(
+            alphabet, bound, lambda w: a.accepts(w) != b.accepts(w)
+        )
+        assert equal == (witness is None)
+        only_a = difference_witness(a, b)
+        bound = 4 if only_a is None else len(only_a)
+        assert only_a == ll_least_brute(
+            alphabet, bound, lambda w: a.accepts(w) and not b.accepts(w)
+        )
+
+
+@pytest.mark.parametrize("alphabet", UNSORTED, ids=lambda ab: "".join(ab))
+def test_determinize_numbers_subsets_in_alphabet_order(alphabet):
+    rng = random.Random(29)
+    symbols = "".join(alphabet.symbols)
+    for _ in range(30):
+        nfa = parse_regex(random_regex(rng, symbols, 4)[0], alphabet)
+        assert automaton_to_json(determinize(nfa)) == automaton_to_json(determinize_brute(nfa))
 
 
 def test_enumerate_words_examples():

@@ -66,6 +66,12 @@ def test_decide_stats_and_emit(tmp_path, capsys):
     assert code == 0
     stats = json.loads(out.splitlines()[1])
     assert stats["monoid_size"] == 1
+    # the counts of Decision.stats in order, then the wall time from seconds
+    assert list(stats) == [
+        "monoid_size", "candidate_rules", "respecting_rules", "rules_emitted",
+        "closure_states", "closure_rounds", "closure_epsilon_edges", "wall_time_s",
+    ]
+    assert stats["wall_time_s"] >= 0
     emitted = automaton_from_json(closure_path.read_text())
     d = minimize(determinize(emitted))
     astar = minimize(determinize(parse_regex("a*", Alphabet.from_string("a"))))
@@ -249,7 +255,19 @@ def test_custom_bounds_need_every_length_flag(capsys, flags):
         capsys, "decide", "--lang", "(aa)*", "--alphabet", "a", "--variant", "classic", *flags,
     )
     assert code == 64 and out == ""
-    assert err.startswith("splicekit: custom bounds need --inner-lt, --outer-lt")
+    assert err == "splicekit: custom bounds need --inner-lt, --outer-lt (or use --bounds theorem)\n"
+
+
+@pytest.mark.parametrize("flags", [("--axiom-lt", "3"), ("--inner-lt", "2", "--outer-lt", "2")])
+def test_theorem_bounds_reject_length_flags(capsys, flags):
+    code, out, err = run(
+        capsys, "decide", "--lang", "(aa)*", "--alphabet", "a", "--variant", "classic",
+        "--bounds", "theorem", *flags,
+    )
+    assert code == 64 and out == ""
+    given = ", ".join(flag for flag in flags if flag.startswith("--"))
+    assert err == f"splicekit: --bounds theorem takes no length flags, got {given}\n"
+    assert "use --bounds theorem" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from splicekit import (
     Alphabet,
     PumpingFactorization,
     determinize,
+    length_lex_key,
     minimize,
     parse_regex,
     pump_normalize,
@@ -83,6 +85,40 @@ def test_representatives_are_ll_minimal_and_short():
             e = m.class_of(word)
             rep = m.representatives[e]
             assert (len(rep), rep) <= (len(word), word)
+
+
+def least_words_by_transformation(d, alphabet) -> dict[tuple, str]:
+    """The ll-least word of each syntactic class of the minimal DFA d, by
+    brute force: a word's class is the map it induces on d's states, and
+    every word is tried in ll-order, level by level, until a whole level
+    brings no new map (longer words then bring none either)."""
+    least: dict[tuple, str] = {}
+    length = 0
+    while True:
+        level = map("".join, itertools.product(alphabet.symbols, repeat=length))
+        fresh = False
+        for w in sorted(level, key=length_lex_key(alphabet)):
+            t = tuple(d.run(s, w) for s in range(d.state_count))
+            if t not in least:
+                least[t] = w
+                fresh = True
+        if not fresh:
+            return least
+        length += 1
+
+
+@pytest.mark.parametrize("symbols", ["ba", "cab"])
+def test_representatives_are_ll_least_in_alphabet_order(symbols):
+    alphabet = Alphabet.from_string(symbols)
+    rng = random.Random(23)
+    for _ in range(30):
+        d = random_min_dfa(rng, alphabet, 4)
+        m = syntactic_monoid(d)
+        least = least_words_by_transformation(d, alphabet)
+        assert m.size == len(least)
+        assert sorted(m.representatives) == sorted(least.values())
+        for rep in m.representatives:
+            assert least[tuple(d.run(s, rep) for s in range(d.state_count))] == rep
 
 
 def test_monoid_agrees_with_brute_force_on_random_languages():
