@@ -9,7 +9,8 @@ numbering: BFS from the initial state, symbols taken in alphabet order.
 construction, ``minimize``, the products, the witness search and the
 syntactic monoid take their numbers from it, and ``_access_words`` reads the
 ll-least word of each state off its rows.  Serialized output is therefore
-stable byte for byte.
+stable byte for byte.  Likewise ``_close`` is the one epsilon closure, over
+epsilon edges kept as bicliques (see the mask plumbing below).
 """
 
 from __future__ import annotations
@@ -157,11 +158,11 @@ class Nfa:
                 raise ValueError("epsilon edge state id out of range")
 
     def accepts(self, word: str) -> bool:
-        fwd, eps = _mask_tables(self)
-        current = _reach(_mask(self.initial), eps)
+        fwd, eps = _mask_tables(self), _eps_bicliques(self)
+        current = _close(0, _mask(self.initial), eps)
         for ch in word:
             self.alphabet.index(ch)
-            current = _reach(_image(current, fwd[ch]), eps)
+            current = _close(0, _image(current, fwd[ch]), eps)
         return bool(current & _mask(self.accepting))
 
 
@@ -253,9 +254,13 @@ class NfaBuilder:
 # -- internal mask plumbing ---------------------------------------------------
 #
 # A state set is an int whose bit s is set when state s is in the set, and a
-# relation is a list with one such mask of successors per state.  An epsilon
-# closure is always of a set, computed on demand by ``_reach`` over the
-# epsilon masks; no per-state closure table is built.
+# letter relation is a list with one such mask of successors per state.
+# Epsilon edges are kept as bicliques, pairs (source mask, target mask) that
+# join each source to each target, and every epsilon closure is of a set,
+# taken by ``_close``.  A closure step costs one AND per biclique however
+# dense the masks are, so the saturated closure automaton, whose added edges
+# join a site's points to its hub, is closed without expanding them; a
+# plain NFA gives one biclique per state with incoming epsilon edges.
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -273,34 +278,28 @@ def _mask(states: Iterable[int]) -> int:
     return out
 
 
-def _mask_tables(
-    nfa: Nfa, backward: bool = False
-) -> tuple[dict[str, list[int]], list[int]]:
-    """Per-symbol and epsilon successor masks, one int per state.
+def _mask_tables(nfa: Nfa, backward: bool = False) -> dict[str, list[int]]:
+    """Per-symbol successor masks, one int per state.
 
-    ``backward`` gives predecessor masks instead: the tables of the reversed
+    ``backward`` gives predecessor masks instead: the rows of the reversed
     automaton.
     """
-    n = nfa.state_count
-    fwd = {sym: [0] * n for sym in nfa.alphabet.symbols}
-    eps = [0] * n
+    fwd = {sym: [0] * nfa.state_count for sym in nfa.alphabet.symbols}
     for p, sym, q in nfa.labeled_edges:
         if backward:
             p, q = q, p
         fwd[sym][p] |= 1 << q
+    return fwd
+
+
+def _eps_bicliques(nfa: Nfa) -> list[tuple[int, int]]:
+    """The epsilon edges of nfa grouped by target: (sources, target) masks,
+    targets ascending.  ``[(dst, src) for src, dst in ...]`` mirrors them
+    into the bicliques of the reversed automaton."""
+    into = [0] * nfa.state_count
     for p, q in nfa.epsilon_edges:
-        if backward:
-            p, q = q, p
-        eps[p] |= 1 << q
-    return fwd, eps
-
-
-def _all_moves(fwd: dict[str, list[int]], eps: list[int]) -> list[int]:
-    """One successor mask per state over every edge, labeled or epsilon."""
-    out = list(eps)
-    for row in fwd.values():
-        out = [a | m for a, m in zip(out, row)]
-    return out
+        into[q] |= 1 << p
+    return [(src, 1 << t) for t, src in enumerate(into) if src]
 
 
 def _image(mask: int, rows: list[int]) -> int:
@@ -311,12 +310,35 @@ def _image(mask: int, rows: list[int]) -> int:
     return out
 
 
-def _reach(start: int, succ: list[int]) -> int:
-    """States reachable from the mask start along the successor masks."""
-    seen = frontier = start
+def _eps_step(mask: int, bicliques: list[tuple[int, int]]) -> int:
+    """Union of the target masks of the bicliques whose source mask meets mask."""
+    out = 0
+    for src, dst in bicliques:
+        if src & mask:
+            out |= dst
+    return out
+
+
+def _close(
+    seen: int,
+    frontier: int,
+    bicliques: list[tuple[int, int]],
+    moves: Iterable[list[int]] = (),
+) -> int:
+    """Close seen | frontier under the bicliques and the letter rows in moves.
+
+    ``seen`` must already be closed except through the frontier: every
+    successor of a state in seen lies in seen or is reached from the
+    frontier.  Each step costs one AND per biclique plus the letter image of
+    the states new in that step.
+    """
+    frontier &= ~seen
     while frontier:
-        frontier = _image(frontier, succ) & ~seen
         seen |= frontier
+        step = _eps_step(frontier, bicliques)
+        for rows in moves:
+            step |= _image(frontier, rows)
+        frontier = step & ~seen
     return seen
 
 
@@ -369,20 +391,17 @@ def _to_dfa(alphabet: Alphabet, explored: Iterable, accepts: Callable) -> Dfa:
 
 
 def _subset_dfa(
-    alphabet: Alphabet,
-    fwd: dict[str, list[int]],
-    initial: int,
-    accepting: int,
-    close: Callable[[int], int],
+    nfa: Nfa, fwd: dict[str, list[int]], bicliques: list[tuple[int, int]]
 ) -> Dfa:
-    """Subset construction over the letter rows fwd, with close giving the
-    epsilon closure of a mask.  The result is complete and canonically
-    numbered.
+    """Subset construction from nfa's initial states over the letter rows
+    fwd, closing every subset through the epsilon bicliques and accepting
+    where it meets nfa's accepting states.  The result is complete and
+    canonically numbered.
 
     A target subset is the closure of a subset's move mask, computed the
     first time that move mask occurs.
     """
-    letters = [fwd[sym] for sym in alphabet.symbols]
+    letters = [fwd[sym] for sym in nfa.alphabet.symbols]
     closed: dict[int, int] = {}  # move mask -> its epsilon closure
 
     def successors(subset: int) -> list[int]:
@@ -391,26 +410,21 @@ def _subset_dfa(
             move = _image(subset, rows)
             target = closed.get(move)
             if target is None:
-                target = closed[move] = close(move)
+                target = closed[move] = _close(0, move, bicliques)
             out.append(target)
         return out
 
+    accepting = _mask(nfa.accepting)
     return _to_dfa(
-        alphabet, _explore(close(initial), successors), lambda s: s & accepting
+        nfa.alphabet,
+        _explore(_close(0, _mask(nfa.initial), bicliques), successors),
+        lambda s: s & accepting,
     )
 
 
 def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction, closing move masks by ``_reach`` along the
-    per-state epsilon rows; no per-state closure table is built."""
-    fwd, eps = _mask_tables(nfa)
-    return _subset_dfa(
-        nfa.alphabet,
-        fwd,
-        _mask(nfa.initial),
-        _mask(nfa.accepting),
-        lambda mask: _reach(mask, eps),
-    )
+    """Subset construction, complete and canonically numbered."""
+    return _subset_dfa(nfa, _mask_tables(nfa), _eps_bicliques(nfa))
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -569,7 +583,7 @@ def enumerate_words(d: Dfa, max_len: int) -> list[str]:
     for s, row in enumerate(d.transitions):
         for t in row:
             back[t] |= 1 << s
-    alive = set(_bits(_reach(_mask(d.accepting), back)))
+    alive = set(_bits(_close(0, _mask(d.accepting), [], [back])))
     out: list[str] = []
     level: list[tuple[str, int]] = []
     if d.initial in alive:
@@ -592,9 +606,13 @@ def enumerate_words(d: Dfa, max_len: int) -> list[str]:
 def trim(nfa: Nfa) -> Nfa:
     """Restrict to states both reachable and co-reachable, renumbered densely
     in ascending order."""
-    forward = _all_moves(*_mask_tables(nfa))
-    backward = _all_moves(*_mask_tables(nfa, backward=True))
-    keep = _reach(_mask(nfa.initial), forward) & _reach(_mask(nfa.accepting), backward)
+    eps = _eps_bicliques(nfa)
+    mirrored = [(dst, src) for src, dst in eps]
+    reach = _close(0, _mask(nfa.initial), eps, _mask_tables(nfa).values())
+    coreach = _close(
+        0, _mask(nfa.accepting), mirrored, _mask_tables(nfa, backward=True).values()
+    )
+    keep = reach & coreach
     renum = {s: i for i, s in enumerate(_bits(keep))}
     return Nfa(
         alphabet=nfa.alphabet,
@@ -621,7 +639,11 @@ def has_cycle(nfa: Nfa) -> bool:
     state on a cycle, a self-loop included, always keeps an edge into it, so
     the relation is acyclic exactly when every state gets peeled.
     """
-    succ = _all_moves(*_mask_tables(nfa))
+    succ = [0] * nfa.state_count
+    for p, _, q in nfa.labeled_edges:
+        succ[p] |= 1 << q
+    for p, q in nfa.epsilon_edges:
+        succ[p] |= 1 << q
     indegree = [0] * nfa.state_count
     for m in succ:
         for t in _bits(m):
@@ -641,40 +663,50 @@ def has_cycle(nfa: Nfa) -> bool:
 def automaton_to_json(a: Nfa | Dfa) -> str:
     """Automaton JSON, bit-exact: fixed key order, edges sorted as triples."""
     nfa = a.to_nfa() if isinstance(a, Dfa) else a
-    eps: list[list[int]] = [[] for _ in range(nfa.state_count)]
-    for p, q in sorted(nfa.epsilon_edges):
-        eps[p].append(q)
-    fwd, _ = _mask_tables(nfa)
-    return _rows_to_json(
-        nfa.alphabet, nfa.state_count, nfa.initial, nfa.accepting, fwd, eps
-    )
+    return _rows_to_json(nfa, _mask_tables(nfa), _eps_bicliques(nfa))
 
 
 def _rows_to_json(
-    alphabet: Alphabet,
-    state_count: int,
-    initial: Iterable[int],
-    accepting: Iterable[int],
-    fwd: dict[str, list[int]],
-    eps: list[list[int]],
+    nfa: Nfa, fwd: dict[str, list[int]], bicliques: list[tuple[int, int]]
 ) -> str:
-    """The automaton JSON writer, from per-state rows: letter successor
-    masks, and epsilon successor lists in ascending order.
+    """The automaton JSON writer: nfa's alphabet, state count, initial and
+    accepting states, with the edges given as letter successor masks and
+    epsilon bicliques.
 
     Walking the states in order, each state's symbols in string order and
     each row's targets ascending lists the edges already sorted as triples,
-    so no edge set is built and nothing is sorted here.
+    so no edge set is built and nothing is sorted here.  The epsilon rows
+    come from the bicliques: those with one target are grouped by target
+    and appended to their sources' rows in ascending target order, so those
+    rows come out sorted and free of repeats; a state that is the source of
+    a wider biclique gets its row from one mask instead.
     """
+    into: dict[int, int] = {}  # target -> sources, for one-target bicliques
+    wide: dict[int, int] = {}  # source -> targets, for the others
+    for src, dst in bicliques:
+        if dst & (dst - 1):
+            for p in _bits(src):
+                wide[p] = wide.get(p, 0) | dst
+        else:
+            t = dst.bit_length() - 1
+            into[t] = into.get(t, 0) | src
+    state_count = nfa.state_count
+    eps: list[list[int]] = [[] for _ in range(state_count)]
+    for t in sorted(into):
+        for p in _bits(into[t]):
+            eps[p].append(t)
+    for p, targets in wide.items():
+        eps[p] = list(_bits(targets | _mask(eps[p])))
     head = json.dumps(
         {
-            "alphabet": list(alphabet.symbols),
+            "alphabet": list(nfa.alphabet.symbols),
             "states": state_count,
-            "initial": sorted(initial),
-            "accepting": sorted(accepting),
+            "initial": sorted(nfa.initial),
+            "accepting": sorted(nfa.accepting),
         },
         separators=(",", ":"),
     )
-    syms = [(json.dumps(sym), fwd[sym]) for sym in sorted(alphabet.symbols)]
+    syms = [(json.dumps(sym), fwd[sym]) for sym in sorted(nfa.alphabet.symbols)]
     edges = [
         f"[{p},{sym},{q}]"
         for p in range(state_count)

@@ -48,20 +48,14 @@ the trie path from its left hub along its insert word plus the static
 epsilon edge from that path's end to its right hub.
 
 Representation.  Trie nodes are keyed by (left site, insert prefix), so a
-rule whose whole insert path exists already costs one lookup.  The closure
-is kept as masks from saturation to output, and no step walks a per-state
-epsilon row built from an edge set.  Every epsilon edge belongs to a
-biclique, a pair (source mask, target mask) joining each source to each
-target: the static edges grouped by target (the trie ends that feed a right
-hub, and any epsilon edges of the axiom automaton), one per left site (its
-points so far to its hub) and one per right site (its hub to its points so
-far).  A forward epsilon-closure step adds the target mask of every
-biclique whose source mask meets the frontier, and a backward step is the
-mirror, so a step costs one AND per biclique however dense the masks are.
-Letter moves image a set's states through the letter's per-state rows.
-The comparison's subset construction (``closure_dfa``) closes its move
-masks through the same bicliques, and the closure JSON is written from
-per-state epsilon rows built from them.
+rule whose whole insert path exists already costs one lookup.  The epsilon
+edges are bicliques, the form ``automata`` keeps and closes every
+automaton's epsilon edges in: the static edges grouped by target (the trie
+ends that feed a right hub, and any epsilon edges of the axiom automaton),
+one per left site (its points so far to its hub) and one per right site
+(its hub to its points so far).  Saturation closes sets through them with
+``automata._close``, backwards through their mirror, and the comparison's
+subset construction, the closure JSON and ``nfa()`` read the same list.
 
 Rounds are semi-naive: the reachable and co-reachable sets and the set of
 each site prefix carry over from the round before, and only their new
@@ -98,6 +92,9 @@ from .automata import (
     Dfa,
     Nfa,
     _bits,
+    _close,
+    _eps_bicliques,
+    _eps_step,
     _image,
     _mask,
     _mask_tables,
@@ -137,14 +134,6 @@ class Growth(NamedTuple):
     points: int
 
 
-def _static_bicliques(nfa: Nfa) -> list[tuple[int, int]]:
-    """The epsilon edges of nfa grouped by target: (sources, target) masks."""
-    into = [0] * nfa.state_count
-    for p, q in nfa.epsilon_edges:
-        into[q] |= 1 << p
-    return [(src, 1 << t) for t, src in enumerate(into) if src]
-
-
 def _site_bicliques(
     static: list[tuple[int, int]], left: dict[int, int], right: dict[int, int]
 ) -> list[tuple[int, int]]:
@@ -172,9 +161,9 @@ class ClosureAutomaton:
     so traces and DOT output can attribute every discovered edge to its
     site word, and through the hub to the rules with that site (the rules
     whose trie an "in" edge feeds, or whose trie endpoints feed the hub an
-    "out" edge leaves); the bicliques that ``closure_dfa`` closes subsets
-    through; the JSON that ``to_json`` writes from per-state epsilon rows;
-    and ``nfa()``, the saturated automaton as an edge set.  ``added``, the
+    "out" edge leaves); the bicliques, which hold every epsilon edge of the
+    saturated automaton and which ``closure_dfa``, ``to_json`` and
+    ``nfa()`` (the saturated automaton as an edge set) read.  ``added``, the
     bicliques and ``nfa()`` are kept once built; ``build_closure`` hands
     over the bicliques and letter rows it ends with.
     """
@@ -202,10 +191,6 @@ class ClosureAutomaton:
         """The number of added edges, counted without building them."""
         return sum(g.points.bit_count() for g in self.growth)
 
-    @property
-    def added_epsilon(self) -> frozenset[tuple[int, int]]:
-        return frozenset((e.src, e.dst) for e in self.added)
-
     @cached_property
     def _bicliques(self) -> list[tuple[int, int]]:
         """Every epsilon edge of the saturated automaton, as (source mask,
@@ -215,42 +200,17 @@ class ClosureAutomaton:
         for g in self.growth:
             seen = left if g.side == "in" else right
             seen[g.hub] = seen.get(g.hub, 0) | g.points
-        return _site_bicliques(_static_bicliques(self.base), left, right)
+        return _site_bicliques(_eps_bicliques(self.base), left, right)
 
     @cached_property
     def _fwd(self) -> dict[str, list[int]]:
         """Per-symbol successor masks, one int per state; saturation adds
         no letter edges, so these are the base automaton's."""
-        return _mask_tables(self.base)[0]
+        return _mask_tables(self.base)
 
     def to_json(self) -> str:
-        """``automaton_to_json(self.nfa())``, written from per-state epsilon
-        rows built from the bicliques.
-
-        The bicliques with one target are grouped by target and appended to
-        their sources' rows in ascending target order, so those rows come
-        out sorted and free of repeats; a state that is the source of a
-        wider biclique (a right hub) gets its row from one mask instead.
-        """
-        base = self.base
-        into: dict[int, int] = {}  # target -> sources, for one-target bicliques
-        wide: dict[int, int] = {}  # source -> targets, for the others
-        for src, dst in self._bicliques:
-            if dst & (dst - 1):
-                for p in _bits(src):
-                    wide[p] = wide.get(p, 0) | dst
-            else:
-                t = dst.bit_length() - 1
-                into[t] = into.get(t, 0) | src
-        eps: list[list[int]] = [[] for _ in range(base.state_count)]
-        for t in sorted(into):
-            for p in _bits(into[t]):
-                eps[p].append(t)
-        for p, targets in wide.items():
-            eps[p] = list(_bits(targets | _mask(eps[p])))
-        return _rows_to_json(
-            base.alphabet, base.state_count, base.initial, base.accepting, self._fwd, eps
-        )
+        """``automaton_to_json(self.nfa())``, written from the bicliques."""
+        return _rows_to_json(self.base, self._fwd, self._bicliques)
 
     @cached_property
     def _nfa(self) -> Nfa:
@@ -260,44 +220,17 @@ class ClosureAutomaton:
             initial=self.base.initial,
             accepting=self.base.accepting,
             labeled_edges=self.base.labeled_edges,
-            epsilon_edges=self.base.epsilon_edges | self.added_epsilon,
+            epsilon_edges=frozenset(
+                (p, q)
+                for src, dst in self._bicliques
+                for p in _bits(src)
+                for q in _bits(dst)
+            ),
         )
 
     def nfa(self) -> Nfa:
         """The saturated automaton, built on first use and then kept."""
         return self._nfa
-
-
-def _eps_step(mask: int, bicliques: list[tuple[int, int]]) -> int:
-    """Union of the target masks of the bicliques whose source mask meets mask."""
-    out = 0
-    for src, dst in bicliques:
-        if src & mask:
-            out |= dst
-    return out
-
-
-def _close(
-    seen: int,
-    frontier: int,
-    bicliques: list[tuple[int, int]],
-    moves: Iterable[list[int]] = (),
-) -> int:
-    """Close seen | frontier under the bicliques and the letter rows in moves.
-
-    ``seen`` must already be closed except through the frontier: every
-    successor of a state in seen lies in seen or is reached from the
-    frontier.  Each step costs one AND per biclique plus the letter image of
-    the states new in that step.
-    """
-    frontier &= ~seen
-    while frontier:
-        seen |= frontier
-        step = _eps_step(frontier, bicliques)
-        for rows in moves:
-            step |= _image(frontier, rows)
-        frontier = step & ~seen
-    return seen
 
 
 def _extend_prefixes(
@@ -367,9 +300,9 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         epsilon_edges=frozenset(static_eps),
     )
 
-    fwd, _ = _mask_tables(base)
-    bwd, _ = _mask_tables(base, backward=True)
-    static = _static_bicliques(base)
+    fwd = _mask_tables(base)
+    bwd = _mask_tables(base, backward=True)
+    static = _eps_bicliques(base)
     bicliques = static
     fresh: list[tuple[int, int]] = []  # the bicliques that grew last round
     initial = _mask(base.initial)
@@ -433,17 +366,7 @@ def closure_dfa(closure: ClosureAutomaton) -> Dfa:
     The subset construction closes each move mask through the closure's
     bicliques, as saturation does; no epsilon edge set is built.
     """
-    base = closure.base
-    bicliques = closure._bicliques
-    return minimize(
-        _subset_dfa(
-            base.alphabet,
-            closure._fwd,
-            _mask(base.initial),
-            _mask(base.accepting),
-            lambda mask: _close(0, mask, bicliques),
-        )
-    )
+    return minimize(_subset_dfa(closure.base, closure._fwd, closure._bicliques))
 
 
 def closure_language(system: SplicingSystem) -> Dfa:

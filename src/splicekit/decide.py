@@ -31,7 +31,7 @@ from .closure import ClosureAutomaton, build_closure, closure_dfa
 from .errors import CandidateLimitExceededError
 from .monoid import SyntacticMonoid, syntactic_monoid
 from .respect import RespectContext, prune_minimal
-from .splicing import CLASSIC, PIXTON, ClassicRule, PixtonRule, Rule, SplicingSystem
+from .splicing import CLASSIC, ClassicRule, PixtonRule, Rule, SplicingSystem, _known_variant
 
 DEFAULT_CANDIDATE_LIMIT = 10_000_000
 CANDIDATE_LIMIT_ENV = "SPLICEKIT_CANDIDATE_LIMIT"
@@ -57,6 +57,7 @@ class BoundsProfile:
     source: str
 
     def __post_init__(self):
+        _known_variant(self.variant)
         expected = 4 if self.variant == CLASSIC else 3
         if len(self.component_lts) != expected:
             raise ValueError(f"{self.variant} bounds need {expected} component bounds")
@@ -70,10 +71,8 @@ def _bounds(
     """Lay the inner and outer bounds out in the variant's component order."""
     if variant == CLASSIC:
         lts = (outer_lt, inner_lt, inner_lt, outer_lt)
-    elif variant == PIXTON:
-        lts = (inner_lt, inner_lt, outer_lt)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        lts = (inner_lt, inner_lt, outer_lt)
     return BoundsProfile(variant, axiom_lt, lts, source)
 
 

@@ -6,9 +6,10 @@ module, NFA membership, subset construction and cycle detection through
 plain set walks, automaton JSON through one ``json.dumps`` of sorted edges, syntactic congruence through raw context enumeration over
 DFA word membership, and closure words through literal splicing iteration.
 The saturation reference ``build_closure_reference`` recomputes every round
-from scratch along per-state epsilon rows: it shares the library's bitset
-walks, but none of its biclique or semi-naive code, and it checks the
-closure's derived ``added`` view against the edges it found itself.
+from scratch along per-state epsilon rows, closed by its own ``_reach``: it
+shares the library's bit iteration and letter images, but none of its
+epsilon-closure, biclique or semi-naive code, and it checks the closure's
+derived ``added`` view against the edges it found itself.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from splicekit import (
     minimize,
     words_shorter_than,
 )
-from splicekit.automata import _all_moves, _bits, _image, _mask, _mask_tables, _reach
+from splicekit.automata import _bits, _image, _mask
 from splicekit.closure import AddedEdge, ClosureAutomaton, Growth
 from splicekit.splicing import triplet_form
 
@@ -159,6 +160,39 @@ def has_cycle_brute(nfa: Nfa) -> bool:
                 seen.add(t)
                 stack.extend(succ.get(t, ()))
     return False
+
+
+def trim_brute(nfa: Nfa) -> Nfa:
+    """The states both reachable and co-reachable, by plain stack walks over
+    the edge sets, renumbered in ascending order."""
+    pairs = {(p, q) for p, _sym, q in nfa.labeled_edges} | nfa.epsilon_edges
+
+    def walk(start, steps) -> set[int]:
+        seen, stack = set(start), list(start)
+        while stack:
+            s = stack.pop()
+            for p, q in steps:
+                if p == s and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return seen
+
+    keep = walk(nfa.initial, pairs) & walk(nfa.accepting, {(q, p) for p, q in pairs})
+    renum = {s: i for i, s in enumerate(sorted(keep))}
+    return Nfa(
+        alphabet=nfa.alphabet,
+        state_count=len(renum),
+        initial=frozenset(renum[s] for s in nfa.initial if s in keep),
+        accepting=frozenset(renum[s] for s in nfa.accepting if s in keep),
+        labeled_edges=frozenset(
+            (renum[p], sym, renum[q])
+            for p, sym, q in nfa.labeled_edges
+            if p in keep and q in keep
+        ),
+        epsilon_edges=frozenset(
+            (renum[p], renum[q]) for p, q in nfa.epsilon_edges if p in keep and q in keep
+        ),
+    )
 
 
 def random_min_dfa(rng: random.Random, alphabet: Alphabet, max_states: int) -> Dfa:
@@ -314,6 +348,36 @@ def respect_verdict_reference(monoid, key: tuple) -> bool:
     return all(mul(mul(x, h_mid), y) in acc for x in s1 for y in s2)
 
 
+def _edge_rows(
+    nfa: Nfa, backward: bool = False
+) -> tuple[dict[str, list[int]], list[int]]:
+    """Per-symbol and epsilon successor masks, one int per state; with
+    ``backward``, predecessor masks."""
+    fwd = {sym: [0] * nfa.state_count for sym in nfa.alphabet.symbols}
+    eps = [0] * nfa.state_count
+    for p, sym, q in nfa.labeled_edges:
+        p, q = (q, p) if backward else (p, q)
+        fwd[sym][p] |= 1 << q
+    for p, q in nfa.epsilon_edges:
+        p, q = (q, p) if backward else (p, q)
+        eps[p] |= 1 << q
+    return fwd, eps
+
+
+def _reach(start: int, rows: list[list[int]]) -> int:
+    """States reachable from the mask start along the per-state successor
+    masks of every relation in rows."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        for s in _bits(frontier):
+            for row in rows:
+                step |= row[s]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
 def _read_prefixes(
     start: int, words, moves: dict[str, list[int]], eps: list[int]
 ) -> dict[str, int]:
@@ -331,7 +395,7 @@ def _read_prefixes(
             prefix = word[:i]
             if prefix not in reached:
                 step = _image(reached[word[: i - 1]], moves[word[i - 1]])
-                reached[prefix] = _reach(step, eps)
+                reached[prefix] = _reach(step, [eps])
     return reached
 
 
@@ -376,8 +440,8 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
         epsilon_edges=frozenset(static_eps),
     )
 
-    fwd, eps_fwd = _mask_tables(base)
-    bwd, eps_bwd = _mask_tables(base, backward=True)
+    fwd, eps_fwd = _edge_rows(base)
+    bwd, eps_bwd = _edge_rows(base, backward=True)
     initial = _mask(base.initial)
     accepting = _mask(base.accepting)
     left_seen = dict.fromkeys(left_hub, 0)
@@ -387,8 +451,8 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
     rounds = 0
     while True:
         # A round's edges are added at its end, so its reads see one automaton.
-        reach = _reach(initial, _all_moves(fwd, eps_fwd))
-        coreach = _reach(accepting, _all_moves(bwd, eps_bwd))
+        reach = _reach(initial, [eps_fwd, *fwd.values()])
+        coreach = _reach(accepting, [eps_bwd, *bwd.values()])
         post = _read_prefixes(reach, right_hub, fwd, eps_fwd)
         pre = _read_prefixes(coreach, [site[::-1] for site in left_hub], bwd, eps_bwd)
         new_edges: list[AddedEdge] = []

@@ -41,6 +41,7 @@ from helpers import (
     nfa_accepts_brute,
     random_min_dfa,
     random_regex,
+    trim_brute,
 )
 
 A = Alphabet.from_string("a")
@@ -449,6 +450,33 @@ def test_trim_keeps_useful_states_in_ascending_order():
     assert trimmed.accepting == frozenset({2})
     assert trimmed.labeled_edges == frozenset({(1, "b", 2)})
     assert trimmed.epsilon_edges == frozenset({(0, 1), (2, 1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30), st.booleans())
+def test_trim_matches_set_walk(seed, from_regex):
+    nfa = drawn_nfa(seed, from_regex)
+    assert trim(nfa) == trim_brute(nfa)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([AB, *UNSORTED]))
+def test_enumerate_words_matches_filtered_word_list(seed, alphabet):
+    # raw random DFAs, so dead and unreachable states occur
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    d = Dfa(
+        alphabet=alphabet,
+        state_count=n,
+        initial=rng.randrange(n),
+        accepting=frozenset(s for s in range(n) if rng.random() < 0.3),
+        transitions=tuple(
+            tuple(rng.randrange(n) for _ in alphabet.symbols) for _ in range(n)
+        ),
+    )
+    for max_len in (-1, 0, 4):
+        want = [w for w in all_words_upto(alphabet, max_len) if d.accepts(w)]
+        assert enumerate_words(d, max_len) == want
 
 
 def _graph(n, labeled=(), eps=()):

@@ -411,12 +411,15 @@ def test_mask_views_match_edge_set_routes(system):
     """What the closure derives from its masks against independent routes
     over the edge set: the comparison DFA against a frozenset subset
     construction, the emitted JSON against ``automaton_to_json``, and the
-    edge view against the edges the from-scratch reference finds.  The
+    edge views against the edges the from-scratch reference finds.  The
     views are checked both on the bicliques saturation ends with and on
     those the reference's closure derives from its growth masks."""
     closure = build_closure(system)
     reference = build_closure_reference(system)
     nfa = closure.nfa()
+    assert nfa.epsilon_edges == closure.base.epsilon_edges | {
+        (e.src, e.dst) for e in reference.added
+    }
     dfa = minimize(determinize_brute(nfa))
     text = automaton_to_json(nfa)
     assert text == automaton_to_json_reference(nfa)
@@ -457,10 +460,15 @@ def test_canonical_saturation_matches_from_scratch_reference(make):
 def test_canonical_mask_views_match_edge_set_routes(make):
     system = make()
     closure = build_closure(system)
+    reference = build_closure_reference(system)
     nfa = closure.nfa()
+    assert nfa.epsilon_edges == closure.base.epsilon_edges | {
+        (e.src, e.dst) for e in reference.added
+    }
     dfa = minimize(determinize(nfa))
     text = automaton_to_json(nfa)
-    for c in (closure, build_closure_reference(system)):
+    assert text == automaton_to_json_reference(nfa)
+    for c in (closure, reference):
         assert closure_dfa(c) == dfa
         assert c.to_json() == text
     assert closure.added_count == len(closure.added)

@@ -25,7 +25,7 @@ from splicekit import (
     syntactic_monoid,
     theorem_bounds,
 )
-from splicekit.decide import candidate_count, canonical_axioms, canonical_rules
+from splicekit.decide import BoundsProfile, candidate_count, canonical_axioms, canonical_rules
 from splicekit.monoid import SyntacticMonoid
 
 from helpers import random_regex, word_level_rules
@@ -58,6 +58,10 @@ def test_bounds_validation():
         custom_bounds("classic", 0, 1, 1)
     with pytest.raises(ValueError):
         theorem_bounds(2, "sticky")
+    # an unknown variant is refused when the profile is built, before a
+    # decide could spend the monoid, the axioms and the rules on it
+    with pytest.raises(ValueError, match="unknown variant 'foo'"):
+        BoundsProfile("foo", 5, (1, 2, 3), "custom")
 
 
 def test_candidate_count_formula():
