@@ -126,19 +126,18 @@ def _cmd_splice(args) -> int:
     rule = parse_rule(args.rule, args.variant, alphabet)
     alphabet.check_word(args.w1)
     alphabet.check_word(args.w2)
+    key = length_lex_key(alphabet)
     if isinstance(rule, ClassicRule):
-        results = splice_classic(args.w1, args.w2, rule)
-        words = sorted({z for z, _ in results}, key=length_lex_key(alphabet))
-        if args.json:
-            _print_json(
-                {"results": [{"word": z, "position": p} for z, p in sorted(results)]}
-            )
-            return 0
+        # a word with several splicing positions is listed once per position
+        results = sorted(splice_classic(args.w1, args.w2, rule), key=lambda r: (key(r[0]), r[1]))
+        words = list(dict.fromkeys(z for z, _ in results))
+        docs = [{"word": z, "position": p} for z, p in results]
     else:
-        words = sorted(splice_pixton(args.w1, args.w2, rule), key=length_lex_key(alphabet))
-        if args.json:
-            _print_json({"results": [{"word": z} for z in words]})
-            return 0
+        words = sorted(splice_pixton(args.w1, args.w2, rule), key=key)
+        docs = [{"word": z} for z in words]
+    if args.json:
+        _print_json({"results": docs})
+        return 0
     for word in words:
         print(word)
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .automata import (
     Alphabet,
@@ -31,7 +31,7 @@ from .closure import ClosureAutomaton, build_closure, closure_dfa
 from .errors import CandidateLimitExceededError
 from .monoid import SyntacticMonoid, syntactic_monoid
 from .respect import RespectContext, prune_minimal
-from .splicing import CLASSIC, ClassicRule, PixtonRule, Rule, SplicingSystem, _known_variant
+from .splicing import CLASSIC, Rule, SplicingSystem, _rule_type, triplet
 
 DEFAULT_CANDIDATE_LIMIT = 10_000_000
 CANDIDATE_LIMIT_ENV = "SPLICEKIT_CANDIDATE_LIMIT"
@@ -57,8 +57,7 @@ class BoundsProfile:
     source: str
 
     def __post_init__(self):
-        _known_variant(self.variant)
-        expected = 4 if self.variant == CLASSIC else 3
+        expected = len(fields(_rule_type(self.variant)))
         if len(self.component_lts) != expected:
             raise ValueError(f"{self.variant} bounds need {expected} component bounds")
         if self.axiom_len_lt < 1 or any(b < 1 for b in self.component_lts):
@@ -167,8 +166,8 @@ def canonical_rules(
     - each distinct component bound gets one pool of its words in ll-order,
       each word's class computed once from its prefix's class;
     - the respect verdict is asked once per class tuple present in the pools
-      (at most m^4 classic, m^3 triplet), through the context's cache,
-      which is keyed by flank triple;
+      (at most m^4 classic, m^3 triplet), for the flank triple
+      ``splicing.triplet`` maps the tuple to, through the context's cache;
     - the respecting class tuples form a trie, and the walk extends a prefix
       only by the pool words whose class the prefix's trie node allows (each
       node's pool filtered once, on its first visit), so a prefix no
@@ -186,15 +185,15 @@ def canonical_rules(
     lts = bounds.component_lts
     pools = {lt: _class_pool(ctx.monoid, alphabet, lt) for lt in set(lts)}
     present = [sorted(set(pools[lt][1])) for lt in lts]
-    kind = "c" if bounds.variant == CLASSIC else "p"
+    verdict, product = ctx.verdict, ctx.product
     trie: dict = {}
     for classes in itertools.product(*present):
-        if ctx.verdict((kind,) + classes):
+        if verdict(*triplet(classes, product)):
             node = trie
             for c in classes:
                 node = node.setdefault(c, {})
 
-    make: type[Rule] = ClassicRule if bounds.variant == CLASSIC else PixtonRule
+    make = _rule_type(bounds.variant)
     last = len(lts) - 1
     rules: list[Rule] = []
     # id of a trie node -> (pool word, child node) for each word it allows;

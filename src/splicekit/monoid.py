@@ -58,11 +58,14 @@ def syntactic_monoid(d: Dfa) -> SyntacticMonoid:
             lambda cur: [tuple(map(gmap.__getitem__, cur)) for gmap in symbol_maps],
         )
     )
-    ids = {t: e for e, t in enumerate(elements)}
-    table = tuple(
-        tuple(ids[tuple(map(right.__getitem__, left))] for right in elements)
-        for left in elements
-    )
+    # Column b lists a·b for every a.  b, discovered in row p under symbol s,
+    # is p·s, so a·b = (a·p)·s reads p's column through the rows.
+    columns = [range(len(elements))]
+    for p, row in enumerate(rows):
+        for s, b in enumerate(row):
+            if b == len(columns):
+                columns.append([rows[ap][s] for ap in columns[p]])
+    table = tuple(zip(*columns))
     monoid = SyntacticMonoid(
         alphabet=d.alphabet,
         size=len(elements),

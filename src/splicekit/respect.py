@@ -3,13 +3,14 @@
 The exact test runs in the syntactic monoid: collect the classes that can
 precede the left site inside the language and the classes that can follow
 the right site, then demand that every such pair flanking the inserted
-word lands in an accepting class.  Respect only depends on the syntactic
-classes of the rule components, and the test reads only three of their
-products, the flank triple: the left site's class, the right site's class
-and the class spliced in between.  ``RespectContext`` keeps one memo from
+word lands in an accepting class.  Respect only depends on the classes of
+the rule's triplet form, the flank triple: the left site's class, the right
+site's class and the insert word's class.  ``splicing.triplet`` computes
+that triple from the classes of the rule components, under the monoid's
+table, in either variant.  ``RespectContext.verdict`` keeps one memo from
 flank triples to verdicts, shared by ``respects`` (one rule) and the
-canonical rule enumeration (which asks per class tuple), so a canonical
-system costs at most m^3 flank evaluations in either variant.
+canonical rule enumeration (one triple per class tuple), so a canonical
+system costs at most m^3 flank evaluations.
 
 ``brute_respect`` is the word-level falsification oracle: it searches for an
 actual splicing of two language words (up to a length bound) that escapes
@@ -20,28 +21,30 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .automata import Dfa, enumerate_words, occurrences
 from .errors import IllegalExtensionError
 from .monoid import SyntacticMonoid
-from .splicing import ClassicRule, PixtonRule, Rule, triplet_form
+from .splicing import ClassicRule, PixtonRule, Rule, triplet, triplet_form
 
 
 @dataclass
 class RespectContext:
     """Monoid plus a memo from flank triples to verdicts.
 
-    ``class_tuple`` maps a rule to its key, ("c", u1, v1, u2, v2) or
-    ("p", u1, u2, v) in class ids; ``verdict`` maps a key to its flank
-    triple (u1·v1, u2·v2, u1·v2 classic; u1, u2, v triplet) and evaluates
-    each triple once; ``respects`` is the two composed.  ``cache`` holds one
-    entry per evaluated triple (h_left, h_right, h_mid), at most m^3.
+    ``product`` is the monoid's multiplication as a plain table lookup, the
+    product ``splicing.triplet`` takes on class ids.  ``respects`` maps a
+    rule's component classes to its flank triple and asks ``verdict``, which
+    evaluates each triple (h_left, h_right, h_mid) once.  ``cache`` holds one
+    entry per evaluated triple, at most m^3.
     """
 
     monoid: SyntacticMonoid
     cache: dict[tuple[int, int, int], bool] = field(default_factory=dict)
     _left_viable: list[bool] = field(default_factory=list, repr=False)
     _right_viable: list[bool] = field(default_factory=list, repr=False)
+    product: Callable[[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, t, acc = self.monoid.size, self.monoid.table, self.monoid.accepting
@@ -49,23 +52,16 @@ class RespectContext:
         # right-viable when some X makes X·e accepting.
         self._left_viable = [any(t[e][y] in acc for y in range(m)) for e in range(m)]
         self._right_viable = [any(t[x][e] in acc for x in range(m)) for e in range(m)]
-
-    def class_tuple(self, rule: Rule) -> tuple:
-        kind = "c" if isinstance(rule, ClassicRule) else "p"
-        return (kind,) + tuple(self.monoid.class_of(c) for c in rule.components)
+        self.product = lambda a, b: t[a][b]
 
     def respects(self, rule: Rule) -> bool:
-        return self.verdict(self.class_tuple(rule))
+        classes = tuple(map(self.monoid.class_of, rule.components))
+        return self.verdict(*triplet(classes, self.product))
 
-    def verdict(self, key: tuple) -> bool:
-        """Whether the rules with this class tuple respect the language;
-        evaluated once per flank triple."""
-        if key[0] == "p":
-            flanks = key[1:]
-        else:
-            t = self.monoid.table
-            _, u1, v1, u2, v2 = key
-            flanks = (t[u1][v1], t[u2][v2], t[u1][v2])
+    def verdict(self, h_left: int, h_right: int, h_mid: int) -> bool:
+        """Whether the rules with this flank triple respect the language;
+        evaluated once per triple."""
+        flanks = (h_left, h_right, h_mid)
         verdict = self.cache.get(flanks)
         if verdict is None:
             verdict = self.cache[flanks] = self._flank_verdict(*flanks)

@@ -4,14 +4,19 @@ Two rule flavors are supported: the classic quadruple (u1,v1;u2,v2), which
 cuts between u1/v1 and u2/v2 and recombines to x1 u1 v2 y2, and the triplet
 form (u1,u2;v), which replaces everything from the left site onward in the
 first word and up to the right site in the second word by the bridge v.
-Every classic rule has an exact triplet counterpart (u1v1, u2v2; u1v2) that
-performs the same splicings.
+``triplet`` is the one map from a rule's components to (left site, right
+site, insert), classic (u1,v1,u2,v2) to (u1v1, u2v2, u1v2), under a product:
+concatenation gives ``triplet_form``, the exact triplet counterpart, and the
+syntactic monoid's table the flank triple that respect reads.
+``_rule_type`` maps a variant name to its rule class.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
+from typing import Callable
 
 from .automata import (
     Alphabet,
@@ -47,14 +52,6 @@ class ClassicRule:
     def components(self) -> tuple[str, str, str, str]:
         return (self.u1, self.v1, self.u2, self.v2)
 
-    @property
-    def left_site(self) -> str:
-        return self.u1 + self.v1
-
-    @property
-    def right_site(self) -> str:
-        return self.u2 + self.v2
-
     def pixton_equivalent(self) -> "PixtonRule":
         """The triplet performing exactly the same splicings."""
         return PixtonRule(*triplet_form(self))
@@ -76,6 +73,19 @@ class PixtonRule:
 Rule = ClassicRule | PixtonRule
 
 
+def triplet(components: tuple, product: Callable) -> tuple:
+    """(left site, right site, insert) of the rule with these components:
+    (u1·v1, u2·v2, u1·v2) for a classic quadruple, a triplet unchanged.
+
+    ``product`` multiplies two components: concatenation on words, the
+    syntactic monoid's table on class ids.
+    """
+    if len(components) == 3:
+        return components
+    u1, v1, u2, v2 = components
+    return product(u1, v1), product(u2, v2), product(u1, v2)
+
+
 def triplet_form(rule: Rule) -> tuple[str, str, str]:
     """(left site, right site, insert word): the components of the triplet
     performing exactly the rule's splicings.
@@ -84,9 +94,15 @@ def triplet_form(rule: Rule) -> tuple[str, str, str]:
     and the adopted suffix: u1·v2 for a classic rule, the bridge v for a
     triplet.
     """
-    if isinstance(rule, ClassicRule):
-        return rule.u1 + rule.v1, rule.u2 + rule.v2, rule.u1 + rule.v2
-    return rule.components
+    return triplet(rule.components, operator.add)
+
+
+def _rule_type(variant: str) -> type[Rule]:
+    """The rule class of a variant; its fields are the rule's components."""
+    for name, rule_type in ((CLASSIC, ClassicRule), (PIXTON, PixtonRule)):
+        if variant == name:
+            return rule_type
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def splice_classic(w1: str, w2: str, r: ClassicRule) -> set[tuple[str, int]]:
@@ -96,30 +112,29 @@ def splice_classic(w1: str, w2: str, r: ClassicRule) -> set[tuple[str, int]]:
     adopted suffix v2·y2 in the result.
     """
     out = set()
-    left = r.left_site
-    right = r.right_site
+    left, right, insert = triplet_form(r)
     for k1 in occurrences(w1, left):
         x1 = w1[:k1]
         for k2 in occurrences(w2, right):
-            y2 = w2[k2 + len(right):]
-            out.add((x1 + r.u1 + r.v2 + y2, k1 + len(r.u1)))
+            out.add((x1 + insert + w2[k2 + len(right):], k1 + len(r.u1)))
     return out
 
 
 def splice_pixton(w1: str, w2: str, r: PixtonRule) -> set[str]:
     """All words x1·v·y2 over factorizations w1 = x1 u1 y1, w2 = x2 u2 y2."""
-    out = set()
-    for k1 in occurrences(w1, r.u1):
-        x1 = w1[:k1]
-        for k2 in occurrences(w2, r.u2):
-            out.add(x1 + r.v + w2[k2 + len(r.u2):])
-    return out
+    return splice_words(w1, w2, r)
 
 
 def splice_words(w1: str, w2: str, rule: Rule) -> set[str]:
-    if isinstance(rule, ClassicRule):
-        return {z for z, _pos in splice_classic(w1, w2, rule)}
-    return splice_pixton(w1, w2, rule)
+    """All words x1·insert·y2 over factorizations w1 = x1·left·y1 and
+    w2 = x2·right·y2, where (left, right, insert) is the rule's triplet form."""
+    left, right, insert = triplet_form(rule)
+    out = set()
+    for k1 in occurrences(w1, left):
+        head = w1[:k1] + insert
+        for k2 in occurrences(w2, right):
+            out.add(head + w2[k2 + len(right):])
+    return out
 
 
 def sigma_step(words: set[str], rules) -> set[str]:
@@ -131,12 +146,6 @@ def sigma_step(words: set[str], rules) -> set[str]:
             for w2 in pool:
                 out |= splice_words(w1, w2, rule)
     return out
-
-
-def _known_variant(variant: str) -> str:
-    if variant not in (CLASSIC, PIXTON):
-        raise ValueError(f"unknown variant {variant!r}")
-    return variant
 
 
 @dataclass(frozen=True)
@@ -154,8 +163,7 @@ class SplicingSystem:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        _known_variant(self.variant)
-        want = ClassicRule if self.variant == CLASSIC else PixtonRule
+        want = _rule_type(self.variant)
         checked: set[str] = set()  # rules share few distinct component words
         for rule in self.rules:
             if not isinstance(rule, want):
@@ -263,27 +271,21 @@ def parse_rule(text: str, variant: str, alphabet: Alphabet) -> Rule:
     halves = text.split(";")
     if len(halves) != 2:
         raise ValueError(f"rule {text!r} must contain exactly one ';'")
-    if variant == CLASSIC:
-        left, right = halves[0].split(","), halves[1].split(",")
-        if len(left) != 2 or len(right) != 2:
-            raise ValueError(f"classic rule {text!r} must be 'u1,v1;u2,v2'")
-        rule: Rule = ClassicRule(left[0], left[1], right[0], right[1])
-    elif variant == PIXTON:
-        left = halves[0].split(",")
-        if len(left) != 2 or "," in halves[1]:
-            raise ValueError(f"pixton rule {text!r} must be 'u1,u2;v'")
-        rule = PixtonRule(left[0], left[1], halves[1])
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    make = _rule_type(variant)
+    names = [f.name for f in fields(make)]
+    left, right = (half.split(",") for half in halves)
+    if len(left) != 2 or len(left) + len(right) != len(names):
+        # the syntax, spelled with the component names
+        raise ValueError(f"{variant} rule {text!r} must be {rule_to_text(make(*names))!r}")
+    rule = make(*left, *right)
     for comp in rule.components:
         alphabet.check_word(comp)
     return rule
 
 
 def rule_to_text(rule: Rule) -> str:
-    if isinstance(rule, ClassicRule):
-        return f"{rule.u1},{rule.v1};{rule.u2},{rule.v2}"
-    return f"{rule.u1},{rule.u2};{rule.v}"
+    """The first two components, then ';' and the rest, comma-separated."""
+    return ",".join(rule.components[:2]) + ";" + ",".join(rule.components[2:])
 
 
 def system_to_json(system: SplicingSystem) -> str:
@@ -302,8 +304,8 @@ def system_to_json(system: SplicingSystem) -> str:
 
 def system_from_json(text: str | dict) -> SplicingSystem:
     doc = json.loads(text) if isinstance(text, str) else text
-    variant = json_field(doc, "variant", _known_variant)
-    make, arity = (ClassicRule, 4) if variant == CLASSIC else (PixtonRule, 3)
+    make = json_field(doc, "variant", _rule_type)
+    variant, arity = doc["variant"], len(fields(make))
 
     def axioms(raw) -> tuple[str, ...] | Nfa:
         if isinstance(raw, dict):

@@ -9,7 +9,9 @@ The saturation reference ``build_closure_reference`` recomputes every round
 from scratch along per-state epsilon rows, closed by its own ``_reach``: it
 shares the library's bit iteration and letter images, but none of its
 epsilon-closure, biclique or semi-naive code, and it checks the closure's
-derived ``added`` view against the edges it found itself.
+derived ``added`` view against the edges it found itself.  ``reverse`` and
+``reversed_dfa`` mirror a rule and a language for the reversal relation,
+which compares two decides without any oracle.
 """
 
 from __future__ import annotations
@@ -223,6 +225,31 @@ def random_classic_rule(rng, alphabet, max_len) -> ClassicRule:
 
 def random_pixton_rule(rng, alphabet, max_len) -> PixtonRule:
     return PixtonRule(*(random_word(rng, alphabet, max_len) for _ in range(3)))
+
+
+def reverse(rule):
+    """The mirror image of a rule: classic (u1,v1;u2,v2) becomes
+    (v2ᴿ,u2ᴿ;v1ᴿ,u1ᴿ) and triplet (u1,u2;v) becomes (u2ᴿ,u1ᴿ;vᴿ), so that
+    the rule splices (w1, w2) to z iff its mirror splices (w2ᴿ, w1ᴿ) to zᴿ.
+    Component lengths keep their bounds under the mirror."""
+    if isinstance(rule, ClassicRule):
+        return ClassicRule(rule.v2[::-1], rule.u2[::-1], rule.v1[::-1], rule.u1[::-1])
+    return PixtonRule(rule.u2[::-1], rule.u1[::-1], rule.v[::-1])
+
+
+def reversed_dfa(dfa: Dfa) -> Dfa:
+    """Minimal DFA of the mirror language: every edge turned around, initial
+    and accepting states swapped, then the brute subset construction."""
+    edges = frozenset(
+        (dfa.transitions[p][i], sym, p)
+        for p in range(dfa.state_count)
+        for i, sym in enumerate(dfa.alphabet.symbols)
+    )
+    mirror = Nfa(
+        dfa.alphabet, dfa.state_count, dfa.accepting, frozenset({dfa.initial}),
+        edges, frozenset(),
+    )
+    return minimize(determinize_brute(mirror))
 
 
 def congruence_classes_brute(

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -160,6 +162,26 @@ def test_splice_json_carries_positions(capsys):
     )
     doc = json.loads(out)
     assert doc["results"] == [{"word": "aab", "position": 1}]
+
+
+def test_splice_json_lists_results_in_ll_order_then_position(capsys):
+    # under the alphabet order b < a, "ba" comes before "ab" and "aa"; a word
+    # spliced at two positions is listed once per position, lowest first
+    code, out, _ = run(
+        capsys, "splice", "--variant", "classic", "--rule", ",;,",
+        "--w1", "ab", "--w2", "ba", "--alphabet", "ba", "--json",
+    )
+    assert code == 0
+    results = [(r["word"], r["position"]) for r in json.loads(out)["results"]]
+    assert results == [
+        ("", 0), ("a", 0), ("a", 1), ("ba", 0), ("ab", 2), ("aa", 1),
+        ("aba", 1), ("aba", 2), ("abba", 2),
+    ]
+    _, text, _ = run(
+        capsys, "splice", "--variant", "classic", "--rule", ",;,",
+        "--w1", "ab", "--w2", "ba", "--alphabet", "ba",
+    )
+    assert text.splitlines() == list(dict.fromkeys(word for word, _ in results))
 
 
 def test_closure_and_oracle_on_system_file(tmp_path, capsys):
@@ -379,3 +401,99 @@ def test_candidate_limit_env_must_be_positive_integer(monkeypatch, capsys, value
         "splicekit: SPLICEKIT_CANDIDATE_LIMIT must be a positive integer, "
         f"got {value!r}\n"
     )
+
+
+def _decide(lang, alphabet, variant, *flags):
+    return ("decide", "--lang", lang, "--alphabet", alphabet, "--variant", variant, *flags)
+
+
+_STATS_EMIT = (
+    "--stats", "--emit-system", "{tmp}/system.json", "--emit-closure", "{tmp}/closure.json"
+)
+_SPLICE_BA = ("--w1", "ab", "--w2", "ba", "--alphabet", "ba")
+
+# Each case is a sequence of CLI calls; {tmp} stands for a fresh directory.
+# The digest covers each call's stdout (with "wall_time_s":... stripped) and
+# exit code, then the name and bytes of every file the calls wrote.
+_PINNED_CALLS = {
+    "decide a+b+ classic custom(3,3,3)": [
+        _decide("a+b+", "ab", "classic", "--axiom-lt", "3", "--inner-lt", "3", "--outer-lt", "3",
+                *_STATS_EMIT)],
+    "decide a+b+ classic custom(4,3,4)": [
+        _decide("a+b+", "ab", "classic", "--axiom-lt", "4", "--inner-lt", "3", "--outer-lt", "4",
+                *_STATS_EMIT)],
+    "decide a*b* pixton custom(6,4,6)": [
+        _decide("a*b*", "ab", "pixton", "--axiom-lt", "6", "--inner-lt", "4", "--outer-lt", "6",
+                *_STATS_EMIT)],
+    "decide a* classic theorem": [_decide("a*", "a", "classic", "--bounds", "theorem", *_STATS_EMIT)],
+    **{
+        f"decide (a^{k})* {variant} theorem": [_decide(f"({'a' * k})*", "a", variant, "--stats")]
+        for k in range(2, 6)
+        for variant in ("classic", "pixton")
+    },
+    "decide a+ classic theorem": [_decide("a+", "a", "classic", "--stats")],
+    "decide aa+ classic theorem": [_decide("aa+", "a", "classic", "--stats")],
+    "decide a+b+ classic custom(3,3,3) --prune": [
+        _decide("a+b+", "ab", "classic", "--axiom-lt", "3", "--inner-lt", "3", "--outer-lt", "3",
+                "--prune", *_STATS_EMIT)],
+    "monoid a+b+ under ba": [("monoid", "--lang", "a+b+", "--alphabet", "ba")],
+    "respect --witness classic": [
+        ("respect", "--lang", "(aa)*", "--alphabet", "a", "--variant", "classic",
+         "--rule", "aa,;a,", "--witness")],
+    "respect --witness pixton": [
+        ("respect", "--lang", "a*ba*", "--alphabet", "ab", "--variant", "pixton",
+         "--rule", "b,b;bb", "--witness")],
+    "splice classic": [("splice", "--variant", "classic", "--rule", ",;,", *_SPLICE_BA)],
+    "splice classic --json": [
+        ("splice", "--variant", "classic", "--rule", ",;,", *_SPLICE_BA, "--json")],
+    "splice pixton": [("splice", "--variant", "pixton", "--rule", ",;a", *_SPLICE_BA)],
+    "splice pixton --json": [
+        ("splice", "--variant", "pixton", "--rule", ",;a", *_SPLICE_BA, "--json")],
+    "pump --json": [
+        ("pump", "--lang", "(aa)*", "--alphabet", "a", "--word", "aaaaa", "--j", "12", "--json")],
+    "closure --trace on an emitted system": [
+        _decide("a+b+", "ab", "classic", "--axiom-lt", "3", "--inner-lt", "2", "--outer-lt", "3",
+                "--prune", "--emit-system", "{tmp}/system.json"),
+        ("closure", "--system", "{tmp}/system.json", "--trace",
+         "--emit-closure", "{tmp}/closure.json", "--dot", "{tmp}/closure.dot"),
+    ],
+}
+
+_PINNED_DIGESTS = {
+    "decide a+b+ classic custom(3,3,3)": "e28dc16f45db045e808cc9da99553e5ab0556a82b0f5ed01fd9b66aec0dc6930",
+    "decide a+b+ classic custom(4,3,4)": "b2db9a9dd1796b2f23ae0a07c2efc20172a2537c2f524e2e187a23f02eac1b9d",
+    "decide a*b* pixton custom(6,4,6)": "ac3411ab781ded1bc10bf80585332bd8197d0ff06d15ea4c96318fe158706b83",
+    "decide a* classic theorem": "ef1dbb11b5027339d6bb880eaa11e9bbd87f29fccfce474741323c0acb3d10b1",
+    "decide (a^2)* classic theorem": "8815754c7871cfd76947710d51f91e5238d17115681773a5a8bfe57867911179",
+    "decide (a^2)* pixton theorem": "911883504d115e2756475f0d4173769880c17d5b3ccdba9f83e763559fa81633",
+    "decide (a^3)* classic theorem": "aa4efdb9b2f444fa872877476d97bb0161dad8b244408fcad16b3ce76a88f3ea",
+    "decide (a^3)* pixton theorem": "75552932895978056de540296e414c8f59c799da1b52f689cee7f69c0fe9d9ff",
+    "decide (a^4)* classic theorem": "0305334d6b4950db03c3ef98f6c62c3a046a6d4091969d58ce93c7b1ba5f4ced",
+    "decide (a^4)* pixton theorem": "af812f72d7f1dce1d0125bc199cf860ec74cdec6204cd9aa9f95b6062b91b1d1",
+    "decide (a^5)* classic theorem": "b5e079c843d7b4a1ae8b93b1062cbcefbefda5640d3ba3b5e8651b9b41ab4363",
+    "decide (a^5)* pixton theorem": "6740667fa883f288149ca2128e9a6b50600ca861674704b6e4d16dd9d1b733e3",
+    "decide a+ classic theorem": "008160bf8a25c0d5bf7698173b3aa9d187e9f2281e28610a1025b33e8223712d",
+    "decide aa+ classic theorem": "ea9eef984346bde48edfbb1b35e1fdb36e99c1bca1ee9e8ba106e268f8570010",
+    "decide a+b+ classic custom(3,3,3) --prune": "ccd00aa3074fc8ea09b64117f38683217814e53bbcbd4a967dab995e3923190a",
+    "monoid a+b+ under ba": "20d872cde1cdeec521738c70aa5f59116b145f8e12261f260bb85becf9b297f5",
+    "respect --witness classic": "12002854155f63590343bbe6501fcf16294ff59e64b31ffbdc83d921bb457a1b",
+    "respect --witness pixton": "68164f7aea91ff317c651c16174f1e85d5c1120482f0cc451263342f26765e25",
+    "splice classic": "4ecd4681bbaccba118510c5d17675479563eba7e70b470fd30fef852549bdfca",
+    "splice classic --json": "ea469381ef6108fc3022e3a2451ea864f05988fd5002a54842b2b17eac4b14a6",
+    "splice pixton": "47b34c04db0344d48165c3d894f8723e587d2d95575498163612923353a8eaf5",
+    "splice pixton --json": "ba457679f748fdf5b55d0c96d27148ab85a708151213046d8de3bebc8c87d529",
+    "pump --json": "3a430f6e2771e06300fe0ab693c251347f5ffd553abfbc8129122629ef4f03d6",
+    "closure --trace on an emitted system": "07348ed6e736b0468f3cf3752a3d90dfb186e67db032c4b7d8bf5cb79d6ee306",
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_CALLS))
+def test_cli_bytes_are_pinned(tmp_path, capsys, case):
+    digest = hashlib.sha256()
+    for argv in _PINNED_CALLS[case]:
+        code, out, _ = run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+        digest.update(re.sub(r',"wall_time_s":[0-9.e+-]+', "", out).encode())
+        digest.update(f"exit {code}\n".encode())
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(f"{path.name}\n".encode() + path.read_bytes())
+    assert digest.hexdigest() == _PINNED_DIGESTS[case]

@@ -28,7 +28,7 @@ from splicekit import (
 from splicekit.decide import BoundsProfile, candidate_count, canonical_axioms, canonical_rules
 from splicekit.monoid import SyntacticMonoid
 
-from helpers import random_regex, word_level_rules
+from helpers import all_words_upto, random_regex, reverse, reversed_dfa, word_level_rules
 
 A = Alphabet.from_string("a")
 AB = Alphabet.from_string("ab")
@@ -381,3 +381,27 @@ def test_respect_verdicts_evaluate_each_flank_triple_once(monkeypatch):
     assert monoid.size == 5
     assert calls["verdict"] == 625
     assert calls["_flank_verdict"] == len(ctx.cache) <= 125
+
+
+@pytest.mark.parametrize("variant,lts", [("classic", (4, 3, 4)), ("pixton", (5, 3, 5))])
+@pytest.mark.parametrize(
+    "regex", ["a+b+", "(ab)*", "a*b*", "a(a|b)*", "a*ba*", "(a|b)*ab", "(aa)*"]
+)
+def test_reversal_maps_the_canonical_system_of_l_onto_that_of_its_mirror(regex, variant, lts):
+    # the mirror of a rule respects the mirror language iff the rule respects
+    # L, and these bounds are symmetric under the mirror, so the two
+    # canonical systems are mirror images and every verdict count agrees
+    forward = lang(regex)
+    backward = reversed_dfa(forward)
+    assert all(
+        backward.accepts(w) == forward.accepts(w[::-1]) for w in all_words_upto(AB, 6)
+    )
+    bounds = custom_bounds(variant, *lts)
+    there = decide_splicing(forward, variant, bounds)
+    back = decide_splicing(backward, variant, bounds)
+    assert there.verdict == back.verdict
+    for key in ("candidate_rules", "respecting_rules"):
+        assert there.stats[key] == back.stats[key]
+    assert {reverse(rule) for rule in there.system.rules} == set(back.system.rules)
+    if regex == "(aa)*":
+        assert there.verdict == "inconclusive"

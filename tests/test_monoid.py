@@ -59,6 +59,29 @@ def test_class_of_is_a_morphism():
         assert m.class_of(u + v) == m.mul(m.class_of(u), m.class_of(v))
 
 
+def test_table_products_induce_the_composed_transformations():
+    # independent of how the table is filled: the word of a·b must move every
+    # state of the minimal DFA as rep[a] + rep[b] does, and distinct elements
+    # must move the states differently
+    rng = random.Random(13)
+    checked = 0
+    for alphabet in (AB, Alphabet.from_string("bca")) * 20:
+        d = random_min_dfa(rng, alphabet, 4)
+        m = syntactic_monoid(d)
+        if m.size > 40:
+            continue
+        checked += 1
+
+        def moves(word):
+            return tuple(d.run(q, word) for q in range(d.state_count))
+
+        reps = m.representatives
+        assert len({moves(w) for w in reps}) == m.size
+        for a, b in itertools.product(range(m.size), repeat=2):
+            assert moves(reps[m.table[a][b]]) == moves(reps[a] + reps[b]), (a, b)
+    assert checked >= 30
+
+
 def test_membership_through_accepting_classes():
     d = lang("a+b+")
     m = syntactic_monoid(d)

@@ -23,6 +23,7 @@ from splicekit import (
     syntactic_monoid,
 )
 from splicekit.decide import canonical_rules
+from splicekit.splicing import triplet, triplet_form
 
 from helpers import (
     random_classic_rule,
@@ -301,4 +302,19 @@ def test_memoized_verdicts_match_reference_on_every_class_tuple():
         keys += [("p",) + t for t in itertools.product(elements, repeat=3)]
         rng.shuffle(keys)
         for key in keys:
-            assert ctx.verdict(key) == respect_verdict_reference(monoid, key), key
+            make = ClassicRule if key[0] == "c" else PixtonRule
+            rule = make(*(monoid.representatives[c] for c in key[1:]))
+            assert ctx.respects(rule) == respect_verdict_reference(monoid, key), key
+
+
+def test_triplet_of_component_classes_is_the_class_triple_of_the_triplet_form():
+    # class_of is a morphism, so multiplying component classes by the table
+    # gives the classes of the concatenated sites and insert word
+    rng = random.Random(14)
+    for _ in range(8):
+        monoid = syntactic_monoid(random_min_dfa(rng, AB, 4))
+        for _ in range(30):
+            for rule in (random_classic_rule(rng, AB, 4), random_pixton_rule(rng, AB, 4)):
+                classes = tuple(map(monoid.class_of, rule.components))
+                want = tuple(map(monoid.class_of, triplet_form(rule)))
+                assert triplet(classes, monoid.mul) == want, rule
