@@ -3,7 +3,9 @@
     python3 bench/ladder.py --out OUT.json [--repeats 5]
 
 Cases: ``(a^k)*`` for k = 2..9 in both variants, and ``a+``, ``aa+``,
-``aaa+`` and ``aaaa+`` classic, all at theorem bounds.  Each case runs in
+``aaa+``, ``aaaa+``, ``a^5+``, ``a^6+`` and ``a^8+`` classic, all at theorem
+bounds.  ``a^8+`` (about 10^7 respecting rules) runs one repeat whatever
+``--repeats`` says; the others run ``--repeats``.  Each case runs in
 its own subprocess (a fresh interpreter, so ``ru_maxrss`` is that case's
 own peak).  Each repeat times ``resolve`` (regex -> NFA -> DFA -> minimal
 DFA) and then calls ``decide_splicing`` once, whose ``Decision.seconds``
@@ -37,8 +39,12 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from splicekit import Alphabet, decide_splicing, determinize, minimize, parse_regex  # noqa: E402
 
-CASES = [(f"({'a' * k})*", variant) for k in range(2, 10) for variant in ("classic", "pixton")]
-CASES += [("a+", "classic"), ("aa+", "classic"), ("aaa+", "classic"), ("aaaa+", "classic")]
+# (regex, variant, repeats or None for --repeats)
+CASES = [
+    (f"({'a' * k})*", variant, None) for k in range(2, 10) for variant in ("classic", "pixton")
+]
+CASES += [(f"{'a' * k}+", "classic", None) for k in range(1, 7)]
+CASES += [("aaaaaaaa+", "classic", 1)]
 
 
 def run_once(regex: str, variant: str) -> tuple[dict, dict]:
@@ -80,12 +86,13 @@ def main() -> None:
     parser.add_argument("--case", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.case is not None:
-        print(json.dumps(measure(*CASES[args.case], args.repeats)))
+        regex, variant, repeats = CASES[args.case]
+        print(json.dumps(measure(regex, variant, repeats or args.repeats)))
         return
     if args.out is None:
         parser.error("--out is required")
     records = []
-    for i, (regex, variant) in enumerate(CASES):
+    for i in range(len(CASES)):
         done = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--case", str(i), "--repeats", str(args.repeats)],
             capture_output=True, text=True, check=True,

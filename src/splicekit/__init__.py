@@ -67,6 +67,7 @@ from .respect import (
 from .splicing import (
     ClassicRule,
     PixtonRule,
+    RuleProduct,
     SplicingSystem,
     bounded_closure,
     parse_rule,

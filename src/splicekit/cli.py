@@ -76,7 +76,9 @@ def _resolve_lang(lang: str, alphabet: str | None) -> Dfa:
 
 def _emit(path: str, payload: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(payload if payload.endswith("\n") else payload + "\n")
+        handle.write(payload)  # not payload + "\n": that copies the payload
+        if not payload.endswith("\n"):
+            handle.write("\n")
 
 
 def _print_json(doc) -> None:

@@ -47,8 +47,23 @@ the rules with that right site feed.  A rule's own part of the automaton is
 the trie path from its left hub along its insert word plus the static
 epsilon edge from that path's end to its right hub.
 
-Representation.  Trie nodes are keyed by (left site, insert prefix), so a
-rule whose whole insert path exists already costs one lookup.  The epsilon
+Rules are read as ``splicing.site_groups`` gives them, one run at a time:
+a left site, the insert words of the run's rules and their right sites, in
+the rules' order.  A tuple of rules gives one run per rule.  A canonical
+rule product is never turned into rule objects: it gives one run per
+classic (u1, v1, u2) or triplet (u1, u2), whose rules differ only in the
+last component.  States are numbered as a walk over the rules one by one
+would number them: each rule's left hub and new insert nodes, then its
+right hub.  The trie
+ends of a run's insert words are kept per (left site, insert words), and
+the hubs per tuple of right sites.  A later u2 of the same class as an
+earlier one, after the same (u1, v1), has the same insert words, so its run
+reaches only trie ends that exist and adds only right hubs and static
+epsilon edges; a run whose insert words and right sites were both seen
+adds only its static epsilon edges.
+
+Representation.  Trie nodes are keyed by (left site, insert prefix), so an
+insert word whose whole path exists already costs one lookup.  The epsilon
 edges are bicliques, the form ``automata`` keeps and closes every
 automaton's epsilon edges in: the static edges grouped by target (the trie
 ends that feed a right hub, and any epsilon edges of the axiom automaton),
@@ -102,7 +117,7 @@ from .automata import (
     _subset_dfa,
     minimize,
 )
-from .splicing import SplicingSystem, triplet_form
+from .splicing import SplicingSystem, site_groups
 
 
 class AddedEdge(NamedTuple):
@@ -261,8 +276,9 @@ def _extend_prefixes(
     return reached
 
 
-def build_closure(system: SplicingSystem) -> ClosureAutomaton:
-    """Saturation fixpoint; the accepted language is the generated closure."""
+def _base_automaton(system: SplicingSystem) -> tuple[Nfa, dict[str, int], dict[str, int]]:
+    """The axiom automaton with every left hub's insert trie and the right
+    hubs, joined by the static epsilon edges; and the left and right hubs."""
     base_axioms = system.axiom_nfa()
     count = base_axioms.state_count
     labeled = set(base_axioms.labeled_edges)
@@ -271,8 +287,13 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
     left_hub: dict[str, int] = {}
     right_hub: dict[str, int] = {}
     trie: dict[tuple[str, str], int] = {}  # (left site, insert prefix) -> node
-    for rule in system.rules:
-        left_site, right_site, insert = triplet_form(rule)
+    ends_of: dict[tuple[str, tuple[str, ...]], list[int]] = {}  # trie ends of insert words
+    hubs_of: dict[tuple[str, ...], list[int]] = {}  # hubs of right sites
+
+    def trie_end(left_site: str, insert: str) -> int:
+        """The node of the insert word in the left site's trie, with the
+        hub and the nodes along the word numbered first if new."""
+        nonlocal count
         end = trie.get((left_site, insert))
         if end is None:
             if left_site not in left_hub:
@@ -286,10 +307,30 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
                     count += 1
                     labeled.add((end, insert[i - 1], nxt))
                 end = nxt
-        if right_site not in right_hub:
-            right_hub[right_site] = count
+        return end
+
+    def hub(right_site: str) -> int:
+        nonlocal count
+        got = right_hub.get(right_site)
+        if got is None:
+            got = right_hub[right_site] = count
             count += 1
-        static_eps.add((end, right_hub[right_site]))
+        return got
+
+    for left_site, inserts, rights in site_groups(system.rules):
+        ends = ends_of.get((left_site, inserts))
+        hubs = hubs_of.get(rights)
+        if ends is None:
+            # a rule's left hub and insert path are numbered before its right hub
+            ends, hubs = [], []
+            for insert, right_site in zip(inserts, rights):
+                ends.append(trie_end(left_site, insert))
+                hubs.append(hub(right_site))
+            ends_of[left_site, inserts] = ends
+            hubs_of[rights] = hubs
+        elif hubs is None:
+            hubs = hubs_of[rights] = [hub(right_site) for right_site in rights]
+        static_eps.update(zip(ends, hubs))
 
     base = Nfa(
         alphabet=system.alphabet,
@@ -299,7 +340,12 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         labeled_edges=frozenset(labeled),
         epsilon_edges=frozenset(static_eps),
     )
+    return base, left_hub, right_hub
 
+
+def build_closure(system: SplicingSystem) -> ClosureAutomaton:
+    """Saturation fixpoint; the accepted language is the generated closure."""
+    base, left_hub, right_hub = _base_automaton(system)
     fwd = _mask_tables(base)
     bwd = _mask_tables(base, backward=True)
     static = _eps_bicliques(base)
@@ -343,7 +389,7 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         if not new:
             break
         rounds += 1
-        if rounds > count * count:
+        if rounds > base.state_count**2:
             raise AssertionError("saturation failed to converge within |states|^2 rounds")
         bicliques = _site_bicliques(static, left_seen, right_seen)
         growth.extend(new)

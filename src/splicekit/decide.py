@@ -31,7 +31,7 @@ from .closure import ClosureAutomaton, build_closure, closure_dfa
 from .errors import CandidateLimitExceededError
 from .monoid import SyntacticMonoid, syntactic_monoid
 from .respect import RespectContext, prune_minimal
-from .splicing import CLASSIC, Rule, SplicingSystem, _rule_type, triplet
+from .splicing import CLASSIC, RuleProduct, SplicingSystem, _rule_type, triplet
 
 DEFAULT_CANDIDATE_LIMIT = 10_000_000
 CANDIDATE_LIMIT_ENV = "SPLICEKIT_CANDIDATE_LIMIT"
@@ -135,47 +135,43 @@ def canonical_axioms(lang: Dfa, bounds: BoundsProfile) -> Dfa:
 
 def _class_pool(
     monoid: SyntacticMonoid, alphabet: Alphabet, lt: int
-) -> tuple[list[str], list[int]]:
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Every word shorter than lt in ll-order, and the syntactic class of each.
 
     In ll-order over k symbols the word at index i > 0 is the word at index
     (i - 1) // k extended by symbol (i - 1) % k, so each class is one
     multiplication of its one-shorter prefix's class by a generator.
     """
-    words = list(words_shorter_than(alphabet, lt))
+    words = tuple(words_shorter_than(alphabet, lt))
     gens = [monoid.generators[monoid.alphabet.index(s)] for s in alphabet.symbols]
     k, table = len(gens), monoid.table
     classes = [monoid.identity]
     for i in range(1, len(words)):
         parent, symbol = divmod(i - 1, k)
         classes.append(table[classes[parent]][gens[symbol]])
-    return words, classes
+    return words, tuple(classes)
 
 
 def canonical_rules(
     lang_monoid_ctx: RespectContext,
     alphabet: Alphabet,
     bounds: BoundsProfile,
-) -> tuple[Rule, ...]:
-    """Every rule within the bounds that respects the language.
+) -> RuleProduct:
+    """Every rule within the bounds that respects the language, kept
+    symbolic as a ``RuleProduct``: no rule object is built.
 
-    The exact word-tuple count is checked against the guard before anything
-    is built.  Respect depends only on the class tuple of a rule, so the
-    enumeration works per syntactic class:
+    The exact word-tuple count is checked against the guard first.  Respect
+    depends only on the class tuple of a rule, so the rule set is a product
+    over syntactic classes:
 
     - each distinct component bound gets one pool of its words in ll-order,
       each word's class computed once from its prefix's class;
     - the respect verdict is asked once per class tuple present in the pools
       (at most m^4 classic, m^3 triplet), for the flank triple
       ``splicing.triplet`` maps the tuple to, through the context's cache;
-    - the respecting class tuples form a trie, and the walk extends a prefix
-      only by the pool words whose class the prefix's trie node allows (each
-      node's pool filtered once, on its first visit), so a prefix no
-      respecting tuple extends is never expanded.
-
-    The walk is the word-tuple nested loop (first component slowest, each
-    pool in ll-order) with non-respecting words skipped, so the rules come
-    out in the same order as a filter over every word tuple would give.
+    - the rules are the word tuples whose class tuple respects, in the
+      word-tuple nested-loop order (first component slowest, each pool in
+      ll-order), which the product's iteration and runs follow.
     """
     limit = _candidate_limit()
     total = candidate_count(alphabet, bounds)
@@ -186,35 +182,12 @@ def canonical_rules(
     pools = {lt: _class_pool(ctx.monoid, alphabet, lt) for lt in set(lts)}
     present = [sorted(set(pools[lt][1])) for lt in lts]
     verdict, product = ctx.verdict, ctx.product
-    trie: dict = {}
-    for classes in itertools.product(*present):
-        if verdict(*triplet(classes, product)):
-            node = trie
-            for c in classes:
-                node = node.setdefault(c, {})
-
-    make = _rule_type(bounds.variant)
-    last = len(lts) - 1
-    rules: list[Rule] = []
-    # id of a trie node -> (pool word, child node) for each word it allows;
-    # the trie keeps every node alive, so ids stay unique
-    kept: dict[int, list[tuple[str, dict]]] = {}
-
-    def walk(depth: int, node: dict, prefix: tuple[str, ...]) -> None:
-        words = kept.get(id(node))
-        if words is None:
-            pool, classes = pools[lts[depth]]
-            words = kept[id(node)] = [
-                (w, node[c]) for w, c in zip(pool, classes) if c in node
-            ]
-        if depth == last:
-            rules.extend(make(*prefix, w) for w, _ in words)
-        else:
-            for w, child in words:
-                walk(depth + 1, child, prefix + (w,))
-
-    walk(0, trie, ())
-    return tuple(rules)
+    respecting = frozenset(
+        classes
+        for classes in itertools.product(*present)
+        if verdict(*triplet(classes, product))
+    )
+    return RuleProduct(bounds.variant, tuple(pools[lt] for lt in lts), respecting)
 
 
 def _canonical(
@@ -234,7 +207,7 @@ def _canonical(
     n_respecting = len(rules)
     if prune:
         rules = tuple(prune_minimal(rules))
-    return SplicingSystem(variant, lang.alphabet, axioms, tuple(rules)), n_respecting
+    return SplicingSystem(variant, lang.alphabet, axioms, rules), n_respecting
 
 
 def canonical_system(

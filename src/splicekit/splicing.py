@@ -9,14 +9,23 @@ site, insert), classic (u1,v1,u2,v2) to (u1v1, u2v2, u1v2), under a product:
 concatenation gives ``triplet_form``, the exact triplet counterpart, and the
 syntactic monoid's table the flank triple that respect reads.
 ``_rule_type`` maps a variant name to its rule class.
+
+A system's rules are a tuple of rule objects or a ``RuleProduct``, the
+canonical rule set kept symbolic.  Either is read as a stream of runs: rules
+that share every component but the last, with the last components in order.
+``site_groups`` maps each run through ``triplet`` for the closure
+construction, and the system JSON is written from the runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterator
 
 from .automata import (
     Alphabet,
@@ -137,6 +146,145 @@ def splice_words(w1: str, w2: str, rule: Rule) -> set[str]:
     return out
 
 
+@dataclass(frozen=True, repr=False)
+class RuleProduct:
+    """A rule set kept symbolic: every word tuple, one word from each pool,
+    whose class tuple is in ``tuples``.
+
+    ``pools`` holds one (words in ll-order, the class of each word) pair per
+    rule component, in the variant's component order; ``tuples`` holds the
+    allowed class tuples, the respecting ones for a canonical system.  The
+    rules come in nested-loop order: first component slowest, each pool in
+    ll-order.  Nothing per rule is stored: ``len`` is a count over the
+    tuples, and iteration builds the rule objects as it goes.
+    """
+
+    variant: str
+    pools: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]
+    tuples: frozenset[tuple[int, ...]]
+
+    def __post_init__(self):
+        arity = len(fields(_rule_type(self.variant)))
+        if len(self.pools) != arity or any(len(t) != arity for t in self.tuples):
+            raise ValueError(f"{self.variant} rule products need {arity} components")
+
+    @cached_property
+    def _trie(self) -> dict:
+        """The tuples as a trie: class -> child node, one level per component."""
+        trie: dict = {}
+        for classes in self.tuples:
+            node = trie
+            for c in classes:
+                node = node.setdefault(c, {})
+        return trie
+
+    @cached_property
+    def _count(self) -> int:
+        counts = [Counter(classes) for _words, classes in self.pools]
+        return sum(math.prod(n[c] for n, c in zip(counts, t)) for t in self.tuples)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Rule]:
+        make = _rule_type(self.variant)
+        for prefix, lasts in self.runs():
+            for word in lasts:
+                yield make(*prefix, word)
+
+    def __repr__(self) -> str:
+        return f"RuleProduct({self.variant!r}, {len(self)} rules)"
+
+    def runs(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+        """(prefix, last words) for each choice of every component but the
+        last that some rule extends, in nested order; its rules are the
+        prefix followed by each last word.
+
+        The walk extends a prefix only by the pool words whose class the
+        prefix's trie node allows, each node's pool filtered once, on its
+        first visit; prefixes that end in one node share its tuple of last
+        words.
+        """
+        last = len(self.pools) - 1
+        # id of a trie node -> (pool word, child node) for each word it
+        # allows, or the words alone at the last component; the trie keeps
+        # every node alive, so ids stay unique
+        kept: dict[int, list | tuple] = {}
+
+        def allowed(depth: int, node: dict):
+            got = kept.get(id(node))
+            if got is None:
+                words, classes = self.pools[depth]
+                got = [(w, node[c]) for w, c in zip(words, classes) if c in node]
+                if depth == last:
+                    got = tuple(w for w, _child in got)
+                kept[id(node)] = got
+            return got
+
+        def walk(depth: int, node: dict, prefix: tuple[str, ...]):
+            if depth == last:
+                lasts = allowed(depth, node)
+                if lasts:
+                    yield prefix, lasts
+                return
+            for word, child in allowed(depth, node):
+                yield from walk(depth + 1, child, prefix + (word,))
+
+        return walk(0, self._trie, ())
+
+    def words(self) -> dict[str, None]:
+        """Every component word of some rule, once, pool by pool in
+        ll-order: the pool words whose class some tuple allows there."""
+        used = [{t[depth] for t in self.tuples} for depth in range(len(self.pools))]
+        return dict.fromkeys(
+            w
+            for (words, classes), allowed in zip(self.pools, used)
+            for w, c in zip(words, classes)
+            if c in allowed
+        )
+
+
+def _runs(rules) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The rules as runs (prefix, last words); a tuple gives one run per rule."""
+    if isinstance(rules, RuleProduct):
+        return rules.runs()
+    return ((r.components[:-1], r.components[-1:]) for r in rules)
+
+
+def _component_words(rules) -> dict[str, None]:
+    """Every component word of the rules, once, in first-seen order."""
+    if isinstance(rules, RuleProduct):
+        return rules.words()
+    return dict.fromkeys(c for r in rules for c in r.components)
+
+
+def site_groups(rules) -> Iterator[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+    """(left site, insert words, right sites) for each run of the rules, in
+    order: the run's i-th rule writes insert word i between its left site
+    and right site i.
+
+    ``triplet`` maps a run as it maps one rule, with the run's last words in
+    place of the last component: a word times them is one word per last
+    word.  Each such tuple is built once per (word, last words) and shared
+    by every later run that asks for it again.
+    """
+    spread: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
+
+    def product(a: str, b: str | tuple[str, ...]) -> str | tuple[str, ...]:
+        if isinstance(b, str):
+            return a + b
+        got = spread.get((a, b))
+        if got is None:
+            got = spread[a, b] = tuple(a + w for w in b)
+        return got
+
+    for prefix, lasts in _runs(rules):
+        left, right, insert = triplet((*prefix, lasts), product)
+        # a triplet run shares its right site; a classic one spreads it
+        rights = right if isinstance(right, tuple) else (right,) * len(lasts)
+        yield left, insert, rights
+
+
 def sigma_step(words: set[str], rules) -> set[str]:
     """One application of the splicing operator: the union over all rules."""
     out: set[str] = set()
@@ -153,25 +301,32 @@ class SplicingSystem:
     """Axioms plus rules of one variant.
 
     Axioms are either an explicit word tuple or an automaton whose language
-    must be finite (canonical systems keep the large-but-regular axiom sets
-    symbolic).
+    must be finite, and rules either a tuple of rule objects or a
+    ``RuleProduct``: canonical systems keep both their large-but-regular
+    axiom sets and their rule sets symbolic.  Each distinct component word
+    is checked against the alphabet once.
     """
 
     variant: str
     alphabet: Alphabet
     axioms: tuple[str, ...] | Nfa | Dfa
-    rules: tuple[Rule, ...]
+    rules: tuple[Rule, ...] | RuleProduct
 
     def __post_init__(self):
         want = _rule_type(self.variant)
-        checked: set[str] = set()  # rules share few distinct component words
-        for rule in self.rules:
-            if not isinstance(rule, want):
-                raise ValueError(f"{self.variant} system holds a {type(rule).__name__}")
-            for comp in rule.components:
-                if comp not in checked:
-                    self.alphabet.check_word(comp)
-                    checked.add(comp)
+        if isinstance(self.rules, RuleProduct):
+            if self.rules.variant != self.variant:
+                raise ValueError(f"{self.variant} system holds {self.rules.variant} rules")
+        elif isinstance(self.rules, tuple):
+            for rule in self.rules:
+                if not isinstance(rule, want):
+                    raise ValueError(f"{self.variant} system holds a {type(rule).__name__}")
+        else:
+            raise ValueError(
+                f"rules must be a tuple or a RuleProduct, not a {type(self.rules).__name__}"
+            )
+        for word in _component_words(self.rules):
+            self.alphabet.check_word(word)
         if isinstance(self.axioms, tuple):
             for w in self.axioms:
                 self.alphabet.check_word(w)
@@ -216,7 +371,7 @@ def _chains_nfa(alphabet: Alphabet, words: tuple[str, ...]) -> Nfa:
 
 
 def longest_rule_component(rules) -> int:
-    return max((len(c) for r in rules for c in r.components), default=0)
+    return max(map(len, _component_words(rules)), default=0)
 
 
 def default_cap_len(system: SplicingSystem, report_len: int) -> int:
@@ -289,6 +444,7 @@ def rule_to_text(rule: Rule) -> str:
 
 
 def system_to_json(system: SplicingSystem) -> str:
+    """The system as compact JSON; the rules are written run by run."""
     if isinstance(system.axioms, tuple):
         axioms = list(system.axiom_words())
     else:
@@ -297,9 +453,32 @@ def system_to_json(system: SplicingSystem) -> str:
         "variant": system.variant,
         "alphabet": list(system.alphabet.symbols),
         "axioms": axioms,
-        "rules": [list(r.components) for r in system.rules],
     }
-    return json.dumps(doc, separators=(",", ":"))
+    head = json.dumps(doc, separators=(",", ":"))
+    return "".join((head[:-1], ',"rules":[', _rules_json(system.rules), "]}"))
+
+
+def _rules_json(rules) -> str:
+    """The rules' component arrays, comma-separated: the bytes ``json.dumps``
+    writes inside the rule list, with each distinct word encoded once."""
+    encoded: dict[str, str] = {}
+    # a run's last words, each encoded and closing its rule's array
+    closers: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def encode(word: str) -> str:
+        got = encoded.get(word)
+        if got is None:
+            got = encoded[word] = json.dumps(word)
+        return got
+
+    parts: list[str] = []
+    for prefix, lasts in _runs(rules):
+        ends = closers.get(lasts)
+        if ends is None:
+            ends = closers[lasts] = tuple(encode(w) + "]" for w in lasts)
+        head = "[" + "".join(encode(w) + "," for w in prefix)
+        parts.append(",".join([head + end for end in ends]))
+    return ",".join(parts)
 
 
 def system_from_json(text: str | dict) -> SplicingSystem:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -10,9 +11,11 @@ from splicekit import (
     Alphabet,
     CandidateLimitExceededError,
     ClassicRule,
+    Dfa,
     PixtonRule,
     RespectContext,
     SplicingSystem,
+    build_closure,
     canonical_system,
     closure_language,
     custom_bounds,
@@ -23,12 +26,21 @@ from splicekit import (
     minimize,
     parse_regex,
     syntactic_monoid,
+    system_to_json,
     theorem_bounds,
 )
 from splicekit.decide import BoundsProfile, candidate_count, canonical_axioms, canonical_rules
 from splicekit.monoid import SyntacticMonoid
+from splicekit.splicing import RuleProduct, longest_rule_component
 
-from helpers import all_words_upto, random_regex, reverse, reversed_dfa, word_level_rules
+from helpers import (
+    all_words_upto,
+    build_closure_reference,
+    random_regex,
+    reverse,
+    reversed_dfa,
+    word_level_rules,
+)
 
 A = Alphabet.from_string("a")
 AB = Alphabet.from_string("ab")
@@ -78,7 +90,7 @@ def test_canonical_axioms_stay_symbolic():
 
 def test_canonical_system_for_even_words_has_no_rules():
     system = canonical_system(lang("(aa)*", A), "classic", theorem_bounds(2, "classic"))
-    assert system.rules == ()
+    assert tuple(system.rules) == ()
     assert system.symbolic_axioms
 
 
@@ -289,7 +301,7 @@ def rule_setup(regex, symbols, variant, custom):
 def test_canonical_rules_match_word_level_enumeration(regex, symbols, variant, custom):
     monoid, alphabet, bounds = rule_setup(regex, symbols, variant, custom)
     ctx = RespectContext(monoid)
-    assert canonical_rules(ctx, alphabet, bounds) == word_level_rules(
+    assert tuple(canonical_rules(ctx, alphabet, bounds)) == word_level_rules(
         RespectContext(monoid), alphabet, bounds
     )
 
@@ -304,7 +316,7 @@ def test_canonical_rules_match_word_level_enumeration(regex, symbols, variant, c
 def test_canonical_rules_match_word_level_on_random_languages(seed, variant, inner, outer):
     regex, _ = random_regex(random.Random(seed), "ab", 3)
     monoid, alphabet, bounds = rule_setup(regex, "ab", variant, (5, inner, outer))
-    assert canonical_rules(RespectContext(monoid), alphabet, bounds) == word_level_rules(
+    assert tuple(canonical_rules(RespectContext(monoid), alphabet, bounds)) == word_level_rules(
         RespectContext(monoid), alphabet, bounds
     )
 
@@ -322,7 +334,7 @@ def test_canonical_rules_are_pinned(regex, variant, custom, count, digest):
     monoid, alphabet, bounds = rule_setup(regex, "ab", variant, custom)
     rules = canonical_rules(RespectContext(monoid), alphabet, bounds)
     assert len(rules) == count
-    assert hashlib.sha256(repr(rules).encode()).hexdigest() == digest
+    assert hashlib.sha256(repr(tuple(rules)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("variant", ["classic", "pixton"])
@@ -332,7 +344,7 @@ def test_cyclic_unary_languages_decide_no_at_theorem_bounds(k, variant):
     # axioms and the least missing word is the shortest member past them.
     decision = decide_splicing(lang(f"({'a' * k})*", A), variant)
     assert decision.stats["monoid_size"] == k
-    assert decision.system.rules == ()
+    assert tuple(decision.system.rules) == ()
     assert decision.verdict == "no"
     assert decision.witness == "a" * (k * (k + 6))
 
@@ -353,7 +365,7 @@ def test_rule_enumeration_evaluates_each_class_tuple_once(monkeypatch):
     counting(SyntacticMonoid, "class_of")
     counting(RespectContext, "respects")
     counting(RespectContext, "verdict")
-    assert canonical_rules(RespectContext(monoid), alphabet, bounds) == ()
+    assert tuple(canonical_rules(RespectContext(monoid), alphabet, bounds)) == ()
     pool_words = sum(bounds.component_lts)  # |a^{<b}| = b
     assert sum(calls.values()) <= pool_words + monoid.size**4
 
@@ -377,7 +389,7 @@ def test_respect_verdicts_evaluate_each_flank_triple_once(monkeypatch):
     counting("verdict")
     counting("_flank_verdict")
     ctx = RespectContext(monoid)
-    assert canonical_rules(ctx, alphabet, bounds) == ()
+    assert tuple(canonical_rules(ctx, alphabet, bounds)) == ()
     assert monoid.size == 5
     assert calls["verdict"] == 625
     assert calls["_flank_verdict"] == len(ctx.cache) <= 125
@@ -405,3 +417,90 @@ def test_reversal_maps_the_canonical_system_of_l_onto_that_of_its_mirror(regex, 
     assert {reverse(rule) for rule in there.system.rules} == set(back.system.rules)
     if regex == "(aa)*":
         assert there.verdict == "inconclusive"
+
+
+@st.composite
+def small_dfas(draw):
+    """Complete DFAs over ab with at most 3 states, accepting sets at random."""
+    n = draw(st.integers(1, 3))
+    state = st.integers(0, n - 1)
+    rows = tuple(tuple(draw(state) for _ in AB.symbols) for _ in range(n))
+    return Dfa(
+        alphabet=AB,
+        state_count=n,
+        initial=0,
+        accepting=frozenset(draw(st.sets(state))),
+        transitions=rows,
+    )
+
+
+def product_and_tuple_systems(dfa, variant, inner, outer):
+    """The canonical system of the DFA at small custom bounds, once with its
+    rule product and once with the rule objects that product iterates."""
+    system = canonical_system(dfa, variant, custom_bounds(variant, 4, inner, outer))
+    assert isinstance(system.rules, RuleProduct)
+    return system, dataclasses.replace(system, rules=tuple(system.rules))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dfa=small_dfas(),
+    variant=st.sampled_from(["classic", "pixton"]),
+    inner=st.integers(1, 3),
+    outer=st.integers(1, 4),
+)
+def test_rule_product_counts_and_iterates_the_word_level_rules(dfa, variant, inner, outer):
+    bounds = custom_bounds(variant, 4, inner, outer)
+    monoid = syntactic_monoid(dfa)
+    product = canonical_rules(RespectContext(monoid), AB, bounds)
+    expected = word_level_rules(RespectContext(monoid), AB, bounds)
+    assert len(product) == len(expected)
+    assert tuple(product) == expected
+    assert longest_rule_component(product) == longest_rule_component(expected)
+    again = canonical_rules(RespectContext(monoid), AB, bounds)
+    assert again == product and hash(again) == hash(product)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dfa=small_dfas(),
+    variant=st.sampled_from(["classic", "pixton"]),
+    inner=st.integers(1, 3),
+    outer=st.integers(1, 4),
+)
+def test_closure_of_a_rule_product_equals_that_of_its_rule_tuple(dfa, variant, inner, outer):
+    # the reference walks each rule object on its own, without runs
+    symbolic, listed = product_and_tuple_systems(dfa, variant, inner, outer)
+    got, want = build_closure(symbolic), build_closure_reference(listed)
+    assert got.base == want.base
+    assert (got.left_hubs, got.right_hubs) == (want.left_hubs, want.right_hubs)
+    assert (got.growth, got.rounds) == (want.growth, want.rounds)
+    assert build_closure(listed) == got
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dfa=small_dfas(),
+    variant=st.sampled_from(["classic", "pixton"]),
+    inner=st.integers(1, 3),
+    outer=st.integers(1, 5),
+)
+def test_system_json_of_a_rule_product_equals_that_of_its_rule_tuple(dfa, variant, inner, outer):
+    symbolic, listed = product_and_tuple_systems(dfa, variant, inner, outer)
+    text = system_to_json(symbolic)
+    assert text == system_to_json(listed)
+    doc = json.loads(text)
+    doc["rules"] = [list(rule.components) for rule in listed.rules]
+    assert text == json.dumps(doc, separators=(",", ":"))
+
+
+def test_default_decide_builds_no_rule_object(monkeypatch):
+    def refuse(self):
+        raise AssertionError("rule product iterated")
+
+    monkeypatch.setattr(RuleProduct, "__iter__", refuse)
+    decision = decide_splicing(lang("a+b+"), "classic", custom_bounds("classic", 4, 3, 4))
+    assert decision.verdict == "yes"
+    assert decision.stats["rules_emitted"] == len(decision.system.rules) == 10413
+    assert len(json.loads(system_to_json(decision.system))["rules"]) == 10413
+    assert hash(decision.system) == hash(dataclasses.replace(decision.system))

@@ -7,6 +7,7 @@ from splicekit import (
     ClassicRule,
     InfiniteAxiomLanguageError,
     PixtonRule,
+    RuleProduct,
     SplicingSystem,
     UnknownSymbolError,
     bounded_closure,
@@ -131,6 +132,31 @@ def test_system_validation():
         SplicingSystem("classic", AB, ("xy",), ())
     with pytest.raises(ValueError):
         SplicingSystem("sticky", AB, ("ab",), ())
+
+
+def test_system_rejects_rules_that_are_neither_a_tuple_nor_a_product():
+    rules = [ClassicRule("a", "b", "", "ab"), ClassicRule("ab", "", "a", "b")]
+    # validating would use up a generator, and a list leaves the system unhashable
+    with pytest.raises(ValueError, match="not a generator"):
+        SplicingSystem("classic", AB, ("ab",), (r for r in rules))
+    with pytest.raises(ValueError, match="not a list"):
+        SplicingSystem("classic", AB, ("ab",), rules)
+    system = SplicingSystem("classic", AB, ("ab",), tuple(rules))
+    assert system == EXAMPLE1 and hash(system) == hash(EXAMPLE1)
+
+
+def test_rule_product_validation():
+    pool = (("", "a", "c"), (0, 1, 2))
+    product = RuleProduct("pixton", (pool,) * 3, frozenset({(1, 1, 0)}))
+    assert list(product) == [PixtonRule("a", "a", "")]
+    # "c" is in the pools but in no rule, and only rule components are checked
+    assert SplicingSystem("pixton", AB, (), product).rules is product
+    with pytest.raises(ValueError, match="classic system holds pixton rules"):
+        SplicingSystem("classic", AB, (), product)
+    with pytest.raises(ValueError, match="pixton rule products need 3 components"):
+        RuleProduct("pixton", (pool,) * 4, product.tuples)
+    with pytest.raises(UnknownSymbolError, match="symbol 'c' not in alphabet"):
+        SplicingSystem("pixton", AB, (), RuleProduct("pixton", (pool,) * 3, frozenset({(1, 2, 0)})))
 
 
 def test_rule_text_round_trip():
