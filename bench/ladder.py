@@ -1,11 +1,14 @@
-"""Per-stage ladder of unary theorem-bound decisions, written as JSON.
+"""Per-stage ladder of decisions, written as JSON.
 
     python3 bench/ladder.py --out OUT.json [--repeats 5]
 
-Cases: ``(a^k)*`` for k = 2..9 in both variants, and ``a+``, ``aa+``,
-``aaa+``, ``aaaa+``, ``a^5+``, ``a^6+`` and ``a^8+`` classic, all at theorem
-bounds.  ``a^8+`` (about 10^7 respecting rules) runs one repeat whatever
-``--repeats`` says; the others run ``--repeats``.  Each case runs in
+Cases, unary at theorem bounds: ``(a^k)*`` for k = 2..9 in both variants,
+and ``a+``, ``aa+``, ``aaa+``, ``aaaa+``, ``a^5+``, ``a^6+`` and ``a^8+``
+classic.  Then binary at custom bounds (axiom, inner, outer), where most
+closure states are not useful: ``a+b+`` classic (3,3,3) and (4,3,4), and
+``a*b*`` pixton (6,4,6).  ``a^8+`` (about 10^7 respecting rules) runs one
+repeat whatever ``--repeats`` says; the others run ``--repeats``.  Each
+case runs in
 its own subprocess (a fresh interpreter, so ``ru_maxrss`` is that case's
 own peak).  Each repeat times ``resolve`` (regex -> NFA -> DFA -> minimal
 DFA) and then calls ``decide_splicing`` once, whose ``Decision.seconds``
@@ -37,22 +40,47 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from splicekit import Alphabet, decide_splicing, determinize, minimize, parse_regex  # noqa: E402
+from splicekit import (  # noqa: E402
+    Alphabet,
+    custom_bounds,
+    decide_splicing,
+    determinize,
+    minimize,
+    parse_regex,
+)
 
-# (regex, variant, repeats or None for --repeats)
+# (regex, alphabet, variant, custom (axiom, inner, outer) bounds or None for
+# the theorem bounds, repeats or None for --repeats); new cases go last, so
+# that a case keeps its index
 CASES = [
-    (f"({'a' * k})*", variant, None) for k in range(2, 10) for variant in ("classic", "pixton")
+    (f"({'a' * k})*", "a", variant, None, None)
+    for k in range(2, 10)
+    for variant in ("classic", "pixton")
 ]
-CASES += [(f"{'a' * k}+", "classic", None) for k in range(1, 7)]
-CASES += [("aaaaaaaa+", "classic", 1)]
+CASES += [(f"{'a' * k}+", "a", "classic", None, None) for k in range(1, 7)]
+CASES += [("aaaaaaaa+", "a", "classic", None, 1)]
+CASES += [
+    ("a+b+", "ab", "classic", (3, 3, 3), None),
+    ("a+b+", "ab", "classic", (4, 3, 4), None),
+    ("a*b*", "ab", "pixton", (6, 4, 6), None),
+]
 
 
-def run_once(regex: str, variant: str) -> tuple[dict, dict]:
+def case_name(regex: str, variant: str, bounds: tuple[int, int, int] | None) -> str:
+    if bounds is None:
+        return f"{regex} {variant} theorem"
+    return f"{regex} {variant} custom({','.join(map(str, bounds))})"
+
+
+def run_once(
+    regex: str, alphabet: str, variant: str, bounds: tuple[int, int, int] | None
+) -> tuple[dict, dict]:
     """One decision from the regex: (seconds per stage, outcome)."""
     start = time.perf_counter()
-    lang = minimize(determinize(parse_regex(regex, Alphabet.from_string("a"))))
+    lang = minimize(determinize(parse_regex(regex, Alphabet.from_string(alphabet))))
     resolve = time.perf_counter() - start
-    decision = decide_splicing(lang, variant)
+    profile = None if bounds is None else custom_bounds(variant, *bounds)
+    decision = decide_splicing(lang, variant, profile)
     outcome = {
         "verdict": decision.verdict,
         "witness": decision.witness,
@@ -63,14 +91,16 @@ def run_once(regex: str, variant: str) -> tuple[dict, dict]:
     return {"resolve": resolve, **decision.seconds}, outcome
 
 
-def measure(regex: str, variant: str, repeats: int) -> dict:
+def measure(
+    regex: str, alphabet: str, variant: str, bounds: tuple[int, int, int] | None, repeats: int
+) -> dict:
     """The record of one case, measured in this process."""
-    runs = [run_once(regex, variant) for _ in range(repeats)]
+    runs = [run_once(regex, alphabet, variant, bounds) for _ in range(repeats)]
     outcome = runs[0][1]
     if any(o != outcome for _, o in runs):
         raise AssertionError("repeats disagree")
     return {
-        "case": f"{regex} {variant} theorem",
+        "case": case_name(regex, variant, bounds),
         **outcome,
         "repeats": repeats,
         "median_s": {s: round(statistics.median(r[s] for r, _ in runs), 6) for s in runs[0][0]},
@@ -86,8 +116,8 @@ def main() -> None:
     parser.add_argument("--case", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.case is not None:
-        regex, variant, repeats = CASES[args.case]
-        print(json.dumps(measure(regex, variant, repeats or args.repeats)))
+        *case, repeats = CASES[args.case]
+        print(json.dumps(measure(*case, repeats or args.repeats)))
         return
     if args.out is None:
         parser.error("--out is required")
@@ -99,7 +129,7 @@ def main() -> None:
         )
         record = json.loads(done.stdout)
         records.append(record)
-        print(f"{record['case']:28} {record['verdict']:3} total {record['total_s']:.4f} s "
+        print(f"{record['case']:32} {record['verdict']:3} total {record['total_s']:.4f} s "
               f"rss {record['ru_maxrss_mb']} MB", file=sys.stderr)
     doc = {
         "python": platform.python_version(),

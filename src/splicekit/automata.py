@@ -391,15 +391,17 @@ def _to_dfa(alphabet: Alphabet, explored: Iterable, accepts: Callable) -> Dfa:
 
 
 def _subset_dfa(
-    nfa: Nfa, fwd: dict[str, list[int]], bicliques: list[tuple[int, int]]
+    nfa: Nfa, fwd: dict[str, list[int]], bicliques: list[tuple[int, int]], keep: int = -1
 ) -> Dfa:
     """Subset construction from nfa's initial states over the letter rows
     fwd, closing every subset through the epsilon bicliques and accepting
     where it meets nfa's accepting states.  The result is complete and
-    canonically numbered.
+    canonically numbered.  Only nfa's alphabet and initial and accepting
+    states are read, so any value with those fields will do.
 
     A target subset is the closure of a subset's move mask, computed the
-    first time that move mask occurs.
+    first time that move mask occurs.  Every move mask and closed subset is
+    cut down to the states in ``keep`` (by default all of them).
     """
     letters = [fwd[sym] for sym in nfa.alphabet.symbols]
     closed: dict[int, int] = {}  # move mask -> its epsilon closure
@@ -407,17 +409,17 @@ def _subset_dfa(
     def successors(subset: int) -> list[int]:
         out = []
         for rows in letters:
-            move = _image(subset, rows)
+            move = _image(subset, rows) & keep
             target = closed.get(move)
             if target is None:
-                target = closed[move] = _close(0, move, bicliques)
+                target = closed[move] = _close(0, move, bicliques) & keep
             out.append(target)
         return out
 
     accepting = _mask(nfa.accepting)
     return _to_dfa(
         nfa.alphabet,
-        _explore(_close(0, _mask(nfa.initial), bicliques), successors),
+        _explore(_close(0, _mask(nfa.initial), bicliques) & keep, successors),
         lambda s: s & accepting,
     )
 
@@ -671,7 +673,7 @@ def _rows_to_json(
 ) -> str:
     """The automaton JSON writer: nfa's alphabet, state count, initial and
     accepting states, with the edges given as letter successor masks and
-    epsilon bicliques.
+    epsilon bicliques.  Only those four fields of nfa are read.
 
     Walking the states in order, each state's symbols in string order and
     each row's targets ascending lists the edges already sorted as triples,

@@ -157,7 +157,7 @@ def _cmd_closure(args) -> int:
             print(f"round {rnd}: +{len(by_round[rnd])} edges")
             for e in by_round[rnd]:
                 print(f"  eps {e.src} -> {e.dst} (site {e.site!r}, {e.side})")
-    print(f"states: {closure.base.state_count}")
+    print(f"states: {closure.state_count}")
     print(f"rounds: {closure.rounds}")
     print(f"epsilon-added: {closure.added_count}")
     if args.emit_closure:

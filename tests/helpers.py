@@ -9,7 +9,8 @@ The saturation reference ``build_closure_reference`` recomputes every round
 from scratch along per-state epsilon rows, closed by its own ``_reach``: it
 shares the library's bit iteration and letter images, but none of its
 epsilon-closure, biclique or semi-naive code, and it checks the closure's
-derived ``added`` view against the edges it found itself.  ``reverse`` and
+derived ``base`` and ``added`` views against the automaton it built and the
+edges it found itself.  ``reverse`` and
 ``reversed_dfa`` mirror a rule and a language for the reversal relation,
 which compares two decides without any oracle.
 """
@@ -164,22 +165,40 @@ def has_cycle_brute(nfa: Nfa) -> bool:
     return False
 
 
+def _walk(start, steps) -> set[int]:
+    """The states reached from start along the (source, target) pairs, by a
+    plain stack walk."""
+    succ: dict[int, list[int]] = {}
+    for p, q in steps:
+        succ.setdefault(p, []).append(q)
+    seen, stack = set(start), list(start)
+    while stack:
+        for q in succ.get(stack.pop(), ()):
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
+def _edge_pairs(nfa: Nfa) -> set[tuple[int, int]]:
+    return {(p, q) for p, _sym, q in nfa.labeled_edges} | nfa.epsilon_edges
+
+
+def coreachable_brute(nfa: Nfa) -> set[int]:
+    """The states from which an accepting state can be reached, by a stack
+    walk backwards over the edge sets."""
+    return _walk(nfa.accepting, {(q, p) for p, q in _edge_pairs(nfa)})
+
+
+def useful_brute(nfa: Nfa) -> set[int]:
+    """The states both reachable and co-reachable, by stack walks over the
+    edge sets."""
+    return _walk(nfa.initial, _edge_pairs(nfa)) & coreachable_brute(nfa)
+
+
 def trim_brute(nfa: Nfa) -> Nfa:
-    """The states both reachable and co-reachable, by plain stack walks over
-    the edge sets, renumbered in ascending order."""
-    pairs = {(p, q) for p, _sym, q in nfa.labeled_edges} | nfa.epsilon_edges
-
-    def walk(start, steps) -> set[int]:
-        seen, stack = set(start), list(start)
-        while stack:
-            s = stack.pop()
-            for p, q in steps:
-                if p == s and q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return seen
-
-    keep = walk(nfa.initial, pairs) & walk(nfa.accepting, {(q, p) for p, q in pairs})
+    """The useful states, renumbered in ascending order."""
+    keep = useful_brute(nfa)
     renum = {s: i for i, s in enumerate(sorted(keep))}
     return Nfa(
         alphabet=nfa.alphabet,
@@ -469,6 +488,7 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
 
     fwd, eps_fwd = _edge_rows(base)
     bwd, eps_bwd = _edge_rows(base, backward=True)
+    static = tuple((src, 1 << t) for t, src in enumerate(eps_bwd) if src)
     initial = _mask(base.initial)
     accepting = _mask(base.accepting)
     left_seen = dict.fromkeys(left_hub, 0)
@@ -507,13 +527,20 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
             eps_bwd[edge.dst] |= 1 << edge.src
         added.extend(new_edges)
     closure = ClosureAutomaton(
-        base=base,
+        alphabet=base.alphabet,
+        state_count=base.state_count,
+        initial=base.initial,
+        accepting=base.accepting,
+        rows=tuple(tuple(rows) for rows in fwd.values()),
+        static=static,
         left_hubs=tuple(sorted(left_hub.items())),
         right_hubs=tuple(sorted(right_hub.items())),
         growth=tuple(growth),
         rounds=rounds,
     )
-    # The growth masks are the whole record of saturation: the derived edge
-    # view must give back exactly the edges found here, in the same order.
+    # The masks are the whole record of the automaton and its saturation:
+    # the derived views must give back exactly the automaton built here and
+    # the edges found here, in the same order.
+    assert closure.base == base
     assert closure.added == tuple(added)
     return closure

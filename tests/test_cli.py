@@ -97,15 +97,19 @@ def test_decide_emits_the_closure_it_compared(tmp_path, capsys):
 
 
 def test_decide_path_stays_on_the_masks(tmp_path, capsys, monkeypatch):
-    """decide with --stats and --emit-closure builds neither the saturated
-    edge set nor the per-edge provenance tuple."""
+    """decide with --stats and --emit-closure builds no closure Nfa (neither
+    the base automaton nor the saturated one), no edge set and no per-edge
+    provenance tuple."""
 
-    def refuse(*_args):
+    def refuse(*_args, **_kwargs):
         raise AssertionError("the decide path left the closure's masks")
 
     monkeypatch.setattr(ClosureAutomaton, "nfa", refuse)
+    monkeypatch.setattr(ClosureAutomaton, "base", property(refuse))
     monkeypatch.setattr(ClosureAutomaton, "added", property(refuse))
     monkeypatch.setattr(closure_module, "AddedEdge", refuse)
+    monkeypatch.setattr(closure_module, "Nfa", refuse)
+    monkeypatch.setattr(closure_module, "_edge_set", refuse)
     system_path = tmp_path / "system.json"
     closure_path = tmp_path / "closure.json"
     code, out, _ = run(

@@ -26,16 +26,20 @@ from splicekit import (
     syntactic_monoid,
     theorem_bounds,
 )
+from splicekit import closure as closure_module
+from splicekit.automata import _bits, _image, _mask
 from splicekit.closure import closure_dfa
 from splicekit.splicing import sigma_step
 
 from helpers import (
     automaton_to_json_reference,
     build_closure_reference,
+    coreachable_brute,
     determinize_brute,
     ll_sorted,
     random_pixton_rule,
     random_word,
+    useful_brute,
 )
 
 A = Alphabet.from_string("a")
@@ -430,6 +434,25 @@ def test_mask_views_match_edge_set_routes(system):
     assert closure.added_count == len(closure.added)
 
 
+def _check_views_of_the_masks(system):
+    """The co-reachable set build_closure hands over, and the one the
+    reference's closure derives, against a stack walk over the saturated
+    edge set; and the base automaton built on first use against the
+    reference's, which it checked against the automaton it built itself."""
+    closure = build_closure(system)
+    reference = build_closure_reference(system)
+    assert "_coreach" in closure.__dict__ and "base" not in closure.__dict__
+    for c in (closure, reference):
+        assert set(_bits(c._coreach)) == coreachable_brute(c.nfa())
+    assert closure.base == reference.base
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_systems())
+def test_coreach_and_base_views_match_brute_force(system):
+    _check_views_of_the_masks(system)
+
+
 def _theorem_system(regex, variant):
     language = lang(regex, A)
     bounds = theorem_bounds(syntactic_monoid(language).size, variant)
@@ -472,3 +495,27 @@ def test_canonical_mask_views_match_edge_set_routes(make):
         assert closure_dfa(c) == dfa
         assert c.to_json() == text
     assert closure.added_count == len(closure.added)
+
+
+@CANONICAL_SYSTEMS
+def test_canonical_coreach_and_base_views_match_brute_force(make):
+    _check_views_of_the_masks(make())
+
+
+@CANONICAL_SYSTEMS
+def test_site_reads_image_only_useful_states(make, monkeypatch):
+    """Every state a site read images is reachable and co-reachable in the
+    saturated automaton; the reads still find every point, as the tests
+    against the from-scratch reference show."""
+    system = make()
+    imaged = []
+
+    def record(mask, rows):
+        imaged.append(mask)
+        return _image(mask, rows)
+
+    monkeypatch.setattr(closure_module, "_image", record)
+    closure = build_closure(system)
+    monkeypatch.undo()
+    useful = _mask(useful_brute(closure.nfa()))
+    assert imaged and all(mask & ~useful == 0 for mask in imaged)

@@ -25,3 +25,14 @@ def test_ladder_requires_an_output_path():
     done = subprocess.run([sys.executable, LADDER], capture_output=True, text=True)
     assert done.returncode != 0
     assert "--out is required" in done.stderr
+
+
+def test_ladder_binary_case_runs_at_custom_bounds():
+    done = subprocess.run(
+        [sys.executable, LADDER, "--case", "23", "--repeats", "1"],
+        capture_output=True, text=True, check=True,
+    )
+    record = json.loads(done.stdout)
+    assert record["case"] == "a+b+ classic custom(3,3,3)"
+    assert (record["verdict"], record["witness"]) == ("yes", None)
+    assert (record["monoid_size"], record["rules"], record["closure_states"]) == (5, 2134, 363)
