@@ -10,14 +10,18 @@ construction, ``minimize``, the products, the witness search and the
 syntactic monoid take their numbers from it, and ``_access_words`` reads the
 ll-least word of each state off its rows.  Serialized output is therefore
 stable byte for byte.  Likewise ``_close`` is the one epsilon closure, over
-epsilon edges kept as bicliques (see the mask plumbing below).
+epsilon edges kept as bicliques.  Every Nfa stores its edges in one form,
+masks (see the mask plumbing below): a successor-mask row per symbol and
+the bicliques, which every algorithm here reads directly; the edge sets
+are views built only on request.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError, UnknownSymbolError, json_field
 
@@ -126,43 +130,106 @@ def occurrences(word: str, factor: str) -> list[int]:
     return out
 
 
+def _check_states(n: int, initial: frozenset[int], accepting: frozenset[int]) -> None:
+    if n < 0:
+        raise ValueError("state_count must be non-negative")
+    for group in (initial, accepting):
+        if group and (min(group) < 0 or max(group) >= n):
+            raise ValueError("state id out of range")
+
+
 @dataclass(frozen=True)
 class Nfa:
     """Nondeterministic finite automaton with epsilon edges.
 
     The universal carrier for regular languages in this package.  States are
-    0 .. state_count-1; edges are (source, symbol, target) triples and
-    epsilon edges are (source, target) pairs.
+    0 .. state_count-1, and the edges are kept in masks (see the mask
+    plumbing below): ``rows`` holds one successor-mask tuple per symbol, in
+    alphabet order, and ``epsilon`` the epsilon edges as bicliques,
+    (source mask, target mask) pairs.  ``from_edges`` builds an Nfa from
+    (source, symbol, target) triples and (source, target) pairs, and
+    ``labeled_edges`` and ``epsilon_edges`` give the edges back as such
+    sets, built on first use.
     """
 
     alphabet: Alphabet
     state_count: int
     initial: frozenset[int]
     accepting: frozenset[int]
-    labeled_edges: frozenset[tuple[int, str, int]]
-    epsilon_edges: frozenset[tuple[int, int]]
+    rows: tuple[tuple[int, ...], ...]
+    epsilon: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         n = self.state_count
-        if n < 0:
-            raise ValueError("state_count must be non-negative")
-        for group in (self.initial, self.accepting):
-            if any(not (0 <= s < n) for s in group):
-                raise ValueError("state id out of range")
-        for p, sym, q in self.labeled_edges:
+        _check_states(n, self.initial, self.accepting)
+        if len(self.rows) != len(self.alphabet) or any(len(row) != n for row in self.rows):
+            raise ValueError("rows must hold one mask per state for each symbol")
+        limit = 1 << n
+        if any(row and (min(row) < 0 or max(row) >= limit) for row in self.rows):
+            raise ValueError("row mask state id out of range")
+        if any(not (0 < src < limit and 0 < dst < limit) for src, dst in self.epsilon):
+            raise ValueError("epsilon biclique mask empty or out of range")
+
+    @classmethod
+    def from_edges(
+        cls,
+        alphabet: Alphabet,
+        state_count: int,
+        initial: Iterable[int],
+        accepting: Iterable[int],
+        labeled_edges: Iterable[tuple[int, str, int]] = (),
+        epsilon_edges: Iterable[tuple[int, int]] = (),
+    ) -> "Nfa":
+        """The Nfa with these edges.  The epsilon edges are grouped by
+        target, one (sources, target) biclique per target in ascending
+        order, so Nfas built from the same edges compare equal."""
+        n = state_count
+        initial, accepting = frozenset(initial), frozenset(accepting)
+        _check_states(n, initial, accepting)
+        rows = [[0] * n for _ in alphabet.symbols]
+        for p, sym, q in labeled_edges:
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError("edge state id out of range")
-            self.alphabet.index(sym)
-        for p, q in self.epsilon_edges:
+            rows[alphabet.index(sym)][p] |= 1 << q
+        into: dict[int, int] = {}  # target -> its sources
+        for p, q in epsilon_edges:
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError("epsilon edge state id out of range")
+            into[q] = into.get(q, 0) | 1 << p
+        epsilon = tuple((src, 1 << t) for t, src in sorted(into.items()))
+        return cls._unchecked(alphabet, n, initial, accepting, tuple(map(tuple, rows)), epsilon)
+
+    @classmethod
+    def _unchecked(cls, *fields) -> "Nfa":
+        """An Nfa of fields valid by construction, such as those derived from
+        checked automata, made without ``__post_init__``, whose checks cost
+        more than the rest of building a small automaton."""
+        nfa = object.__new__(cls)
+        nfa.__dict__.update(zip(cls.__dataclass_fields__, fields))
+        return nfa
+
+    @cached_property
+    def labeled_edges(self) -> frozenset[tuple[int, str, int]]:
+        """The letter edges as (source, symbol, target) triples."""
+        return frozenset(
+            (p, sym, q)
+            for sym, row in zip(self.alphabet.symbols, self.rows)
+            for p, succ in enumerate(row)
+            for q in _bits(succ)
+        )
+
+    @cached_property
+    def epsilon_edges(self) -> frozenset[tuple[int, int]]:
+        """The epsilon edges as (source, target) pairs."""
+        return frozenset(
+            (p, q) for src, dst in self.epsilon for p in _bits(src) for q in _bits(dst)
+        )
 
     def accepts(self, word: str) -> bool:
-        fwd, eps = _mask_tables(self), _eps_bicliques(self)
+        eps = self.epsilon
         current = _close(0, _mask(self.initial), eps)
         for ch in word:
-            self.alphabet.index(ch)
-            current = _close(0, _image(current, fwd[ch]), eps)
+            current = _close(0, _image(current, self.rows[self.alphabet.index(ch)]), eps)
         return bool(current & _mask(self.accepting))
 
 
@@ -205,18 +272,9 @@ class Dfa:
         return self.run(self.initial, word) in self.accepting
 
     def to_nfa(self) -> Nfa:
-        edges = frozenset(
-            (p, sym, self.transitions[p][i])
-            for p in range(self.state_count)
-            for i, sym in enumerate(self.alphabet.symbols)
-        )
-        return Nfa(
-            alphabet=self.alphabet,
-            state_count=self.state_count,
-            initial=frozenset({self.initial}),
-            accepting=self.accepting,
-            labeled_edges=edges,
-            epsilon_edges=frozenset(),
+        rows = tuple(tuple(1 << t for t in column) for column in zip(*self.transitions))
+        return Nfa._unchecked(
+            self.alphabet, self.state_count, frozenset({self.initial}), self.accepting, rows, ()
         )
 
 
@@ -241,26 +299,24 @@ class NfaBuilder:
         self.eps.add((p, q))
 
     def build(self, initial: Iterable[int], accepting: Iterable[int]) -> Nfa:
-        return Nfa(
-            alphabet=self.alphabet,
-            state_count=self.count,
-            initial=frozenset(initial),
-            accepting=frozenset(accepting),
-            labeled_edges=frozenset(self.labeled),
-            epsilon_edges=frozenset(self.eps),
+        return Nfa.from_edges(
+            self.alphabet, self.count, initial, accepting, self.labeled, self.eps
         )
 
 
 # -- internal mask plumbing ---------------------------------------------------
 #
 # A state set is an int whose bit s is set when state s is in the set, and a
-# letter relation is a list with one such mask of successors per state.
-# Epsilon edges are kept as bicliques, pairs (source mask, target mask) that
-# join each source to each target, and every epsilon closure is of a set,
-# taken by ``_close``.  A closure step costs one AND per biclique however
-# dense the masks are, so the saturated closure automaton, whose added edges
-# join a site's points to its hub, is closed without expanding them; a
-# plain NFA gives one biclique per state with incoming epsilon edges.
+# letter relation is a row with one such mask of successors per state: the
+# form every Nfa stores its letter edges in, one row per symbol, and the
+# only one the algorithms below read.  Epsilon edges are kept as bicliques,
+# pairs (source mask, target mask) that join each source to each target,
+# and every epsilon closure is of a set, taken by ``_close``.  A closure
+# step costs one AND per biclique however dense the masks are, so the
+# saturated closure automaton, whose added edges join a site's points to
+# its hub, is closed without expanding them; ``Nfa.from_edges`` gives one
+# biclique per state with incoming epsilon edges.  ``_predecessors`` turns
+# the rows around for the walks that run backwards.
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -278,28 +334,18 @@ def _mask(states: Iterable[int]) -> int:
     return out
 
 
-def _mask_tables(nfa: Nfa, backward: bool = False) -> dict[str, list[int]]:
-    """Per-symbol successor masks, one int per state.
-
-    ``backward`` gives predecessor masks instead: the rows of the reversed
-    automaton.
-    """
-    fwd = {sym: [0] * nfa.state_count for sym in nfa.alphabet.symbols}
-    for p, sym, q in nfa.labeled_edges:
-        if backward:
-            p, q = q, p
-        fwd[sym][p] |= 1 << q
-    return fwd
-
-
-def _eps_bicliques(nfa: Nfa) -> list[tuple[int, int]]:
-    """The epsilon edges of nfa grouped by target: (sources, target) masks,
-    targets ascending.  ``[(dst, src) for src, dst in ...]`` mirrors them
-    into the bicliques of the reversed automaton."""
-    into = [0] * nfa.state_count
-    for p, q in nfa.epsilon_edges:
-        into[q] |= 1 << p
-    return [(src, 1 << t) for t, src in enumerate(into) if src]
+def _predecessors(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
+    """The letter rows of the reversed automaton: for each row over the n
+    states, one mask of predecessors per state."""
+    out = []
+    for row in rows:
+        back = [0] * n
+        for p, succ in enumerate(row):
+            if succ:
+                for q in _bits(succ):
+                    back[q] |= 1 << p
+        out.append(back)
+    return out
 
 
 def _image(mask: int, rows: list[int]) -> int:
@@ -390,20 +436,16 @@ def _to_dfa(alphabet: Alphabet, explored: Iterable, accepts: Callable) -> Dfa:
     return Dfa(alphabet, len(rows), 0, frozenset(accepting), tuple(rows))
 
 
-def _subset_dfa(
-    nfa: Nfa, fwd: dict[str, list[int]], bicliques: list[tuple[int, int]], keep: int = -1
-) -> Dfa:
-    """Subset construction from nfa's initial states over the letter rows
-    fwd, closing every subset through the epsilon bicliques and accepting
-    where it meets nfa's accepting states.  The result is complete and
-    canonically numbered.  Only nfa's alphabet and initial and accepting
-    states are read, so any value with those fields will do.
+def _subset_dfa(nfa: Nfa, keep: int = -1) -> Dfa:
+    """Subset construction from nfa's initial states, closing every subset
+    through its epsilon bicliques and accepting where it meets its accepting
+    states.  The result is complete and canonically numbered.
 
     A target subset is the closure of a subset's move mask, computed the
     first time that move mask occurs.  Every move mask and closed subset is
     cut down to the states in ``keep`` (by default all of them).
     """
-    letters = [fwd[sym] for sym in nfa.alphabet.symbols]
+    letters, bicliques = nfa.rows, nfa.epsilon
     closed: dict[int, int] = {}  # move mask -> its epsilon closure
 
     def successors(subset: int) -> list[int]:
@@ -426,7 +468,7 @@ def _subset_dfa(
 
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction, complete and canonically numbered."""
-    return _subset_dfa(nfa, _mask_tables(nfa), _eps_bicliques(nfa))
+    return _subset_dfa(nfa)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -607,30 +649,33 @@ def enumerate_words(d: Dfa, max_len: int) -> list[str]:
 
 def trim(nfa: Nfa) -> Nfa:
     """Restrict to states both reachable and co-reachable, renumbered densely
-    in ascending order."""
-    eps = _eps_bicliques(nfa)
-    mirrored = [(dst, src) for src, dst in eps]
-    reach = _close(0, _mask(nfa.initial), eps, _mask_tables(nfa).values())
+    in ascending order.  Each biclique keeps its shape, cut down to the kept
+    states, so epsilon edges grouped by target stay so."""
+    eps = nfa.epsilon
+    reach = _close(0, _mask(nfa.initial), eps, nfa.rows)
     coreach = _close(
-        0, _mask(nfa.accepting), mirrored, _mask_tables(nfa, backward=True).values()
+        0,
+        _mask(nfa.accepting),
+        [(dst, src) for src, dst in eps],
+        _predecessors(nfa.rows, nfa.state_count),
     )
     keep = reach & coreach
     renum = {s: i for i, s in enumerate(_bits(keep))}
-    return Nfa(
-        alphabet=nfa.alphabet,
-        state_count=len(renum),
-        initial=frozenset(renum[s] for s in nfa.initial if s in renum),
-        accepting=frozenset(renum[s] for s in nfa.accepting if s in renum),
-        labeled_edges=frozenset(
-            (renum[p], sym, renum[q])
-            for p, sym, q in nfa.labeled_edges
-            if p in renum and q in renum
-        ),
-        epsilon_edges=frozenset(
-            (renum[p], renum[q])
-            for p, q in nfa.epsilon_edges
-            if p in renum and q in renum
-        ),
+
+    def squeeze(mask: int) -> int:
+        out = 0
+        for s in _bits(mask & keep):
+            out |= 1 << renum[s]
+        return out
+
+    epsilon = [(squeeze(src), squeeze(dst)) for src, dst in eps]
+    return Nfa._unchecked(
+        nfa.alphabet,
+        len(renum),
+        frozenset(renum[s] for s in nfa.initial if s in renum),
+        frozenset(renum[s] for s in nfa.accepting if s in renum),
+        tuple(tuple(squeeze(row[s]) for s in renum) for row in nfa.rows),
+        tuple((src, dst) for src, dst in epsilon if src and dst),
     )
 
 
@@ -642,10 +687,12 @@ def has_cycle(nfa: Nfa) -> bool:
     the relation is acyclic exactly when every state gets peeled.
     """
     succ = [0] * nfa.state_count
-    for p, _, q in nfa.labeled_edges:
-        succ[p] |= 1 << q
-    for p, q in nfa.epsilon_edges:
-        succ[p] |= 1 << q
+    for row in nfa.rows:
+        for p, targets in enumerate(row):
+            succ[p] |= targets
+    for src, dst in nfa.epsilon:
+        for p in _bits(src):
+            succ[p] |= dst
     indegree = [0] * nfa.state_count
     for m in succ:
         for t in _bits(m):
@@ -663,17 +710,7 @@ def has_cycle(nfa: Nfa) -> bool:
 
 
 def automaton_to_json(a: Nfa | Dfa) -> str:
-    """Automaton JSON, bit-exact: fixed key order, edges sorted as triples."""
-    nfa = a.to_nfa() if isinstance(a, Dfa) else a
-    return _rows_to_json(nfa, _mask_tables(nfa), _eps_bicliques(nfa))
-
-
-def _rows_to_json(
-    nfa: Nfa, fwd: dict[str, list[int]], bicliques: list[tuple[int, int]]
-) -> str:
-    """The automaton JSON writer: nfa's alphabet, state count, initial and
-    accepting states, with the edges given as letter successor masks and
-    epsilon bicliques.  Only those four fields of nfa are read.
+    """Automaton JSON, bit-exact: fixed key order, edges sorted as triples.
 
     Walking the states in order, each state's symbols in string order and
     each row's targets ascending lists the edges already sorted as triples,
@@ -683,9 +720,10 @@ def _rows_to_json(
     rows come out sorted and free of repeats; a state that is the source of
     a wider biclique gets its row from one mask instead.
     """
+    nfa = a.to_nfa() if isinstance(a, Dfa) else a
     into: dict[int, int] = {}  # target -> sources, for one-target bicliques
     wide: dict[int, int] = {}  # source -> targets, for the others
-    for src, dst in bicliques:
+    for src, dst in nfa.epsilon:
         if dst & (dst - 1):
             for p in _bits(src):
                 wide[p] = wide.get(p, 0) | dst
@@ -708,12 +746,12 @@ def _rows_to_json(
         },
         separators=(",", ":"),
     )
-    syms = [(json.dumps(sym), fwd[sym]) for sym in sorted(nfa.alphabet.symbols)]
+    syms = [(json.dumps(sym), row) for sym, row in sorted(zip(nfa.alphabet.symbols, nfa.rows))]
     edges = [
         f"[{p},{sym},{q}]"
         for p in range(state_count)
-        for sym, rows in syms
-        for q in _bits(rows[p])
+        for sym, row in syms
+        for q in _bits(row[p])
     ]
     pairs = []
     for p, row in enumerate(eps):
@@ -725,7 +763,7 @@ def _rows_to_json(
 
 def automaton_from_json(text: str | dict) -> Nfa:
     doc = json.loads(text) if isinstance(text, str) else text
-    return Nfa(
+    return Nfa.from_edges(
         alphabet=json_field(doc, "alphabet", lambda v: Alphabet(tuple(v))),
         state_count=json_field(doc, "states", int),
         initial=json_field(doc, "initial", lambda v: frozenset(map(int, v))),

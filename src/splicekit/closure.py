@@ -64,17 +64,19 @@ adds only its static epsilon edges.
 
 Representation.  Trie nodes are keyed by (left site, insert prefix), so an
 insert word whose whole path exists already costs one lookup.  The rule
-loop writes the automaton straight into masks: each new state gets its
-forward and backward letter rows, and each static epsilon edge adds its
-trie end to the sources of its right hub's biclique.  The epsilon edges
-are bicliques, the form ``automata`` keeps and closes every automaton's
-epsilon edges in: the static edges grouped by target (the trie ends that
-feed a right hub, and any epsilon edges of the axiom automaton), one per
-left site (its points so far to its hub) and one per right site (its hub
-to its points so far).  Saturation closes sets through them with
-``automata._close``, backwards through their mirror, and the comparison's
-subset construction, the closure JSON and ``nfa()`` read the same list.
-No edge set is built unless ``base`` or ``nfa()`` is asked for.
+loop writes the automaton straight into masks, the one form every ``Nfa``
+keeps its edges in: each new state gets its forward and backward letter
+rows, and each static epsilon edge adds its trie end to the sources of its
+right hub's biclique.  The forward rows and the static bicliques are the
+``base`` automaton, an ``Nfa``.  The epsilon edges are bicliques: the
+static edges grouped by target (the trie ends that feed a right hub, and
+any epsilon edges of the axiom automaton), one per left site (its points
+so far to its hub) and one per right site (its hub to its points so far).
+Saturation closes sets through them with ``automata._close``, backwards
+through their mirror, and ``nfa()``, the base with every biclique, is what
+the comparison's subset construction and the closure JSON read.  No edge
+set is built unless an automaton's ``labeled_edges`` or
+``epsilon_edges`` is asked for.
 
 Rounds read only useful states.  A state is useful if it is reachable and
 co-reachable, and only useful states carry points: a path from a reachable
@@ -122,23 +124,21 @@ edges the fixpoint must contain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .automata import (
-    Alphabet,
     Dfa,
     Nfa,
     _bits,
     _close,
-    _eps_bicliques,
     _eps_step,
     _image,
     _mask,
-    _mask_tables,
-    _rows_to_json,
+    _predecessors,
     _subset_dfa,
+    automaton_to_json,
     minimize,
 )
 from .splicing import SplicingSystem, site_groups
@@ -190,56 +190,30 @@ def _site_bicliques(
 class ClosureAutomaton:
     """Saturated automaton with bridge provenance.
 
-    The automaton before saturation is kept in masks: ``rows`` holds one
-    successor mask per state for each symbol, in alphabet order, and
-    ``static`` its epsilon edges as bicliques, (sources, target) masks in
-    ascending target order.  It is the axiom part, the per-site hubs, the
-    insert-word tries rooted at the left hubs, and the static epsilon edges
-    from each rule's trie endpoint to its right hub; ``left_hubs`` and
-    ``right_hubs`` map site words to their hub states.  ``base`` is that
-    automaton as an ``Nfa``, a view built on first use.  Saturation is
-    recorded in ``growth``: one point mask per site and round in which the
-    site gained points, in the order ``build_closure`` found them.  The
-    rest is derived from those masks when asked for: ``added``, one
-    provenance-tagged edge per point, so traces and DOT output can
-    attribute every discovered edge to its site word, and through the hub
-    to the rules with that site (the rules whose trie an "in" edge feeds,
-    or whose trie endpoints feed the hub an "out" edge leaves); the
-    bicliques, which hold every epsilon edge of the saturated automaton and
-    which ``closure_dfa``, ``to_json`` and ``nfa()`` (the saturated
-    automaton as an edge set) read; and the co-reachable states, which
-    ``closure_dfa`` keeps its subsets to.  The views are kept once built;
-    ``build_closure`` hands over the bicliques and co-reachable states it
-    ends with.
+    ``base`` is the automaton before saturation: the axiom part, the
+    per-site hubs, the insert-word tries rooted at the left hubs, and the
+    static epsilon edges from each rule's trie endpoint to its right hub,
+    grouped by target in ascending order; ``left_hubs`` and ``right_hubs``
+    map site words to their hub states.  Saturation is recorded in
+    ``growth``: one point mask per site and round in which the site gained
+    points, in the order ``build_closure`` found them.  The rest is derived
+    from those masks when asked for: ``added``, one provenance-tagged edge
+    per point, so traces and DOT output can attribute every discovered edge
+    to its site word, and through the hub to the rules with that site (the
+    rules whose trie an "in" edge feeds, or whose trie endpoints feed the
+    hub an "out" edge leaves); the bicliques, which hold every epsilon edge
+    of the saturated automaton, ``nfa()``, which is ``base`` with those
+    bicliques and which ``closure_dfa`` and ``to_json`` read; and the
+    co-reachable states, which ``closure_dfa`` keeps its subsets to.  The
+    views are kept once built; ``build_closure`` hands over the bicliques
+    and co-reachable states it ends with.
     """
 
-    alphabet: Alphabet
-    state_count: int
-    initial: frozenset[int]
-    accepting: frozenset[int]
-    rows: tuple[tuple[int, ...], ...]
-    static: tuple[tuple[int, int], ...]
+    base: Nfa
     left_hubs: tuple[tuple[str, int], ...]
     right_hubs: tuple[tuple[str, int], ...]
     growth: tuple[Growth, ...]
     rounds: int
-
-    @cached_property
-    def base(self) -> Nfa:
-        """The automaton before saturation as an edge set."""
-        return Nfa(
-            alphabet=self.alphabet,
-            state_count=self.state_count,
-            initial=self.initial,
-            accepting=self.accepting,
-            labeled_edges=frozenset(
-                (p, sym, q)
-                for sym, rows in self._fwd.items()
-                for p, row in enumerate(rows)
-                for q in _bits(row)
-            ),
-            epsilon_edges=_edge_set(self.static),
-        )
 
     @cached_property
     def added(self) -> tuple[AddedEdge, ...]:
@@ -267,43 +241,34 @@ class ClosureAutomaton:
         for g in self.growth:
             seen = left if g.side == "in" else right
             seen[g.hub] = seen.get(g.hub, 0) | g.points
-        return _site_bicliques(self.static, left, right)
-
-    @cached_property
-    def _fwd(self) -> dict[str, tuple[int, ...]]:
-        """Per-symbol successor masks, one int per state; saturation adds
-        no letter edges, so these are the base automaton's."""
-        return dict(zip(self.alphabet.symbols, self.rows))
+        return _site_bicliques(self.base.epsilon, left, right)
 
     @cached_property
     def _coreach(self) -> int:
         """The states of the saturated automaton from which an accepting
-        state can be reached."""
+        state can be reached; saturation adds no letter edges, so the
+        letter rows are the base automaton's."""
+        base = self.base
         return _close(
             0,
-            _mask(self.accepting),
+            _mask(base.accepting),
             [(dst, src) for src, dst in self._bicliques],
-            _mask_tables(self.base, backward=True).values(),
+            _predecessors(base.rows, base.state_count),
         )
 
     def to_json(self) -> str:
-        """``automaton_to_json(self.nfa())``, written from the bicliques."""
-        return _rows_to_json(self, self._fwd, self._bicliques)
+        return automaton_to_json(self.nfa())
 
     @cached_property
     def _nfa(self) -> Nfa:
-        return replace(self.base, epsilon_edges=_edge_set(self._bicliques))
+        b = self.base
+        return Nfa._unchecked(
+            b.alphabet, b.state_count, b.initial, b.accepting, b.rows, tuple(self._bicliques)
+        )
 
     def nfa(self) -> Nfa:
         """The saturated automaton, built on first use and then kept."""
         return self._nfa
-
-
-def _edge_set(bicliques: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """The epsilon edges of the bicliques as (source, target) pairs."""
-    return frozenset(
-        (p, q) for src, dst in bicliques for p in _bits(src) for q in _bits(dst)
-    )
 
 
 def _extend_prefixes(
@@ -341,23 +306,18 @@ def _extend_prefixes(
 
 def _base_automaton(
     system: SplicingSystem,
-) -> tuple[
-    Nfa,
-    int,
-    dict[str, list[int]],
-    dict[str, list[int]],
-    list[tuple[int, int]],
-    dict[str, int],
-    dict[str, int],
-]:
+) -> tuple[Nfa, dict[str, list[int]], dict[str, int], dict[str, int]]:
     """The axiom automaton with every left hub's insert trie and the right
-    hubs, joined by the static epsilon edges, kept in masks: the axiom
-    automaton, the state count, the forward and backward letter rows, the
-    static bicliques; and the left and right hubs."""
+    hubs, joined by the static epsilon edges: that automaton, its backward
+    letter rows by symbol, and the left and right hubs."""
     axioms = system.axiom_nfa()
     count = axioms.state_count
-    fwd = _mask_tables(axioms)
-    bwd = _mask_tables(axioms, backward=True)
+    symbols = system.alphabet.symbols
+    # the axiom rows by symbol: the axiom automaton may list the alphabet in
+    # another order, or lack some of the system's symbols
+    own = dict(zip(axioms.alphabet.symbols, axioms.rows))
+    fwd = {sym: list(own[sym]) if sym in own else [0] * count for sym in symbols}
+    bwd = dict(zip(symbols, _predecessors(fwd.values(), count)))
     columns = [*fwd.values(), *bwd.values()]
     into: dict[int, int] = {}  # right hub -> the trie ends that feed it
 
@@ -416,17 +376,20 @@ def _base_automaton(
             into[target] = into.get(target, 0) | 1 << end
 
     # the axiom states come first, so its bicliques' targets precede the hubs
-    static = _eps_bicliques(axioms) + [(src, 1 << t) for t, src in sorted(into.items())]
-    return axioms, count, fwd, bwd, static, left_hub, right_hub
+    static = axioms.epsilon + tuple((src, 1 << t) for t, src in sorted(into.items()))
+    rows = tuple(map(tuple, fwd.values()))
+    base = Nfa._unchecked(system.alphabet, count, axioms.initial, axioms.accepting, rows, static)
+    return base, bwd, left_hub, right_hub
 
 
 def build_closure(system: SplicingSystem) -> ClosureAutomaton:
     """Saturation fixpoint; the accepted language is the generated closure."""
-    axioms, count, fwd, bwd, static, left_hub, right_hub = _base_automaton(system)
-    bicliques = static
+    base, bwd, left_hub, right_hub = _base_automaton(system)
+    fwd = dict(zip(system.alphabet.symbols, base.rows))
+    bicliques = base.epsilon
     fresh: list[tuple[int, int]] = []  # the bicliques that grew last round
-    initial = _mask(axioms.initial)
-    accepting = _mask(axioms.accepting)
+    initial = _mask(base.initial)
+    accepting = _mask(base.accepting)
     right_words = list(right_hub)
     left_words = [site[::-1] for site in left_hub]
     left_seen = dict.fromkeys(left_hub.values(), 0)  # hub -> its points so far
@@ -468,17 +431,12 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         if not new:
             break
         rounds += 1
-        if rounds > count**2:
+        if rounds > base.state_count**2:
             raise AssertionError("saturation failed to converge within |states|^2 rounds")
-        bicliques = _site_bicliques(static, left_seen, right_seen)
+        bicliques = _site_bicliques(base.epsilon, left_seen, right_seen)
         growth.extend(new)
     closure = ClosureAutomaton(
-        alphabet=system.alphabet,
-        state_count=count,
-        initial=axioms.initial,
-        accepting=axioms.accepting,
-        rows=tuple(tuple(fwd[sym]) for sym in system.alphabet.symbols),
-        static=tuple(static),
+        base=base,
         left_hubs=tuple(sorted(left_hub.items())),
         right_hubs=tuple(sorted(right_hub.items())),
         growth=tuple(growth),
@@ -500,9 +458,7 @@ def closure_dfa(closure: ClosureAutomaton) -> Dfa:
     it maps the subset automaton onto one with the same language, whose
     minimal DFA is the same.  No epsilon edge set is built.
     """
-    return minimize(
-        _subset_dfa(closure, closure._fwd, closure._bicliques, keep=closure._coreach)
-    )
+    return minimize(_subset_dfa(closure.nfa(), keep=closure._coreach))
 
 
 def closure_language(system: SplicingSystem) -> Dfa:

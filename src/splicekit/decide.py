@@ -281,7 +281,7 @@ def decide_splicing(
         "candidate_rules": candidate_count(lang.alphabet, bounds),
         "respecting_rules": n_respecting,
         "rules_emitted": len(system.rules),
-        "closure_states": closure.state_count,
+        "closure_states": closure.base.state_count,
         "closure_rounds": closure.rounds,
         "closure_epsilon_edges": closure.added_count,
     }

@@ -41,9 +41,9 @@ class RespectContext:
     """
 
     monoid: SyntacticMonoid
-    cache: dict[tuple[int, int, int], bool] = field(default_factory=dict)
-    _left_viable: list[bool] = field(default_factory=list, repr=False)
-    _right_viable: list[bool] = field(default_factory=list, repr=False)
+    cache: dict[tuple[int, int, int], bool] = field(init=False, default_factory=dict)
+    _left_viable: list[bool] = field(init=False, repr=False)
+    _right_viable: list[bool] = field(init=False, repr=False)
     product: Callable[[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -304,7 +304,9 @@ class SplicingSystem:
     must be finite, and rules either a tuple of rule objects or a
     ``RuleProduct``: canonical systems keep both their large-but-regular
     axiom sets and their rule sets symbolic.  Each distinct component word
-    is checked against the alphabet once.
+    is checked against the alphabet once, and so is an axiom automaton's
+    alphabet, which may lack symbols of the system's or list them in
+    another order.
     """
 
     variant: str
@@ -330,6 +332,8 @@ class SplicingSystem:
         if isinstance(self.axioms, tuple):
             for w in self.axioms:
                 self.alphabet.check_word(w)
+        elif isinstance(self.axioms, (Nfa, Dfa)):
+            self.alphabet.check_word("".join(self.axioms.alphabet.symbols))
 
     @property
     def symbolic_axioms(self) -> bool:

@@ -8,9 +8,10 @@ DFA word membership, and closure words through literal splicing iteration.
 The saturation reference ``build_closure_reference`` recomputes every round
 from scratch along per-state epsilon rows, closed by its own ``_reach``: it
 shares the library's bit iteration and letter images, but none of its
-epsilon-closure, biclique or semi-naive code, and it checks the closure's
-derived ``base`` and ``added`` views against the automaton it built and the
-edges it found itself.  ``reverse`` and
+epsilon-closure, biclique or semi-naive code.  It builds its own ``base``
+from edge sets through ``Nfa.from_edges``, so comparing closures compares
+the base automata too, and it checks the closure's derived ``added`` view
+against the edges it found itself.  ``reverse`` and
 ``reversed_dfa`` mirror a rule and a language for the reversal relation,
 which compares two decides without any oracle.
 """
@@ -200,7 +201,7 @@ def trim_brute(nfa: Nfa) -> Nfa:
     """The useful states, renumbered in ascending order."""
     keep = useful_brute(nfa)
     renum = {s: i for i, s in enumerate(sorted(keep))}
-    return Nfa(
+    return Nfa.from_edges(
         alphabet=nfa.alphabet,
         state_count=len(renum),
         initial=frozenset(renum[s] for s in nfa.initial if s in keep),
@@ -264,7 +265,7 @@ def reversed_dfa(dfa: Dfa) -> Dfa:
         for p in range(dfa.state_count)
         for i, sym in enumerate(dfa.alphabet.symbols)
     )
-    mirror = Nfa(
+    mirror = Nfa.from_edges(
         dfa.alphabet, dfa.state_count, dfa.accepting, frozenset({dfa.initial}),
         edges, frozenset(),
     )
@@ -477,7 +478,7 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
             count += 1
         static_eps.add((state, right_hub[right_site]))
 
-    base = Nfa(
+    base = Nfa.from_edges(
         alphabet=system.alphabet,
         state_count=count,
         initial=base_axioms.initial,
@@ -488,7 +489,6 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
 
     fwd, eps_fwd = _edge_rows(base)
     bwd, eps_bwd = _edge_rows(base, backward=True)
-    static = tuple((src, 1 << t) for t, src in enumerate(eps_bwd) if src)
     initial = _mask(base.initial)
     accepting = _mask(base.accepting)
     left_seen = dict.fromkeys(left_hub, 0)
@@ -527,20 +527,13 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
             eps_bwd[edge.dst] |= 1 << edge.src
         added.extend(new_edges)
     closure = ClosureAutomaton(
-        alphabet=base.alphabet,
-        state_count=base.state_count,
-        initial=base.initial,
-        accepting=base.accepting,
-        rows=tuple(tuple(rows) for rows in fwd.values()),
-        static=static,
+        base=base,
         left_hubs=tuple(sorted(left_hub.items())),
         right_hubs=tuple(sorted(right_hub.items())),
         growth=tuple(growth),
         rounds=rounds,
     )
-    # The masks are the whole record of the automaton and its saturation:
-    # the derived views must give back exactly the automaton built here and
-    # the edges found here, in the same order.
-    assert closure.base == base
+    # The growth masks are the whole record of saturation: the derived view
+    # must give back exactly the edges found here, in the same order.
     assert closure.added == tuple(added)
     return closure

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -99,7 +100,7 @@ def test_occurrences_overlapping_and_empty():
 
 def test_determinize_parity_by_hand():
     # two-state NFA for (aa)*: subset construction reaches exactly {0} and {1}
-    nfa = Nfa(
+    nfa = Nfa.from_edges(
         alphabet=A,
         state_count=2,
         initial=frozenset({0}),
@@ -119,7 +120,7 @@ def test_determinize_epsilon_language():
 
 
 def test_determinize_empty_language():
-    nfa = Nfa(A, 1, frozenset({0}), frozenset(), frozenset(), frozenset())
+    nfa = Nfa.from_edges(A, 1, frozenset({0}), frozenset(), frozenset(), frozenset())
     dfa = determinize(nfa)
     assert enumerate_words(dfa, 5) == []
 
@@ -289,7 +290,7 @@ def test_json_round_trip_and_key_order():
 
 
 def test_json_golden_bytes():
-    nfa = Nfa(
+    nfa = Nfa.from_edges(
         alphabet=A,
         state_count=2,
         initial=frozenset({0}),
@@ -305,7 +306,9 @@ def test_json_golden_bytes():
 
 
 @st.composite
-def small_nfas(draw):
+def small_edge_sets(draw):
+    """The arguments of ``Nfa.from_edges``: edge lists, repeats allowed, in
+    the order drawn."""
     symbols = draw(st.lists(st.sampled_from('ab"\\é\n'), min_size=1, max_size=4, unique=True))
     n = draw(st.integers(0, 6))
     state = st.integers(0, max(n - 1, 0))
@@ -315,20 +318,71 @@ def small_nfas(draw):
         if n
         else st.just([])
     )
-    return Nfa(
+    return dict(
         alphabet=Alphabet(tuple(symbols)),
         state_count=n,
         initial=frozenset(draw(st.lists(state, max_size=2)) if n else ()),
         accepting=frozenset(draw(st.lists(state, max_size=3)) if n else ()),
-        labeled_edges=frozenset(draw(triples)),
-        epsilon_edges=frozenset(draw(pairs)),
+        labeled_edges=draw(triples),
+        epsilon_edges=draw(pairs),
     )
+
+
+def small_nfas():
+    return small_edge_sets().map(lambda edges: Nfa.from_edges(**edges))
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_nfas())
 def test_json_matches_sorted_document_dump(nfa):
     assert automaton_to_json(nfa) == automaton_to_json_reference(nfa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_edge_sets(), st.randoms(use_true_random=False))
+def test_from_edges_keeps_exactly_the_given_edges(edges, rng):
+    """The edge views give back the given edge sets; the order and repeats
+    of the edges change nothing; and the JSON round trip gives back an
+    equal automaton."""
+    nfa = Nfa.from_edges(**edges)
+    assert nfa.labeled_edges == frozenset(edges["labeled_edges"])
+    assert nfa.epsilon_edges == frozenset(edges["epsilon_edges"])
+    reordered = {
+        **edges,
+        "labeled_edges": rng.sample(edges["labeled_edges"], len(edges["labeled_edges"])),
+        "epsilon_edges": set(edges["epsilon_edges"]),
+    }
+    assert Nfa.from_edges(**reordered) == nfa
+    assert automaton_from_json(automaton_to_json(nfa)) == nfa
+
+
+def test_from_edges_groups_epsilon_edges_by_target():
+    nfa = Nfa.from_edges(A, 3, {0}, {2}, [(0, "a", 1), (1, "a", 1)], [(2, 1), (0, 2), (1, 2)])
+    assert nfa.rows == ((0b010, 0b010, 0),)
+    assert nfa.epsilon == ((0b100, 0b010), (0b011, 0b100))
+
+
+@pytest.mark.parametrize(
+    "rows,epsilon,message",
+    [
+        (((0b100, 0),), (), "row mask"),
+        (((-1, 0),), (), "row mask"),
+        (((0,),), (), "rows must hold"),
+        (((0, 0), (0, 0)), (), "rows must hold"),
+        ((), (), "rows must hold"),
+        (((0, 0),), ((0b100, 0b01),), "epsilon biclique"),
+        (((0, 0),), ((0b01, -1),), "epsilon biclique"),
+        (((0, 0),), ((0, 0b01),), "epsilon biclique"),
+    ],
+    ids=[
+        "row target 2 of 2 states", "negative row mask", "short row", "a row too many",
+        "no row", "epsilon source 2 of 2 states", "negative epsilon mask",
+        "empty epsilon source",
+    ],
+)
+def test_nfa_rejects_a_malformed_mask(rows, epsilon, message):
+    with pytest.raises(ValueError, match=message):
+        Nfa(A, 2, frozenset({0}), frozenset({1}), rows, epsilon)
 
 
 def test_dot_output_mentions_all_parts():
@@ -338,7 +392,7 @@ def test_dot_output_mentions_all_parts():
 
 
 def test_dot_golden_bytes():
-    nfa = Nfa(
+    nfa = Nfa.from_edges(
         alphabet=A,
         state_count=2,
         initial=frozenset({0}),
@@ -361,7 +415,7 @@ def test_dot_golden_bytes():
 
 @pytest.mark.parametrize("symbol,label", [('"', '\\"'), ("\\", "\\\\")], ids=["quote", "backslash"])
 def test_dot_escapes_label_symbols(symbol, label):
-    nfa = Nfa(
+    nfa = Nfa.from_edges(
         alphabet=Alphabet((symbol, "b")),
         state_count=2,
         initial=frozenset({0}),
@@ -394,7 +448,7 @@ def random_epsilon_cycle_nfa(rng: random.Random) -> Nfa:
         (rng.randrange(n), rng.choice("ab"), rng.randrange(n))
         for _ in range(rng.randint(0, 2 * n))
     }
-    return Nfa(
+    return Nfa.from_edges(
         alphabet=AB,
         state_count=n,
         initial=frozenset(rng.sample(range(n), rng.randint(0, 2))),
@@ -435,7 +489,7 @@ def test_determinize_matches_set_subset_construction(seed, from_regex):
 def test_trim_keeps_useful_states_in_ascending_order():
     # 0 and 6 are unreachable (6 accepting), 3 and 5 are dead ends; the
     # useful states 1, 2, 4 carry the cycle 2 -b-> 4 -eps-> 2.
-    nfa = Nfa(
+    nfa = Nfa.from_edges(
         alphabet=AB,
         state_count=7,
         initial=frozenset({1}),
@@ -460,6 +514,16 @@ def test_trim_matches_set_walk(seed, from_regex):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30), st.booleans())
+def test_automata_built_without_the_checks_pass_them(seed, from_regex):
+    """from_edges, trim and Dfa.to_nfa skip ``Nfa.__post_init__``;
+    ``replace`` runs it on what they build."""
+    nfa = drawn_nfa(seed, from_regex)
+    for built in (nfa, trim(nfa), determinize(nfa).to_nfa()):
+        assert replace(built) == built
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([AB, *UNSORTED]))
 def test_enumerate_words_matches_filtered_word_list(seed, alphabet):
     # raw random DFAs, so dead and unreachable states occur
@@ -480,7 +544,7 @@ def test_enumerate_words_matches_filtered_word_list(seed, alphabet):
 
 
 def _graph(n, labeled=(), eps=()):
-    return Nfa(AB, n, frozenset({0}), frozenset(), frozenset(labeled), frozenset(eps))
+    return Nfa.from_edges(AB, n, frozenset({0}), frozenset(), frozenset(labeled), frozenset(eps))
 
 
 def test_has_cycle_cases():

@@ -12,10 +12,12 @@ from splicekit import (
     automaton_to_json,
     build_closure,
     determinize,
+    enumerate_words,
     equivalent,
     minimize,
     parse_regex,
     Alphabet,
+    Nfa,
     system_from_json,
 )
 from splicekit import closure as closure_module
@@ -97,19 +99,16 @@ def test_decide_emits_the_closure_it_compared(tmp_path, capsys):
 
 
 def test_decide_path_stays_on_the_masks(tmp_path, capsys, monkeypatch):
-    """decide with --stats and --emit-closure builds no closure Nfa (neither
-    the base automaton nor the saturated one), no edge set and no per-edge
-    provenance tuple."""
+    """decide with --stats and --emit-closure builds no edge set of any
+    automaton and no per-edge provenance tuple."""
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("the decide path left the closure's masks")
+        raise AssertionError("the decide path left the masks")
 
-    monkeypatch.setattr(ClosureAutomaton, "nfa", refuse)
-    monkeypatch.setattr(ClosureAutomaton, "base", property(refuse))
+    monkeypatch.setattr(Nfa, "labeled_edges", property(refuse))
+    monkeypatch.setattr(Nfa, "epsilon_edges", property(refuse))
     monkeypatch.setattr(ClosureAutomaton, "added", property(refuse))
     monkeypatch.setattr(closure_module, "AddedEdge", refuse)
-    monkeypatch.setattr(closure_module, "Nfa", refuse)
-    monkeypatch.setattr(closure_module, "_edge_set", refuse)
     system_path = tmp_path / "system.json"
     closure_path = tmp_path / "closure.json"
     code, out, _ = run(
@@ -320,6 +319,79 @@ def test_malformed_json_files_exit_65(tmp_path, capsys, command, text, field):
     assert code == 65 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("splicekit: ") and field in err
+
+
+AUTOMATON_A = {
+    "alphabet": ["a"], "states": 2, "initial": [0], "accepting": [1],
+    "edges": [[0, "a", 1]], "epsilon": [],
+}
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"states": -1}, "state_count must be non-negative"),
+        ({"edges": [[0, "a", 2]]}, "edge state id out of range"),
+        ({"edges": [[0, "a", -1]]}, "edge state id out of range"),
+        ({"edges": [[0, "b", 1]]}, "symbol 'b' not in alphabet"),
+        ({"epsilon": [[0, 5]]}, "epsilon edge state id out of range"),
+        ({"initial": [3]}, "state id out of range"),
+    ],
+    ids=["negative states", "edge target 2 of 2 states", "edge target -1",
+         "unknown edge symbol", "epsilon target 5", "initial 3"],
+)
+def test_malformed_automaton_files_exit_65_with_one_line(tmp_path, capsys, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**AUTOMATON_A, **change}))
+    code, out, err = run(capsys, "decide", "--lang", f"@{path}", "--variant", "classic")
+    assert (code, out, err) == (65, "", f"splicekit: {message}\n")
+
+
+def _system_file(path, alphabet, axioms, rules):
+    path.write_text(json.dumps(
+        {"variant": "pixton", "alphabet": alphabet, "axioms": axioms, "rules": rules}
+    ))
+    return str(path)
+
+
+def test_axioms_over_a_sub_alphabet(tmp_path, capsys):
+    """Axioms over {a} in a system over {a, b}: the axioms have no b edges,
+    and the closure accepts what the oracle finds."""
+    system = _system_file(tmp_path / "sub.json", ["a", "b"], AUTOMATON_A, [["a", "a", "b"]])
+    emit = tmp_path / "closure.json"
+    code, _, err = run(capsys, "closure", "--system", system, "--emit-closure", str(emit))
+    assert (code, err) == (0, "")
+    closure = minimize(determinize(automaton_from_json(emit.read_text())))
+    code, out, _ = run(capsys, "oracle", "--system", system, "--report-len", "4")
+    assert code == 0
+    assert out.splitlines() == enumerate_words(closure, 4) == ["a", "b"]
+
+
+def test_axioms_over_a_super_alphabet_are_rejected(tmp_path, capsys):
+    axioms = {**AUTOMATON_A, "alphabet": ["a", "b"], "edges": [[0, "b", 1]]}
+    system = _system_file(tmp_path / "super.json", ["a"], axioms, [])
+    for argv in (("closure",), ("oracle", "--report-len", "4")):
+        code, out, err = run(capsys, *argv, "--system", system)
+        assert (code, out, err) == (65, "", "splicekit: symbol 'b' not in alphabet\n")
+
+
+def test_axiom_alphabet_order_does_not_change_the_closure(tmp_path, capsys):
+    """The axiom automaton's rows are matched to the system's alphabet by
+    symbol: listing its alphabet as ["b","a"] writes the same closure bytes
+    as ["a","b"]."""
+    outputs = []
+    for order in (["a", "b"], ["b", "a"]):
+        axioms = {
+            "alphabet": order, "states": 3, "initial": [0], "accepting": [2],
+            "edges": [[0, "a", 1], [1, "b", 2]], "epsilon": [],
+        }
+        name = "".join(order)
+        system = _system_file(tmp_path / f"{name}.json", ["a", "b"], axioms, [["a", "b", ""]])
+        emit = tmp_path / f"{name}.closure.json"
+        code, out, _ = run(capsys, "closure", "--system", system, "--emit-closure", str(emit))
+        assert code == 0
+        outputs.append((out, emit.read_text()))
+    assert outputs[0] == outputs[1]
 
 
 def test_candidate_guard_maps_to_tool_error(capsys):

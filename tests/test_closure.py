@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -403,6 +404,16 @@ def small_systems(draw):
     return SplicingSystem(variant, alphabet, axioms, tuple(rules))
 
 
+@pytest.mark.parametrize("symbols,regex", [("a", "a|aa"), ("ab", "a|ab"), ("ba", "a|ab")])
+def test_axiom_rows_are_matched_to_the_system_alphabet_by_symbol(symbols, regex):
+    """An axiom automaton over a sub-alphabet, or over the system's symbols
+    in another order, gives the closure the reference builds from its edge
+    set, which is keyed by symbol."""
+    axioms = parse_regex(regex, Alphabet.from_string(symbols))
+    system = SplicingSystem("pixton", AB, axioms, (PixtonRule("a", "a", "b"),))
+    assert build_closure(system) == build_closure_reference(system)
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_systems())
 def test_saturation_matches_from_scratch_reference(system):
@@ -437,13 +448,15 @@ def test_mask_views_match_edge_set_routes(system):
 def _check_views_of_the_masks(system):
     """The co-reachable set build_closure hands over, and the one the
     reference's closure derives, against a stack walk over the saturated
-    edge set; and the base automaton built on first use against the
-    reference's, which it checked against the automaton it built itself."""
+    edge set; and the base automaton against the reference's, which it
+    built from edge sets."""
     closure = build_closure(system)
     reference = build_closure_reference(system)
-    assert "_coreach" in closure.__dict__ and "base" not in closure.__dict__
+    assert "_coreach" in closure.__dict__
     for c in (closure, reference):
         assert set(_bits(c._coreach)) == coreachable_brute(c.nfa())
+        # both are built without Nfa.__post_init__, which replace runs
+        assert replace(c.base) == c.base and replace(c.nfa()) == c.nfa()
     assert closure.base == reference.base
 
 

@@ -195,6 +195,15 @@ def test_cache_coherence():
         assert fresh._flank_verdict(*flanks) == verdict
 
 
+@pytest.mark.parametrize("name", ["cache", "_left_viable", "_right_viable"])
+def test_respect_context_takes_only_the_monoid(name):
+    """The memo and the viability tables are derived from the monoid; none
+    can be handed in."""
+    monoid = ctx_for("a+b+").monoid
+    with pytest.raises(TypeError):
+        RespectContext(monoid, **{name: {} if name == "cache" else []})
+
+
 def test_extend_rule_patterns():
     classic = ClassicRule("a", "b", "", "ab")
     assert extend_rule(classic, "u1", "a") == ClassicRule("aa", "b", "", "ab")
