@@ -6,7 +6,9 @@ Cases, unary at theorem bounds: ``(a^k)*`` for k = 2..9 in both variants,
 and ``a+``, ``aa+``, ``aaa+``, ``aaaa+``, ``a^5+``, ``a^6+`` and ``a^8+``
 classic.  Then binary at custom bounds (axiom, inner, outer), where most
 closure states are not useful: ``a+b+`` classic (3,3,3) and (4,3,4), and
-``a*b*`` pixton (6,4,6).  ``a^8+`` (about 10^7 respecting rules) runs one
+``a*b*`` pixton (6,4,6).  Then two more triplet closures, which the class x
+length gadgets build: ``aa+`` pixton at theorem bounds and ``(ab)*`` pixton
+(6,3,4).  ``a^8+`` (about 10^7 respecting rules) runs one
 repeat whatever ``--repeats`` says; the others run ``--repeats``.  Each
 case runs in
 its own subprocess (a fresh interpreter, so ``ru_maxrss`` is that case's
@@ -63,6 +65,8 @@ CASES += [
     ("a+b+", "ab", "classic", (3, 3, 3), None),
     ("a+b+", "ab", "classic", (4, 3, 4), None),
     ("a*b*", "ab", "pixton", (6, 4, 6), None),
+    ("aa+", "a", "pixton", None, None),
+    ("(ab)*", "ab", "pixton", (6, 3, 4), None),
 ]
 
 

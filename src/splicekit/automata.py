@@ -761,19 +761,44 @@ def automaton_to_json(a: Nfa | Dfa) -> str:
     return f'{head[:-1]},"edges":[{",".join(edges)}],"epsilon":[{",".join(pairs)}]}}'
 
 
+# the most states an automaton file may declare beyond those it names
+UNNAMED_STATES = 1 << 16
+
+
 def automaton_from_json(text: str | dict) -> Nfa:
+    """The automaton a JSON document describes.
+
+    A document names at most 1 + |initial| + |accepting| + 2·(|edges| +
+    |epsilon|) distinct states.  It may declare more, isolated states that
+    nothing names (the writer writes them for any automaton that has them),
+    but every declared state costs a row entry per symbol, so at most
+    ``UNNAMED_STATES`` of them are read: a larger ``states`` is rejected
+    before any row is allocated.
+    """
     doc = json.loads(text) if isinstance(text, str) else text
+    alphabet = json_field(doc, "alphabet", lambda v: Alphabet(tuple(v)))
+    state_count = json_field(doc, "states", int)
+    initial = json_field(doc, "initial", lambda v: frozenset(map(int, v)))
+    accepting = json_field(doc, "accepting", lambda v: frozenset(map(int, v)))
+    labeled = json_field(
+        doc, "edges", lambda v: frozenset((int(p), sym, int(q)) for p, sym, q in v)
+    )
+    epsilon = json_field(
+        doc, "epsilon", lambda v: frozenset((int(p), int(q)) for p, q in v), []
+    )
+    named = 1 + len(initial) + len(accepting) + 2 * (len(labeled) + len(epsilon))
+    if state_count > named + UNNAMED_STATES:
+        raise ValueError(
+            f"field 'states': {state_count} states declared, but the file names at most "
+            f"{named} and may leave at most {UNNAMED_STATES} unnamed"
+        )
     return Nfa.from_edges(
-        alphabet=json_field(doc, "alphabet", lambda v: Alphabet(tuple(v))),
-        state_count=json_field(doc, "states", int),
-        initial=json_field(doc, "initial", lambda v: frozenset(map(int, v))),
-        accepting=json_field(doc, "accepting", lambda v: frozenset(map(int, v))),
-        labeled_edges=json_field(
-            doc, "edges", lambda v: frozenset((int(p), sym, int(q)) for p, sym, q in v)
-        ),
-        epsilon_edges=json_field(
-            doc, "epsilon", lambda v: frozenset((int(p), int(q)) for p, q in v), []
-        ),
+        alphabet=alphabet,
+        state_count=state_count,
+        initial=initial,
+        accepting=accepting,
+        labeled_edges=labeled,
+        epsilon_edges=epsilon,
     )
 
 

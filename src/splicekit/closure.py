@@ -8,7 +8,9 @@ between the retained prefix and the adopted suffix (the bridge v for a
 triplet rule, u1·v2 for a classic rule, which is the exact triplet form of
 the quadruple).  A rule walks its left hub's trie along its insert word,
 extending it where no node exists yet, and adds one static epsilon edge from
-the node where the word ends to the hub of its right site.  A saturation
+the node where the word ends to the hub of its right site.  A triplet rule
+product whose bridges are every word shorter than a bound replaces the
+tries with class x length gadgets (below).  A saturation
 round recomputes, inside the current automaton,
 
   LeftPoints(s)  = reachable states from which the left-site word s can be
@@ -37,6 +39,40 @@ keeps the accepted language, and since saturation picks its edges from
 reachability, site reads and co-reachability, which the merge preserves,
 the saturation fixpoint's language is unchanged as well.
 
+Class x length gadgets.  Whether a triplet rule (u1, u2; v) is in a
+canonical product depends only on its class tuple, so its bridge matters
+only through its class and its length.  When the product's bridge pool is
+every word shorter than its bound, in ll-order, and each word's class is
+fixed by its parent's class and its last letter (``_bridge_action`` checks
+both and reads that letter action off the pool), each left-site class c1
+that opens some tuple gets one gadget in place of its sites' tries.  Its
+states are (x, n): x is the class of a bridge prefix and n < the bound its
+length.  A letter edge takes (x, n) to (x·a, n + 1); each left hub of a u1
+of class c1 has a static epsilon edge to (e, 0), the empty bridge's state;
+and (x, n) has one to the right hub of each u2 whose class c2 has (c1, c2,
+x) among the tuples, (e, 0) included.  A gadget keeps only the states from
+which such an edge can be reached.  The labeled paths from the left hub of
+u1 to the right hub of u2 then spell exactly the bridges of the rules with
+those sites, as the trie's do.  The gadget is the quotient of the tries of
+c1's sites that merges the nodes of equal (class, length).  Such nodes have
+the same right language in every round: statically, what a node can still
+read on to a right hub depends only on its prefix's class and length, and
+saturation adds the same edges out of them, since the edges out of a state
+go to the left hubs of the sites it is a point of, which its right language
+decides.  Merging NFA states with equal right languages keeps the accepted
+language, and it keeps the saturation points: left points depend on right
+languages, and right points on the union of left languages.  Classic
+rules spell u1 and v2 both in a site and in the insert, so a class cannot
+stand for them, and a tuple of rules has no classes: both keep the tries,
+and so does any other pool.
+
+The gadget path numbers its states in blocks: the axiom states; the left
+hubs of the classes with a gadget, in the pool order of their sites; each
+gadget, in the order its class first appears among those sites, with its
+states in the ll-order of their least bridge words; then the right hubs
+that some gadget feeds, in the pool order of their sites.  Nothing is
+numbered in the iteration order of a set.
+
 Provenance.  Saturation records, per round, the mask of the points each
 site gained; an added edge is one point of such a mask joined to its site's
 hub, and the edge list is derived from the masks only when asked for.  An
@@ -47,20 +83,19 @@ the rules with that right site feed.  A rule's own part of the automaton is
 the trie path from its left hub along its insert word plus the static
 epsilon edge from that path's end to its right hub.
 
-Rules are read as ``splicing.site_groups`` gives them, one run at a time:
-a left site, the insert words of the run's rules and their right sites, in
-the rules' order.  A tuple of rules gives one run per rule.  A canonical
-rule product is never turned into rule objects: it gives one run per
-classic (u1, v1, u2) or triplet (u1, u2), whose rules differ only in the
-last component.  States are numbered as a walk over the rules one by one
-would number them: each rule's left hub and new insert nodes, then its
-right hub.  The trie
-ends of a run's insert words are kept per (left site, insert words), and
-the hubs per tuple of right sites.  A later u2 of the same class as an
-earlier one, after the same (u1, v1), has the same insert words, so its run
-reaches only trie ends that exist and adds only right hubs and static
-epsilon edges; a run whose insert words and right sites were both seen
-adds only its static epsilon edges.
+On the trie path, rules are read as ``splicing.site_groups`` gives them,
+one run at a time: a left site, the insert words of the run's rules and
+their right sites, in the rules' order.  A tuple of rules gives one run per
+rule.  A canonical rule product is never turned into rule objects: it gives
+one run per classic (u1, v1, u2) or triplet (u1, u2), whose rules differ
+only in the last component.  States are numbered as a walk over the rules
+one by one would number them: each rule's left hub and new insert nodes,
+then its right hub.  The trie ends of a run's insert words are kept per
+(left site, insert words), and the hubs per tuple of right sites.  A later
+u2 of the same class as an earlier one, after the same (u1, v1), has the
+same insert words, so its run reaches only trie ends that exist and adds
+only right hubs and static epsilon edges; a run whose insert words and
+right sites were both seen adds only its static epsilon edges.
 
 Representation.  Trie nodes are keyed by (left site, insert prefix), so an
 insert word whose whole path exists already costs one lookup.  The rule
@@ -69,8 +104,9 @@ keeps its edges in: each new state gets its forward and backward letter
 rows, and each static epsilon edge adds its trie end to the sources of its
 right hub's biclique.  The forward rows and the static bicliques are the
 ``base`` automaton, an ``Nfa``.  The epsilon edges are bicliques: the
-static edges grouped by target (the trie ends that feed a right hub, and
-any epsilon edges of the axiom automaton), one per left site (its points
+static edges grouped by target (the trie ends or gadget states that feed a
+right hub, the left hubs that enter a gadget, and any epsilon edges of the
+axiom automaton), one per left site (its points
 so far to its hub) and one per right site (its hub to its points so far).
 Saturation closes sets through them with ``automata._close``, backwards
 through their mirror, and ``nfa()``, the base with every biclique, is what
@@ -126,7 +162,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .automata import (
     Dfa,
@@ -139,9 +175,10 @@ from .automata import (
     _predecessors,
     _subset_dfa,
     automaton_to_json,
+    count_words_shorter_than,
     minimize,
 )
-from .splicing import SplicingSystem, site_groups
+from .splicing import PIXTON, RuleProduct, SplicingSystem, site_groups
 
 
 class AddedEdge(NamedTuple):
@@ -193,15 +230,19 @@ class ClosureAutomaton:
     ``base`` is the automaton before saturation: the axiom part, the
     per-site hubs, the insert-word tries rooted at the left hubs, and the
     static epsilon edges from each rule's trie endpoint to its right hub,
-    grouped by target in ascending order; ``left_hubs`` and ``right_hubs``
-    map site words to their hub states.  Saturation is recorded in
-    ``growth``: one point mask per site and round in which the site gained
-    points, in the order ``build_closure`` found them.  The rest is derived
-    from those masks when asked for: ``added``, one provenance-tagged edge
-    per point, so traces and DOT output can attribute every discovered edge
-    to its site word, and through the hub to the rules with that site (the
-    rules whose trie an "in" edge feeds, or whose trie endpoints feed the
-    hub an "out" edge leaves); the bicliques, which hold every epsilon edge
+    grouped by target in ascending order.  For a triplet rule product with a
+    full bridge pool the tries are class x length gadgets instead, one per
+    left-site class, entered from the left hubs by static epsilon edges and
+    feeding the right hubs by others (see the module docstring).
+    ``left_hubs`` and ``right_hubs`` map site words to their hub states.
+    Saturation is recorded in ``growth``: one point mask per site and round
+    in which the site gained points, in the order ``build_closure`` found
+    them.  The rest is derived from those masks when asked for: ``added``,
+    one provenance-tagged edge per point, so traces and DOT output can
+    attribute every discovered edge to its site word, and through the hub to
+    the rules with that site (the rules whose trie or gadget an "in" edge
+    feeds, or whose trie endpoints or gadget states feed the hub an "out"
+    edge leaves); the bicliques, which hold every epsilon edge
     of the saturated automaton, ``nfa()``, which is ``base`` with those
     bicliques and which ``closure_dfa`` and ``to_json`` read; and the
     co-reachable states, which ``closure_dfa`` keeps its subsets to.  The
@@ -307,9 +348,11 @@ def _extend_prefixes(
 def _base_automaton(
     system: SplicingSystem,
 ) -> tuple[Nfa, dict[str, list[int]], dict[str, int], dict[str, int]]:
-    """The axiom automaton with every left hub's insert trie and the right
-    hubs, joined by the static epsilon edges: that automaton, its backward
-    letter rows by symbol, and the left and right hubs."""
+    """The axiom automaton with the rule part, the left hubs' insert tries
+    or, for a triplet product whose bridges allow it, the class x length
+    gadgets, and the right hubs, joined by the static epsilon edges: that
+    automaton, its backward letter rows by symbol, and the left and right
+    hubs."""
     axioms = system.axiom_nfa()
     count = axioms.state_count
     symbols = system.alphabet.symbols
@@ -319,13 +362,7 @@ def _base_automaton(
     fwd = {sym: list(own[sym]) if sym in own else [0] * count for sym in symbols}
     bwd = dict(zip(symbols, _predecessors(fwd.values(), count)))
     columns = [*fwd.values(), *bwd.values()]
-    into: dict[int, int] = {}  # right hub -> the trie ends that feed it
-
-    left_hub: dict[str, int] = {}
-    right_hub: dict[str, int] = {}
-    trie: dict[tuple[str, str], int] = {}  # (left site, insert prefix) -> node
-    ends_of: dict[tuple[str, tuple[str, ...]], list[int]] = {}  # trie ends of insert words
-    hubs_of: dict[tuple[str, ...], list[int]] = {}  # hubs of right sites
+    into: dict[int, int] = {}  # static epsilon target -> its sources
 
     def new_state() -> int:
         nonlocal count
@@ -333,6 +370,37 @@ def _base_automaton(
             rows.append(0)
         count += 1
         return count - 1
+
+    action = _bridge_action(system.rules, symbols)
+    if action is None:
+        left_hub, right_hub = _tries(system.rules, new_state, fwd, bwd, into)
+    else:
+        left_hub, right_hub = _gadgets(
+            system.rules, symbols, *action, new_state, fwd, bwd, into
+        )
+
+    # the axiom states come first, so its bicliques' targets precede the hubs
+    static = axioms.epsilon + tuple((src, 1 << t) for t, src in sorted(into.items()))
+    rows = tuple(map(tuple, fwd.values()))
+    base = Nfa._unchecked(system.alphabet, count, axioms.initial, axioms.accepting, rows, static)
+    return base, bwd, left_hub, right_hub
+
+
+def _tries(
+    rules,
+    new_state: Callable[[], int],
+    fwd: dict[str, list[int]],
+    bwd: dict[str, list[int]],
+    into: dict[int, int],
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Each left hub's insert trie and the right hubs, run by run, written
+    into the letter rows: the left and right hubs, with the trie ends that
+    feed each right hub in ``into``."""
+    left_hub: dict[str, int] = {}
+    right_hub: dict[str, int] = {}
+    trie: dict[tuple[str, str], int] = {}  # (left site, insert prefix) -> node
+    ends_of: dict[tuple[str, tuple[str, ...]], list[int]] = {}  # trie ends of insert words
+    hubs_of: dict[tuple[str, ...], list[int]] = {}  # hubs of right sites
 
     def trie_end(left_site: str, insert: str) -> int:
         """The node of the insert word in the left site's trie, with the
@@ -357,7 +425,7 @@ def _base_automaton(
             got = right_hub[right_site] = new_state()
         return got
 
-    for left_site, inserts, rights in site_groups(system.rules):
+    for left_site, inserts, rights in site_groups(rules):
         ends = ends_of.get((left_site, inserts))
         hubs = hubs_of.get(rights)
         if ends is None:
@@ -374,12 +442,109 @@ def _base_automaton(
         # O(states^2) bits at once
         for end, target in zip(ends, hubs):
             into[target] = into.get(target, 0) | 1 << end
+    return left_hub, right_hub
 
-    # the axiom states come first, so its bicliques' targets precede the hubs
-    static = axioms.epsilon + tuple((src, 1 << t) for t, src in sorted(into.items()))
-    rows = tuple(map(tuple, fwd.values()))
-    base = Nfa._unchecked(system.alphabet, count, axioms.initial, axioms.accepting, rows, static)
-    return base, bwd, left_hub, right_hub
+
+def _bridge_action(
+    rules, symbols: tuple[str, ...]
+) -> tuple[int, dict[tuple[int, int], int]] | None:
+    """(bridge bound, letter action) of a triplet product whose bridge pool
+    is every word shorter than the bound, in ll-order, with each word's class
+    fixed by its parent's class and its last letter; the action maps (class,
+    symbol index) to the class of the extension.  None for any other rules,
+    which take the tries, and for a product with no rules, which builds
+    nothing either way.
+
+    In ll-order over k symbols the word at index i > 0 is the word at index
+    (i - 1) // k extended by symbol (i - 1) % k, so one pass checks the
+    words and reads the action off the classes.
+    """
+    if not isinstance(rules, RuleProduct) or rules.variant != PIXTON or not rules.tuples:
+        return None
+    words, classes = rules.pools[-1]
+    k = len(symbols)
+    if not words or words[0] or len(words) != count_words_shorter_than(k, len(words[-1]) + 1):
+        return None
+    action: dict[tuple[int, int], int] = {}
+    for i in range(1, len(words)):
+        parent, s = divmod(i - 1, k)
+        if words[i] != words[parent] + symbols[s]:
+            return None
+        if action.setdefault((classes[parent], s), classes[i]) != classes[i]:
+            return None
+    return len(words[-1]) + 1, action
+
+
+def _gadgets(
+    rules: RuleProduct,
+    symbols: tuple[str, ...],
+    bound: int,
+    action: dict[tuple[int, int], int],
+    new_state: Callable[[], int],
+    fwd: dict[str, list[int]],
+    bwd: dict[str, list[int]],
+    into: dict[int, int],
+) -> tuple[dict[str, int], dict[str, int]]:
+    """One class x length gadget per left-site class and the hubs, numbered
+    in blocks (see the module docstring) and written into the letter rows:
+    the left and right hubs, with the sources that feed each gadget start
+    and right hub in ``into``."""
+    (lefts, left_classes), (rights, right_classes), (_bridges, bridge_classes) = rules.pools
+    steps = range(len(symbols))
+    present = set(right_classes)
+    feeds: dict[int, dict[int, set[int]]] = {}  # c1 -> bridge class -> right-site classes
+    for c1, c2, x in rules.tuples:
+        if c2 in present:
+            feeds.setdefault(c1, {}).setdefault(x, set()).add(c2)
+    # the bridge classes of each length, in the ll-order of their least words
+    levels = [[bridge_classes[0]]]
+    for _ in range(1, bound):
+        levels.append(list(dict.fromkeys(action[x, s] for x in levels[-1] for s in steps)))
+
+    gadgets: dict[int, list[list[int]]] = {}  # c1 -> its states' classes, per length
+    for c1 in dict.fromkeys(left_classes):
+        wants = feeds.get(c1)
+        if not wants:
+            continue
+        alive: list[list[int]] = [[] for _ in range(bound)]
+        # keep only the states that reach a right hub; ``later`` is empty at
+        # the last length, whose classes the action does not extend
+        later: set[int] = set()
+        for n in range(bound - 1, -1, -1):
+            alive[n] = [
+                x for x in levels[n]
+                if x in wants or later and any(action[x, s] in later for s in steps)
+            ]
+            later = set(alive[n])
+        if alive[0]:
+            gadgets[c1] = alive
+
+    left_hub: dict[str, int] = {}
+    entering: dict[int, int] = {}  # c1 -> the left hubs that enter its gadget
+    for u1, c1 in zip(lefts, left_classes):
+        if c1 in gadgets:
+            left_hub[u1] = new_state()
+            entering[c1] = entering.get(c1, 0) | 1 << left_hub[u1]
+    feeders: dict[int, int] = {}  # right-site class -> the gadget states that feed it
+    for c1, alive in gadgets.items():
+        ids = [{x: new_state() for x in level} for level in alive]
+        into[ids[0][bridge_classes[0]]] = entering[c1]
+        for n, level in enumerate(ids):
+            for x, state in level.items():
+                for c2 in feeds[c1].get(x, ()):
+                    feeders[c2] = feeders.get(c2, 0) | 1 << state
+                if n + 1 < bound:
+                    for s, sym in enumerate(symbols):
+                        nxt = ids[n + 1].get(action[x, s])
+                        if nxt is not None:
+                            fwd[sym][state] |= 1 << nxt
+                            bwd[sym][nxt] |= 1 << state
+    right_hub: dict[str, int] = {}
+    for u2, c2 in zip(rights, right_classes):
+        if c2 in feeders:
+            right_hub[u2] = new_state()
+            into[right_hub[u2]] = feeders[c2]
+    return left_hub, right_hub
 
 
 def build_closure(system: SplicingSystem) -> ClosureAutomaton:

@@ -11,9 +11,14 @@ shares the library's bit iteration and letter images, but none of its
 epsilon-closure, biclique or semi-naive code.  It builds its own ``base``
 from edge sets through ``Nfa.from_edges``, so comparing closures compares
 the base automata too, and it checks the closure's derived ``added`` view
-against the edges it found itself.  ``reverse`` and
+against the edges it found itself.  ``build_gadget_closure_reference`` is
+its counterpart for triplet rule products, which ``build_closure`` reads
+through class x length gadgets: it reads each gadget state's letter row and
+right-site feeds off the bridge pool word by word, with none of the
+library's gadget code, and saturates the same way.  ``reverse`` and
 ``reversed_dfa`` mirror a rule and a language for the reversal relation,
-which compares two decides without any oracle.
+and ``rename`` and ``renamed_dfa`` swap two letters for the renaming
+relation; each compares two decides without any oracle.
 """
 
 from __future__ import annotations
@@ -257,6 +262,22 @@ def reverse(rule):
     return PixtonRule(rule.u2[::-1], rule.u1[::-1], rule.v[::-1])
 
 
+def rename(rule, swap: dict[str, str]):
+    """The rule with every letter of its components renamed by ``swap``, so
+    that it splices (w1, w2) to z iff its image splices the renamed words to
+    the renamed z.  Lengths, and so bounds, are kept."""
+    table = str.maketrans(swap)
+    return type(rule)(*(c.translate(table) for c in rule.components))
+
+
+def renamed_dfa(dfa: Dfa, swap: dict[str, str]) -> Dfa:
+    """The automaton of the renamed language: the same table over the renamed
+    symbols, kept in their places, so the alphabet order is renamed too and
+    ll-order maps onto ll-order."""
+    symbols = tuple(swap.get(s, s) for s in dfa.alphabet.symbols)
+    return Dfa(Alphabet(symbols), dfa.state_count, dfa.initial, dfa.accepting, dfa.transitions)
+
+
 def reversed_dfa(dfa: Dfa) -> Dfa:
     """Minimal DFA of the mirror language: every edge turned around, initial
     and accepting states swapped, then the brute subset construction."""
@@ -448,10 +469,10 @@ def _read_prefixes(
 
 def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
     """Saturation that recomputes every round from scratch, the reference for
-    ``build_closure``: reachability over every state's edge row, and each
-    site prefix's set from the whole set of the prefix one letter shorter,
-    closed along per-state epsilon rows that the round's new edges extend.
-    The trie is walked letter by letter from its left hub."""
+    ``build_closure`` on the trie path: reachability over every state's edge
+    row, and each site prefix's set from the whole set of the prefix one
+    letter shorter, closed along per-state epsilon rows that the round's new
+    edges extend.  The trie is walked letter by letter from its left hub."""
     base_axioms = system.axiom_nfa()
     count = base_axioms.state_count
     labeled = set(base_axioms.labeled_edges)
@@ -486,7 +507,93 @@ def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
         labeled_edges=frozenset(labeled),
         epsilon_edges=frozenset(static_eps),
     )
+    return _saturate_reference(base, left_hub, right_hub)
 
+
+def build_gadget_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
+    """The reference for ``build_closure`` on a triplet rule product whose
+    bridge pool is every word shorter than its bound: one class x length
+    gadget per left-site class, built from scratch and saturated as
+    ``build_closure_reference`` saturates.
+
+    A gadget state is the (class, length) pair of a bridge word, and its
+    letter edges and right-site feeds are read off the pool word by word,
+    into per-state rows.  A gadget keeps the states from which a state that
+    feeds a right hub can be reached.  States are numbered in blocks: the
+    axiom states; the left hubs in the pool order of their sites; the
+    gadgets in the order their classes first appear among the left sites,
+    each state in the pool order of its first bridge word; the right hubs
+    in the pool order of their sites.
+    """
+    rules = system.rules
+    (lefts, left_classes), (rights, right_classes), (bridges, bridge_classes) = rules.pools
+    symbols = system.alphabet.symbols
+    position = {w: i for i, w in enumerate(bridges)}
+    label = [(c, len(w)) for w, c in zip(bridges, bridge_classes)]  # per pool word
+    succ: dict[tuple[int, int], dict[str, tuple[int, int]]] = {}
+    for i, w in enumerate(bridges):
+        row = succ.setdefault(label[i], {})
+        for sym in symbols:
+            j = position.get(w + sym)
+            if j is not None:
+                assert row.setdefault(sym, label[j]) == label[j], "classes follow no action"
+    right_of = {}  # right-site class -> its words
+    for u2, c2 in zip(rights, right_classes):
+        right_of.setdefault(c2, []).append(u2)
+
+    def feeds(c1, state):
+        return [u2 for c2 in right_of if (c1, c2, state[0]) in rules.tuples for u2 in right_of[c2]]
+
+    backward = {(q, p) for p, row in succ.items() for q in row.values()}
+    gadgets: dict[int, list[tuple[int, int]]] = {}
+    for c1 in dict.fromkeys(left_classes):
+        alive = _walk({state for state in succ if feeds(c1, state)}, backward)
+        states = list(dict.fromkeys(s for s in label if s in alive))
+        if label[0] in alive:
+            gadgets[c1] = states
+
+    axioms = system.axiom_nfa()
+    count = axioms.state_count
+    left_hub: dict[str, int] = {}
+    for u1, c1 in zip(lefts, left_classes):
+        if c1 in gadgets:
+            left_hub[u1] = count
+            count += 1
+    number: dict[tuple[int, tuple[int, int]], int] = {}
+    for c1, states in gadgets.items():
+        for state in states:
+            number[c1, state] = count
+            count += 1
+    right_hub: dict[str, int] = {}
+    for u2 in rights:
+        if any(u2 in feeds(c1, state) for c1, state in number):
+            right_hub[u2] = count
+            count += 1
+
+    labeled = set(axioms.labeled_edges)
+    static_eps = set(axioms.epsilon_edges)
+    for u1, c1 in zip(lefts, left_classes):
+        if c1 in gadgets:
+            static_eps.add((left_hub[u1], number[c1, label[0]]))
+    for (c1, state), p in number.items():
+        for sym, nxt in succ[state].items():
+            if (c1, nxt) in number:
+                labeled.add((p, sym, number[c1, nxt]))
+        for u2 in feeds(c1, state):
+            static_eps.add((p, right_hub[u2]))
+    base = Nfa.from_edges(
+        system.alphabet, count, axioms.initial, axioms.accepting,
+        frozenset(labeled), frozenset(static_eps),
+    )
+    return _saturate_reference(base, left_hub, right_hub)
+
+
+def _saturate_reference(
+    base: Nfa, left_hub: dict[str, int], right_hub: dict[str, int]
+) -> ClosureAutomaton:
+    """Saturate the base automaton from scratch every round, the hubs read
+    in the order the dicts give them."""
+    count = base.state_count
     fwd, eps_fwd = _edge_rows(base)
     bwd, eps_bwd = _edge_rows(base, backward=True)
     initial = _mask(base.initial)

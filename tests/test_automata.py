@@ -30,7 +30,13 @@ from splicekit import (
     union,
     words_shorter_than,
 )
-from splicekit.automata import count_words_shorter_than, has_cycle, occurrences, trim
+from splicekit.automata import (
+    UNNAMED_STATES,
+    count_words_shorter_than,
+    has_cycle,
+    occurrences,
+    trim,
+)
 from splicekit.decide import _length_bounded_dfa
 
 from helpers import (
@@ -277,6 +283,16 @@ def test_enumerate_words_examples():
     assert enumerate_words(lang("a+b+"), 3) == ["ab", "aab", "abb"]
     assert enumerate_words(lang("(a|b)*"), 0) == [""]
     assert enumerate_words(lang("(aa)*", A), 5) == ["", "aa", "aaaa"]
+
+
+def test_json_reader_bounds_the_states_a_file_leaves_unnamed():
+    # a file with nothing in it names at most 1 state
+    doc = {"alphabet": ["a"], "states": 1 + UNNAMED_STATES, "initial": [], "accepting": [],
+           "edges": []}
+    assert automaton_from_json(doc).state_count == 1 + UNNAMED_STATES
+    with pytest.raises(ValueError, match=f"{2 + UNNAMED_STATES} states declared, but the file "
+                       f"names at most 1 and may leave at most {UNNAMED_STATES} unnamed"):
+        automaton_from_json({**doc, "states": 2 + UNNAMED_STATES})
 
 
 def test_json_round_trip_and_key_order():

@@ -336,9 +336,13 @@ AUTOMATON_A = {
         ({"edges": [[0, "b", 1]]}, "symbol 'b' not in alphabet"),
         ({"epsilon": [[0, 5]]}, "epsilon edge state id out of range"),
         ({"initial": [3]}, "state id out of range"),
+        # named: 1 + 1 initial + 1 accepting + 2 * 1 edge; nothing is allocated
+        ({"states": 10**9},
+         "field 'states': 1000000000 states declared, but the file names at most 5 "
+         "and may leave at most 65536 unnamed"),
     ],
     ids=["negative states", "edge target 2 of 2 states", "edge target -1",
-         "unknown edge symbol", "epsilon target 5", "initial 3"],
+         "unknown edge symbol", "epsilon target 5", "initial 3", "states 10^9"],
 )
 def test_malformed_automaton_files_exit_65_with_one_line(tmp_path, capsys, change, message):
     path = tmp_path / "bad.json"
@@ -538,7 +542,7 @@ _PINNED_CALLS = {
 _PINNED_DIGESTS = {
     "decide a+b+ classic custom(3,3,3)": "e28dc16f45db045e808cc9da99553e5ab0556a82b0f5ed01fd9b66aec0dc6930",
     "decide a+b+ classic custom(4,3,4)": "b2db9a9dd1796b2f23ae0a07c2efc20172a2537c2f524e2e187a23f02eac1b9d",
-    "decide a*b* pixton custom(6,4,6)": "ac3411ab781ded1bc10bf80585332bd8197d0ff06d15ea4c96318fe158706b83",
+    "decide a*b* pixton custom(6,4,6)": "5e0a39d7613025a991be76a89de5568e472c35550cc71d04064c65c865a8afcf",
     "decide a* classic theorem": "ef1dbb11b5027339d6bb880eaa11e9bbd87f29fccfce474741323c0acb3d10b1",
     "decide (a^2)* classic theorem": "8815754c7871cfd76947710d51f91e5238d17115681773a5a8bfe57867911179",
     "decide (a^2)* pixton theorem": "911883504d115e2756475f0d4173769880c17d5b3ccdba9f83e763559fa81633",

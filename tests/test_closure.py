@@ -12,6 +12,7 @@ from splicekit import (
     InfiniteAxiomLanguageError,
     PixtonRule,
     SplicingSystem,
+    automaton_from_json,
     automaton_to_json,
     bounded_closure,
     build_closure,
@@ -30,11 +31,12 @@ from splicekit import (
 from splicekit import closure as closure_module
 from splicekit.automata import _bits, _image, _mask
 from splicekit.closure import closure_dfa
-from splicekit.splicing import sigma_step
+from splicekit.splicing import RuleProduct, sigma_step
 
 from helpers import (
     automaton_to_json_reference,
     build_closure_reference,
+    build_gadget_closure_reference,
     coreachable_brute,
     determinize_brute,
     ll_sorted,
@@ -445,19 +447,67 @@ def test_mask_views_match_edge_set_routes(system):
     assert closure.added_count == len(closure.added)
 
 
+def _reference(system):
+    """The from-scratch reference for the path ``build_closure`` takes: the
+    gadgets for a triplet rule product (every canonical bridge pool is
+    full), the tries for anything else."""
+    if isinstance(system.rules, RuleProduct) and system.variant == "pixton":
+        return build_gadget_closure_reference(system)
+    return build_closure_reference(system)
+
+
 def _check_views_of_the_masks(system):
     """The co-reachable set build_closure hands over, and the one the
     reference's closure derives, against a stack walk over the saturated
     edge set; and the base automaton against the reference's, which it
     built from edge sets."""
     closure = build_closure(system)
-    reference = build_closure_reference(system)
+    reference = _reference(system)
     assert "_coreach" in closure.__dict__
     for c in (closure, reference):
         assert set(_bits(c._coreach)) == coreachable_brute(c.nfa())
         # both are built without Nfa.__post_init__, which replace runs
         assert replace(c.base) == c.base and replace(c.nfa()) == c.nfa()
     assert closure.base == reference.base
+
+
+_SITES = (("", "a", "b"), (0, 1, 2))
+_FULL = (("", "a", "b", "aa", "ab", "ba", "bb"), (0, 1, 2, 1, 3, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "bridges",
+    [
+        (("", "a"), (0, 1)),  # a word shorter than the bound is missing
+        (("", "b", "a"), (0, 2, 1)),  # not in ll-order
+        (("", "a", "b", "aa", "ab", "ba", "bb"), (0, 1, 1, 1, 3, 3, 2)),  # a and b: aa vs ba
+        (("", "a", "c"), (0, 1, 2)),  # not over the system's alphabet; "c" is in no rule
+    ],
+    ids=["short", "order", "no action", "alphabet"],
+)
+def test_product_without_a_full_bridge_pool_takes_the_tries(bridges):
+    """Only a bridge pool of every word shorter than its bound, in ll-order,
+    whose classes follow a letter action, gives gadgets; any other pool is
+    spelled into tries, as the reference builds them from the rules."""
+    tuples = frozenset({(1, 2, 1), (2, 1, 0), (0, 0, 3)})
+    product = RuleProduct("pixton", (_SITES, _SITES, bridges), tuples)
+    system = SplicingSystem("pixton", AB, ("ab", "ba"), product)
+    assert closure_module._bridge_action(product, AB.symbols) is None
+    assert build_closure(system) == build_closure_reference(system)
+
+
+def test_product_with_a_full_bridge_pool_takes_the_gadgets():
+    tuples = frozenset({(1, 2, 1), (2, 1, 0), (0, 0, 3)})
+    product = RuleProduct("pixton", (_SITES, _SITES, _FULL), tuples)
+    system = SplicingSystem("pixton", AB, ("ab", "ba"), product)
+    assert closure_module._bridge_action(product, AB.symbols) == (
+        3, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 3, (2, 0): 3, (2, 1): 2}
+    )
+    closure = build_closure(system)
+    assert closure == build_gadget_closure_reference(system)
+    trie = build_closure_reference(system)
+    assert closure.base != trie.base
+    assert closure_dfa(closure) == closure_dfa(trie)
 
 
 @settings(max_examples=200, deadline=None)
@@ -488,15 +538,21 @@ CANONICAL_SYSTEMS = pytest.mark.parametrize(
 
 @CANONICAL_SYSTEMS
 def test_canonical_saturation_matches_from_scratch_reference(make):
+    """Classic rows against the trie reference; the pixton rows, which take
+    the gadgets, against the gadget reference, and their language against
+    the trie reference's."""
     system = make()
-    assert build_closure(system) == build_closure_reference(system)
+    closure = build_closure(system)
+    assert closure == _reference(system)
+    if system.variant == "pixton":
+        assert closure_dfa(closure) == closure_dfa(build_closure_reference(system))
 
 
 @CANONICAL_SYSTEMS
 def test_canonical_mask_views_match_edge_set_routes(make):
     system = make()
     closure = build_closure(system)
-    reference = build_closure_reference(system)
+    reference = _reference(system)
     nfa = closure.nfa()
     assert nfa.epsilon_edges == closure.base.epsilon_edges | {
         (e.src, e.dst) for e in reference.added
@@ -508,6 +564,16 @@ def test_canonical_mask_views_match_edge_set_routes(make):
         assert closure_dfa(c) == dfa
         assert c.to_json() == text
     assert closure.added_count == len(closure.added)
+
+
+@CANONICAL_SYSTEMS
+def test_written_closure_and_dfa_read_back(make):
+    """The declared state count of every written closure and DFA passes the
+    reader's bound on the states a file names."""
+    closure = build_closure(make())
+    for automaton in (closure.nfa(), closure_dfa(closure)):
+        text = automaton_to_json(automaton)
+        assert automaton_to_json(automaton_from_json(text)) == text
 
 
 @CANONICAL_SYSTEMS

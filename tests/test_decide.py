@@ -29,6 +29,7 @@ from splicekit import (
     system_to_json,
     theorem_bounds,
 )
+from splicekit.closure import closure_dfa
 from splicekit.decide import BoundsProfile, candidate_count, canonical_axioms, canonical_rules
 from splicekit.monoid import SyntacticMonoid
 from splicekit.splicing import RuleProduct, longest_rule_component
@@ -36,7 +37,10 @@ from splicekit.splicing import RuleProduct, longest_rule_component
 from helpers import (
     all_words_upto,
     build_closure_reference,
+    build_gadget_closure_reference,
     random_regex,
+    rename,
+    renamed_dfa,
     reverse,
     reversed_dfa,
     word_level_rules,
@@ -419,6 +423,49 @@ def test_reversal_maps_the_canonical_system_of_l_onto_that_of_its_mirror(regex, 
         assert there.verdict == "inconclusive"
 
 
+SWAP = {"a": "b", "b": "a"}
+
+
+@pytest.mark.parametrize(
+    "variant,lts",
+    [("classic", (4, 3, 4)), ("classic", (2, 2, 2)), ("pixton", (5, 3, 5)), ("pixton", (3, 2, 2))],
+)
+@pytest.mark.parametrize("regex", ["a*b*", "a+b+", "(ab)*"])
+def test_renaming_maps_the_decision_of_l_onto_that_of_its_image(regex, variant, lts):
+    # swapping a and b in L and in the alphabet order maps ll-order onto
+    # ll-order and respecting rules onto respecting rules, so the canonical
+    # system, the verdict and the ll-least word of L the closure misses map
+    # letter for letter; the lower bounds leave some cases inconclusive
+    forward = lang(regex)
+    image = renamed_dfa(forward, SWAP)
+    table = str.maketrans(SWAP)
+    assert image.alphabet.symbols == ("b", "a")
+    assert all(
+        image.accepts(w.translate(table)) == forward.accepts(w) for w in all_words_upto(AB, 6)
+    )
+    bounds = custom_bounds(variant, *lts)
+    there = decide_splicing(forward, variant, bounds)
+    back = decide_splicing(image, variant, bounds)
+    assert there.verdict == back.verdict
+    for key in ("candidate_rules", "respecting_rules"):
+        assert there.stats[key] == back.stats[key]
+    assert [rename(rule, SWAP) for rule in there.system.rules] == list(back.system.rules)
+    assert (there.witness, back.witness) == (None, None)
+    missed = equivalent(closure_dfa(there.closure), forward)[1]
+    assert equivalent(closure_dfa(back.closure), image)[1] == (
+        None if missed is None else missed.translate(table)
+    )
+
+
+@pytest.mark.parametrize("regex", ["a+", "aa+", "aaa+"])
+def test_classic_yes_implies_pixton_yes_at_theorem_bounds(regex):
+    # every classic rule has an exact triplet counterpart, and at theorem
+    # bounds both canonical systems are complete
+    target = lang(regex, A)
+    assert decide_splicing(target, "classic").verdict == "yes"
+    assert decide_splicing(target, "pixton").verdict == "yes"
+
+
 @st.composite
 def small_dfas(draw):
     """Complete DFAs over ab with at most 3 states, accepting sets at random."""
@@ -469,13 +516,36 @@ def test_rule_product_counts_and_iterates_the_word_level_rules(dfa, variant, inn
     outer=st.integers(1, 4),
 )
 def test_closure_of_a_rule_product_equals_that_of_its_rule_tuple(dfa, variant, inner, outer):
-    # the reference walks each rule object on its own, without runs
+    # the trie reference walks each rule object on its own, without runs; a
+    # triplet product takes the gadgets instead, whose reference reads the
+    # pools, and accepts the language of the trie closure
     symbolic, listed = product_and_tuple_systems(dfa, variant, inner, outer)
     got, want = build_closure(symbolic), build_closure_reference(listed)
+    assert build_closure(listed) == want
+    if variant == "pixton":
+        assert got == build_gadget_closure_reference(symbolic)
+        assert closure_dfa(got) == closure_dfa(want)
+        return
     assert got.base == want.base
     assert (got.left_hubs, got.right_hubs) == (want.left_hubs, want.right_hubs)
     assert (got.growth, got.rounds) == (want.growth, want.rounds)
-    assert build_closure(listed) == got
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(dfa=small_dfas(), inner=st.integers(1, 3), outer=st.integers(1, 5))
+def test_gadget_and_trie_closures_give_one_verdict_and_witness(dfa, inner, outer):
+    """The canonical triplet product, which takes the gadgets, and its rules
+    as a tuple, which take the tries: one closure language, so one verdict
+    and one ll-least witness against the language."""
+    symbolic, listed = product_and_tuple_systems(dfa, "pixton", inner, outer)
+    gadget, trie = build_closure(symbolic), build_closure(listed)
+    generated = closure_dfa(gadget)
+    assert generated == closure_dfa(trie)
+    assert equivalent(generated, dfa) == equivalent(closure_dfa(trie), dfa)
+    decision = decide_splicing(dfa, "pixton", custom_bounds("pixton", 4, inner, outer))
+    assert decision.closure == gadget
+    assert decision.verdict == ("yes" if equivalent(closure_dfa(trie), dfa)[0] else "inconclusive")
 
 
 @settings(max_examples=50, deadline=None)
