@@ -1,6 +1,7 @@
 """Per-stage ladder of decisions, written as JSON.
 
     python3 bench/ladder.py --out OUT.json [--repeats 5]
+    python3 bench/ladder.py --compare DIR --out OUT.json [--repeats 5]
 
 Cases, unary at theorem bounds: ``(a^k)*`` for k = 2..9 in both variants,
 and ``a+``, ``aa+``, ``aaa+``, ``aaaa+``, ``a^5+``, ``a^6+`` and ``a^8+``
@@ -25,6 +26,14 @@ gives the other stages at decide's own boundaries:
 A record holds the median seconds of each stage over the repeats, the
 median total, the verdict and witness, the monoid size, the rule and
 closure-state counts and the peak RSS.
+
+``--compare DIR`` measures this checkout against the one at DIR, such as
+its parent commit, on every case index both share.  Host speed drifts over
+minutes, so the two sides are interleaved: each of ``--repeats`` rounds (or
+the case's own repeat count) runs the case once from each checkout, each
+in its own subprocess, the first side alternating from round to round.  A
+record holds each side's median total seconds and peak RSS over the rounds
+and the change/parent ratio of each.
 """
 
 from __future__ import annotations
@@ -113,28 +122,83 @@ def measure(
     }
 
 
+def _record(script: str, index: int, repeats: int) -> dict:
+    """The record of case ``index`` as the ladder at ``script`` measures it,
+    in a subprocess of its own."""
+    done = subprocess.run(
+        [sys.executable, script, "--case", str(index), "--repeats", str(repeats)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def _case_count(script: str) -> int:
+    """How many cases the ladder at ``script`` has, read in a subprocess,
+    which imports that checkout's library."""
+    code = "import runpy, sys; print(len(runpy.run_path(sys.argv[1])['CASES']))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, script], capture_output=True, text=True, check=True
+    )
+    return int(done.stdout)
+
+
+def compare(parent: str, index: int, repeats: int) -> dict:
+    """Case ``index`` measured from this ladder and from the one at
+    ``parent``, one run each per round, the first side alternating."""
+    scripts = {"change": os.path.abspath(__file__), "parent": parent}
+    rounds = CASES[index][-1] or repeats
+    runs: dict[str, list[dict]] = {"change": [], "parent": []}
+    for turn in range(rounds):
+        order = ("change", "parent") if turn % 2 == 0 else ("parent", "change")
+        for side in order:
+            runs[side].append(_record(scripts[side], index, 1))
+    names = {r["case"] for records in runs.values() for r in records}
+    if len(names) != 1:
+        raise SystemExit(f"case {index} differs between the checkouts: {sorted(names)}")
+    record: dict = {"case": names.pop(), "rounds": rounds}
+    for side, records in runs.items():
+        record[side] = {
+            key: statistics.median(r[key] for r in records) for key in ("total_s", "ru_maxrss_mb")
+        }
+    record["ratio"] = {
+        key: round(record["change"][key] / record["parent"][key], 4) for key in record["change"]
+    }
+    return record
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", help="the JSON file to write (required)")
+    parser.add_argument("--compare", metavar="DIR", help="the checkout to compare against")
     parser.add_argument("--case", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.case is not None:
+    if args.case is not None and args.compare is None:
         *case, repeats = CASES[args.case]
         print(json.dumps(measure(*case, repeats or args.repeats)))
         return
     if args.out is None:
         parser.error("--out is required")
     records = []
-    for i in range(len(CASES)):
-        done = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--case", str(i), "--repeats", str(args.repeats)],
-            capture_output=True, text=True, check=True,
-        )
-        record = json.loads(done.stdout)
-        records.append(record)
-        print(f"{record['case']:32} {record['verdict']:3} total {record['total_s']:.4f} s "
-              f"rss {record['ru_maxrss_mb']} MB", file=sys.stderr)
+    if args.compare is not None:
+        parent = os.path.join(os.path.abspath(args.compare), "bench", "ladder.py")
+        shared = range(min(len(CASES), _case_count(parent)))
+        if args.case is not None:
+            if args.case not in shared:
+                parser.error(f"case {args.case} is not in both checkouts")
+            shared = [args.case]
+        for i in shared:
+            record = compare(parent, i, args.repeats)
+            records.append(record)
+            print(f"{record['case']:32} total {record['parent']['total_s']:.4f} -> "
+                  f"{record['change']['total_s']:.4f} s (x{record['ratio']['total_s']})",
+                  file=sys.stderr)
+    else:
+        for i in range(len(CASES)):
+            record = _record(os.path.abspath(__file__), i, args.repeats)
+            records.append(record)
+            print(f"{record['case']:32} {record['verdict']:3} total {record['total_s']:.4f} s "
+                  f"rss {record['ru_maxrss_mb']} MB", file=sys.stderr)
     doc = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import AlphabetMismatchError, UnknownSymbolError, json_field
+from .errors import AlphabetMismatchError, UnknownSymbolError, json_field, json_typed
 
 
 @dataclass(frozen=True)
@@ -388,6 +388,13 @@ def _close(
     return seen
 
 
+def _coreachable(nfa: Nfa, bicliques: Iterable[tuple[int, int]]) -> int:
+    """The mask of the states from which an accepting state of the automaton
+    can be reached through its letter rows and these bicliques."""
+    back = [(dst, src) for src, dst in bicliques]
+    return _close(0, _mask(nfa.accepting), back, _predecessors(nfa.rows, nfa.state_count))
+
+
 def _explore(start, successors: Callable) -> Iterator[tuple[object, tuple[int, ...]]]:
     """The canonical numbering: every state reachable from start, yielded
     with its row of successor numbers, in the order a BFS discovers them.
@@ -653,13 +660,7 @@ def trim(nfa: Nfa) -> Nfa:
     states, so epsilon edges grouped by target stay so."""
     eps = nfa.epsilon
     reach = _close(0, _mask(nfa.initial), eps, nfa.rows)
-    coreach = _close(
-        0,
-        _mask(nfa.accepting),
-        [(dst, src) for src, dst in eps],
-        _predecessors(nfa.rows, nfa.state_count),
-    )
-    keep = reach & coreach
+    keep = reach & _coreachable(nfa, eps)
     renum = {s: i for i, s in enumerate(_bits(keep))}
 
     def squeeze(mask: int) -> int:
@@ -761,6 +762,11 @@ def automaton_to_json(a: Nfa | Dfa) -> str:
     return f'{head[:-1]},"edges":[{",".join(edges)}],"epsilon":[{",".join(pairs)}]}}'
 
 
+def _id(value) -> int:
+    """A state id or count read from JSON: an integer, never coerced."""
+    return json_typed(value, int)
+
+
 # the most states an automaton file may declare beyond those it names
 UNNAMED_STATES = 1 << 16
 
@@ -776,15 +782,15 @@ def automaton_from_json(text: str | dict) -> Nfa:
     before any row is allocated.
     """
     doc = json.loads(text) if isinstance(text, str) else text
-    alphabet = json_field(doc, "alphabet", lambda v: Alphabet(tuple(v)))
-    state_count = json_field(doc, "states", int)
-    initial = json_field(doc, "initial", lambda v: frozenset(map(int, v)))
-    accepting = json_field(doc, "accepting", lambda v: frozenset(map(int, v)))
+    alphabet = json_field(doc, "alphabet", lambda v: Alphabet(tuple(json_typed(v, list))))
+    state_count = json_field(doc, "states", _id)
+    initial = json_field(doc, "initial", lambda v: frozenset(map(_id, json_typed(v, list))))
+    accepting = json_field(doc, "accepting", lambda v: frozenset(map(_id, json_typed(v, list))))
     labeled = json_field(
-        doc, "edges", lambda v: frozenset((int(p), sym, int(q)) for p, sym, q in v)
+        doc, "edges", lambda v: frozenset((_id(p), sym, _id(q)) for p, sym, q in v)
     )
     epsilon = json_field(
-        doc, "epsilon", lambda v: frozenset((int(p), int(q)) for p, q in v), []
+        doc, "epsilon", lambda v: frozenset((_id(p), _id(q)) for p, q in v), []
     )
     named = 1 + len(initial) + len(accepting) + 2 * (len(labeled) + len(epsilon))
     if state_count > named + UNNAMED_STATES:

@@ -9,9 +9,8 @@ triplet rule, u1·v2 for a classic rule, which is the exact triplet form of
 the quadruple).  A rule walks its left hub's trie along its insert word,
 extending it where no node exists yet, and adds one static epsilon edge from
 the node where the word ends to the hub of its right site.  A triplet rule
-product whose bridges are every word shorter than a bound replaces the
-tries with class x length gadgets (below).  A saturation
-round recomputes, inside the current automaton,
+product replaces the tries with class x length gadgets (below).  A
+saturation round recomputes, inside the current automaton,
 
   LeftPoints(s)  = reachable states from which the left-site word s can be
                    read on a path that stays co-reachable, and
@@ -41,13 +40,14 @@ the saturation fixpoint's language is unchanged as well.
 
 Class x length gadgets.  Whether a triplet rule (u1, u2; v) is in a
 canonical product depends only on its class tuple, so its bridge matters
-only through its class and its length.  When the product's bridge pool is
-every word shorter than its bound, in ll-order, and each word's class is
-fixed by its parent's class and its last letter (``_bridge_action`` checks
-both and reads that letter action off the pool), each left-site class c1
-that opens some tuple gets one gadget in place of its sites' tries.  Its
-states are (x, n): x is the class of a bridge prefix and n < the bound its
-length.  A letter edge takes (x, n) to (x·a, n + 1); each left hub of a u1
+only through its class and its length.  A product's bridges are every
+word shorter than its bound, so the bridge classes of each length are the
+monoid's class levels (``monoid.class_levels``) and a letter acts on them
+through its generator: the gadgets read the bridges only through the
+monoid, and never spell them.  Each left-site class c1 that opens some
+tuple gets one gadget in place of its sites' tries.  Its states are
+(x, n): x is the class of a bridge prefix and n < the bound its length.
+A letter edge takes (x, n) to (x·a, n + 1); each left hub of a u1
 of class c1 has a static epsilon edge to (e, 0), the empty bridge's state;
 and (x, n) has one to the right hub of each u2 whose class c2 has (c1, c2,
 x) among the tuples, (e, 0) included.  A gadget keeps only the states from
@@ -63,8 +63,8 @@ decides.  Merging NFA states with equal right languages keeps the accepted
 language, and it keeps the saturation points: left points depend on right
 languages, and right points on the union of left languages.  Classic
 rules spell u1 and v2 both in a site and in the insert, so a class cannot
-stand for them, and a tuple of rules has no classes: both keep the tries,
-and so does any other pool.
+stand for them, and a tuple of rules has no classes: both keep the
+tries.
 
 The gadget path numbers its states in blocks: the axiom states; the left
 hubs of the classes with a gadget, in the pool order of their sites; each
@@ -169,15 +169,16 @@ from .automata import (
     Nfa,
     _bits,
     _close,
+    _coreachable,
     _eps_step,
     _image,
     _mask,
     _predecessors,
     _subset_dfa,
     automaton_to_json,
-    count_words_shorter_than,
     minimize,
 )
+from .monoid import class_levels
 from .splicing import PIXTON, RuleProduct, SplicingSystem, site_groups
 
 
@@ -230,8 +231,8 @@ class ClosureAutomaton:
     ``base`` is the automaton before saturation: the axiom part, the
     per-site hubs, the insert-word tries rooted at the left hubs, and the
     static epsilon edges from each rule's trie endpoint to its right hub,
-    grouped by target in ascending order.  For a triplet rule product with a
-    full bridge pool the tries are class x length gadgets instead, one per
+    grouped by target in ascending order.  For a triplet rule product the
+    tries are class x length gadgets instead, one per
     left-site class, entered from the left hubs by static epsilon edges and
     feeding the right hubs by others (see the module docstring).
     ``left_hubs`` and ``right_hubs`` map site words to their hub states.
@@ -289,13 +290,7 @@ class ClosureAutomaton:
         """The states of the saturated automaton from which an accepting
         state can be reached; saturation adds no letter edges, so the
         letter rows are the base automaton's."""
-        base = self.base
-        return _close(
-            0,
-            _mask(base.accepting),
-            [(dst, src) for src, dst in self._bicliques],
-            _predecessors(base.rows, base.state_count),
-        )
+        return _coreachable(self.base, self._bicliques)
 
     def to_json(self) -> str:
         return automaton_to_json(self.nfa())
@@ -349,10 +344,9 @@ def _base_automaton(
     system: SplicingSystem,
 ) -> tuple[Nfa, dict[str, list[int]], dict[str, int], dict[str, int]]:
     """The axiom automaton with the rule part, the left hubs' insert tries
-    or, for a triplet product whose bridges allow it, the class x length
-    gadgets, and the right hubs, joined by the static epsilon edges: that
-    automaton, its backward letter rows by symbol, and the left and right
-    hubs."""
+    or, for a triplet product, the class x length gadgets, and the right
+    hubs, joined by the static epsilon edges: that automaton, its backward
+    letter rows by symbol, and the left and right hubs."""
     axioms = system.axiom_nfa()
     count = axioms.state_count
     symbols = system.alphabet.symbols
@@ -371,13 +365,10 @@ def _base_automaton(
         count += 1
         return count - 1
 
-    action = _bridge_action(system.rules, symbols)
-    if action is None:
-        left_hub, right_hub = _tries(system.rules, new_state, fwd, bwd, into)
+    if isinstance(system.rules, RuleProduct) and system.rules.variant == PIXTON:
+        left_hub, right_hub = _gadgets(system.rules, new_state, fwd, bwd, into)
     else:
-        left_hub, right_hub = _gadgets(
-            system.rules, symbols, *action, new_state, fwd, bwd, into
-        )
+        left_hub, right_hub = _tries(system.rules, new_state, fwd, bwd, into)
 
     # the axiom states come first, so its bicliques' targets precede the hubs
     static = axioms.epsilon + tuple((src, 1 << t) for t, src in sorted(into.items()))
@@ -445,41 +436,8 @@ def _tries(
     return left_hub, right_hub
 
 
-def _bridge_action(
-    rules, symbols: tuple[str, ...]
-) -> tuple[int, dict[tuple[int, int], int]] | None:
-    """(bridge bound, letter action) of a triplet product whose bridge pool
-    is every word shorter than the bound, in ll-order, with each word's class
-    fixed by its parent's class and its last letter; the action maps (class,
-    symbol index) to the class of the extension.  None for any other rules,
-    which take the tries, and for a product with no rules, which builds
-    nothing either way.
-
-    In ll-order over k symbols the word at index i > 0 is the word at index
-    (i - 1) // k extended by symbol (i - 1) % k, so one pass checks the
-    words and reads the action off the classes.
-    """
-    if not isinstance(rules, RuleProduct) or rules.variant != PIXTON or not rules.tuples:
-        return None
-    words, classes = rules.pools[-1]
-    k = len(symbols)
-    if not words or words[0] or len(words) != count_words_shorter_than(k, len(words[-1]) + 1):
-        return None
-    action: dict[tuple[int, int], int] = {}
-    for i in range(1, len(words)):
-        parent, s = divmod(i - 1, k)
-        if words[i] != words[parent] + symbols[s]:
-            return None
-        if action.setdefault((classes[parent], s), classes[i]) != classes[i]:
-            return None
-    return len(words[-1]) + 1, action
-
-
 def _gadgets(
     rules: RuleProduct,
-    symbols: tuple[str, ...],
-    bound: int,
-    action: dict[tuple[int, int], int],
     new_state: Callable[[], int],
     fwd: dict[str, list[int]],
     bwd: dict[str, list[int]],
@@ -488,18 +446,19 @@ def _gadgets(
     """One class x length gadget per left-site class and the hubs, numbered
     in blocks (see the module docstring) and written into the letter rows:
     the left and right hubs, with the sources that feed each gadget start
-    and right hub in ``into``."""
-    (lefts, left_classes), (rights, right_classes), (_bridges, bridge_classes) = rules.pools
-    steps = range(len(symbols))
+    and right hub in ``into``.  The bridges are read only through the
+    monoid: their class levels and the generators' action on them."""
+    monoid = rules.monoid
+    table, gens = monoid.table, monoid.generators
+    letters = tuple(zip(monoid.alphabet.symbols, gens))
+    (lefts, left_classes), (rights, right_classes) = rules.pools[:2]
     present = set(right_classes)
     feeds: dict[int, dict[int, set[int]]] = {}  # c1 -> bridge class -> right-site classes
     for c1, c2, x in rules.tuples:
         if c2 in present:
             feeds.setdefault(c1, {}).setdefault(x, set()).add(c2)
-    # the bridge classes of each length, in the ll-order of their least words
-    levels = [[bridge_classes[0]]]
-    for _ in range(1, bound):
-        levels.append(list(dict.fromkeys(action[x, s] for x in levels[-1] for s in steps)))
+    bound = rules.component_lts[2]
+    levels = class_levels(monoid, bound)
 
     gadgets: dict[int, list[list[int]]] = {}  # c1 -> its states' classes, per length
     for c1 in dict.fromkeys(left_classes):
@@ -513,7 +472,7 @@ def _gadgets(
         for n in range(bound - 1, -1, -1):
             alive[n] = [
                 x for x in levels[n]
-                if x in wants or later and any(action[x, s] in later for s in steps)
+                if x in wants or later and any(table[x][g] in later for g in gens)
             ]
             later = set(alive[n])
         if alive[0]:
@@ -528,14 +487,14 @@ def _gadgets(
     feeders: dict[int, int] = {}  # right-site class -> the gadget states that feed it
     for c1, alive in gadgets.items():
         ids = [{x: new_state() for x in level} for level in alive]
-        into[ids[0][bridge_classes[0]]] = entering[c1]
+        into[ids[0][monoid.identity]] = entering[c1]
         for n, level in enumerate(ids):
             for x, state in level.items():
                 for c2 in feeds[c1].get(x, ()):
                     feeders[c2] = feeders.get(c2, 0) | 1 << state
                 if n + 1 < bound:
-                    for s, sym in enumerate(symbols):
-                        nxt = ids[n + 1].get(action[x, s])
+                    for sym, g in letters:
+                        nxt = ids[n + 1].get(table[x][g])
                         if nxt is not None:
                             fwd[sym][state] |= 1 << nxt
                             bwd[sym][nxt] |= 1 << state

@@ -25,11 +25,10 @@ from .automata import (
     equivalent,
     intersect,
     minimize,
-    words_shorter_than,
 )
 from .closure import ClosureAutomaton, build_closure, closure_dfa
-from .errors import CandidateLimitExceededError
-from .monoid import SyntacticMonoid, syntactic_monoid
+from .errors import CandidateLimitExceededError, PoolLimitExceededError
+from .monoid import SyntacticMonoid, class_levels, syntactic_monoid
 from .respect import RespectContext, prune_minimal
 from .splicing import CLASSIC, RuleProduct, SplicingSystem, _rule_type, triplet
 
@@ -133,40 +132,22 @@ def canonical_axioms(lang: Dfa, bounds: BoundsProfile) -> Dfa:
     return minimize(intersect(lang, _length_bounded_dfa(lang.alphabet, bounds.axiom_len_lt)))
 
 
-def _class_pool(
-    monoid: SyntacticMonoid, alphabet: Alphabet, lt: int
-) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """Every word shorter than lt in ll-order, and the syntactic class of each.
-
-    In ll-order over k symbols the word at index i > 0 is the word at index
-    (i - 1) // k extended by symbol (i - 1) % k, so each class is one
-    multiplication of its one-shorter prefix's class by a generator.
-    """
-    words = tuple(words_shorter_than(alphabet, lt))
-    gens = [monoid.generators[monoid.alphabet.index(s)] for s in alphabet.symbols]
-    k, table = len(gens), monoid.table
-    classes = [monoid.identity]
-    for i in range(1, len(words)):
-        parent, symbol = divmod(i - 1, k)
-        classes.append(table[classes[parent]][gens[symbol]])
-    return words, tuple(classes)
-
-
 def canonical_rules(
     lang_monoid_ctx: RespectContext,
     alphabet: Alphabet,
     bounds: BoundsProfile,
 ) -> RuleProduct:
     """Every rule within the bounds that respects the language, kept
-    symbolic as a ``RuleProduct``: no rule object is built.
+    symbolic as a ``RuleProduct``: no rule object and no word is built.
 
-    The exact word-tuple count is checked against the guard first.  Respect
-    depends only on the class tuple of a rule, so the rule set is a product
-    over syntactic classes:
+    The exact word-tuple count is checked against the guard first, then the
+    characters the product's distinct pools would spell, so that nothing
+    spelled later runs out of memory.  Respect depends only on the class
+    tuple of a rule, so the rule set is a product over syntactic classes:
 
-    - each distinct component bound gets one pool of its words in ll-order,
-      each word's class computed once from its prefix's class;
-    - the respect verdict is asked once per class tuple present in the pools
+    - each component takes the classes of the words shorter than its bound,
+      read off ``monoid.class_levels``;
+    - the respect verdict is asked once per class tuple of those classes
       (at most m^4 classic, m^3 triplet), for the flank triple
       ``splicing.triplet`` maps the tuple to, through the context's cache;
     - the rules are the word tuples whose class tuple respects, in the
@@ -179,15 +160,25 @@ def canonical_rules(
         raise CandidateLimitExceededError(total, limit)
     ctx = lang_monoid_ctx
     lts = bounds.component_lts
-    pools = {lt: _class_pool(ctx.monoid, alphabet, lt) for lt in set(lts)}
-    present = [sorted(set(pools[lt][1])) for lt in lts]
+    chars = sum(_spelled_chars(len(ctx.monoid.alphabet), lt) for lt in set(lts))
+    if chars > limit:
+        raise PoolLimitExceededError(chars, limit)
+    present = {lt: sorted(set().union(*class_levels(ctx.monoid, lt))) for lt in set(lts)}
     verdict, product = ctx.verdict, ctx.product
     respecting = frozenset(
         classes
-        for classes in itertools.product(*present)
+        for classes in itertools.product(*(present[lt] for lt in lts))
         if verdict(*triplet(classes, product))
     )
-    return RuleProduct(bounds.variant, tuple(pools[lt] for lt in lts), respecting)
+    return RuleProduct(bounds.variant, ctx.monoid, lts, respecting)
+
+
+def _spelled_chars(k: int, lt: int) -> int:
+    """The characters of every word shorter than lt over k symbols:
+    the sum of n·k^n over n < lt."""
+    if k == 1:
+        return lt * (lt - 1) // 2
+    return sum(n * k**n for n in range(lt))
 
 
 def _canonical(

@@ -1,6 +1,7 @@
-"""Exception hierarchy for splicekit, and the JSON field reader that reports
+"""Exception hierarchy for splicekit, and the JSON field readers that report
 malformed input files as ValueError."""
 
+import json
 from typing import Callable
 
 
@@ -29,17 +30,23 @@ class InfiniteAxiomLanguageError(SpliceKitError):
 class CandidateLimitExceededError(SpliceKitError):
     """The rule candidate space is too large to enumerate.
 
-    Carries the exact candidate count and the limit that was in force so
-    callers can report both.
+    Carries the exact count and the limit that was in force so callers can
+    report both.
     """
 
+    counted = "rule candidate space has {} elements"
+
     def __init__(self, candidates: int, limit: int):
-        super().__init__(
-            f"rule candidate space has {candidates} elements, "
-            f"exceeding the limit of {limit}"
-        )
+        super().__init__(f"{self.counted.format(candidates)}, exceeding the limit of {limit}")
         self.candidates = candidates
         self.limit = limit
+
+
+class PoolLimitExceededError(CandidateLimitExceededError):
+    """The rule pools would spell more characters than the candidate limit;
+    ``candidates`` holds that character count."""
+
+    counted = "rule pools would spell {} characters"
 
 
 class IllegalExtensionError(SpliceKitError):
@@ -58,3 +65,13 @@ def json_field(doc, key: str, convert: Callable, default=None):
         return convert(doc.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def json_typed(value, kind: type):
+    """value if its JSON type is kind (int or list), else ValueError: a
+    JSON number with a fraction, a string or a bool is not an integer, and a
+    string is not an array."""
+    if type(value) is not kind:
+        name = "an integer" if kind is int else "an array"
+        raise ValueError(f"expected {name}, got {json.dumps(value)}")
+    return value

@@ -7,13 +7,17 @@ transformation of the minimal DFA's states.  Elements are numbered by
 alphabet order, and each element's representative is read by
 ``automata._access_words``, which makes it the length-lexicographically
 least word of its class.
+
+``class_pool`` and ``class_levels`` are the one owner of the ll class
+layout: every word shorter than a bound with its class, and the classes
+of each length without the words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, _access_words, _explore, minimize
+from .automata import Alphabet, Dfa, _access_words, _explore, minimize, words_shorter_than
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,38 @@ def syntactic_monoid(d: Dfa) -> SyntacticMonoid:
     )
     _check_monoid_laws(monoid)
     return monoid
+
+
+def class_pool(monoid: SyntacticMonoid, lt: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Every word shorter than lt (at least 1) in ll-order, and the class of
+    each.
+
+    In ll-order over k symbols the word at index i > 0 is the word at index
+    (i - 1) // k extended by symbol (i - 1) % k, so each class is one
+    multiplication of its one-shorter prefix's class by a generator.
+    """
+    words = tuple(words_shorter_than(monoid.alphabet, lt))
+    gens, table = monoid.generators, monoid.table
+    classes = [monoid.identity]
+    for i in range(1, len(words)):
+        parent, symbol = divmod(i - 1, len(gens))
+        classes.append(table[classes[parent]][gens[symbol]])
+    return words, tuple(classes)
+
+
+def class_levels(monoid: SyntacticMonoid, lt: int) -> list[list[int]]:
+    """The classes of the words of each length n < lt, each level in the
+    ll-order of the classes' least words of that length.
+
+    A class's least word of length n + 1 extends the least word of length n
+    of some class, so walking a level in order, each class by every
+    generator in alphabet order, meets the next level in order.
+    """
+    levels = [[monoid.identity]]
+    for _ in range(1, lt):
+        step = (monoid.table[x][g] for x in levels[-1] for g in monoid.generators)
+        levels.append(list(dict.fromkeys(step)))
+    return levels
 
 
 def _check_monoid_laws(monoid: SyntacticMonoid) -> None:

@@ -42,7 +42,8 @@ from .automata import (
     trim,
 )
 from .automata import automaton_to_json as _automaton_json
-from .errors import InfiniteAxiomLanguageError, json_field
+from .errors import InfiniteAxiomLanguageError, json_field, json_typed
+from .monoid import SyntacticMonoid, class_pool
 
 CLASSIC = "classic"
 PIXTON = "pixton"
@@ -148,25 +149,35 @@ def splice_words(w1: str, w2: str, rule: Rule) -> set[str]:
 
 @dataclass(frozen=True, repr=False)
 class RuleProduct:
-    """A rule set kept symbolic: every word tuple, one word from each pool,
-    whose class tuple is in ``tuples``.
+    """A rule set kept symbolic: every word tuple within ``component_lts``
+    whose class tuple under ``monoid`` is in ``tuples``.
 
-    ``pools`` holds one (words in ll-order, the class of each word) pair per
-    rule component, in the variant's component order; ``tuples`` holds the
-    allowed class tuples, the respecting ones for a canonical system.  The
+    ``component_lts`` holds one strict length bound per rule component, in
+    the variant's component order, and ``tuples`` the allowed class tuples,
+    the respecting ones for a canonical system.  ``pools`` spells each
+    component's words, every word shorter than its bound in ll-order with
+    the class of each (``monoid.class_pool``), once, on first use.  The
     rules come in nested-loop order: first component slowest, each pool in
     ll-order.  Nothing per rule is stored: ``len`` is a count over the
     tuples, and iteration builds the rule objects as it goes.
     """
 
     variant: str
-    pools: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]
+    monoid: SyntacticMonoid
+    component_lts: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
         arity = len(fields(_rule_type(self.variant)))
-        if len(self.pools) != arity or any(len(t) != arity for t in self.tuples):
+        if len(self.component_lts) != arity or any(len(t) != arity for t in self.tuples):
             raise ValueError(f"{self.variant} rule products need {arity} components")
+
+    @cached_property
+    def pools(self) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
+        """One (words in ll-order, the class of each word) pair per
+        component, spelled once per distinct bound."""
+        spelled = {lt: class_pool(self.monoid, lt) for lt in set(self.component_lts)}
+        return tuple(spelled[lt] for lt in self.component_lts)
 
     @cached_property
     def _trie(self) -> dict:
@@ -304,9 +315,10 @@ class SplicingSystem:
     must be finite, and rules either a tuple of rule objects or a
     ``RuleProduct``: canonical systems keep both their large-but-regular
     axiom sets and their rule sets symbolic.  Each distinct component word
-    is checked against the alphabet once, and so is an axiom automaton's
-    alphabet, which may lack symbols of the system's or list them in
-    another order.
+    of a rule tuple is checked against the alphabet once; a product spells
+    its words over its monoid's alphabet, which must be the system's.  An
+    axiom automaton's alphabet is checked too; it may lack symbols of the
+    system's or list them in another order.
     """
 
     variant: str
@@ -319,16 +331,18 @@ class SplicingSystem:
         if isinstance(self.rules, RuleProduct):
             if self.rules.variant != self.variant:
                 raise ValueError(f"{self.variant} system holds {self.rules.variant} rules")
+            if self.rules.monoid.alphabet != self.alphabet:
+                raise ValueError("the rule product's alphabet is not the system's")
         elif isinstance(self.rules, tuple):
             for rule in self.rules:
                 if not isinstance(rule, want):
                     raise ValueError(f"{self.variant} system holds a {type(rule).__name__}")
+            for word in _component_words(self.rules):
+                self.alphabet.check_word(word)
         else:
             raise ValueError(
                 f"rules must be a tuple or a RuleProduct, not a {type(self.rules).__name__}"
             )
-        for word in _component_words(self.rules):
-            self.alphabet.check_word(word)
         if isinstance(self.axioms, tuple):
             for w in self.axioms:
                 self.alphabet.check_word(w)
@@ -501,7 +515,7 @@ def system_from_json(text: str | dict) -> SplicingSystem:
 
     return SplicingSystem(
         variant,
-        json_field(doc, "alphabet", lambda v: Alphabet(tuple(v))),
+        json_field(doc, "alphabet", lambda v: Alphabet(tuple(json_typed(v, list)))),
         json_field(doc, "axioms", axioms),
         json_field(doc, "rules", rules),
     )

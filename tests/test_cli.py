@@ -306,6 +306,8 @@ def test_theorem_bounds_reject_length_flags(capsys, flags):
          "field 'variant': unknown variant 'foo'"),
         ("closure", '{"variant":"foo","alphabet":["a"],"axioms":[],"rules":[["a","a","a","a"]]}',
          "field 'variant': unknown variant 'foo'"),
+        ("closure", '{"variant":"pixton","alphabet":"ab","axioms":[],"rules":[]}',
+         "field 'alphabet': expected an array, got \"ab\""),
     ],
 )
 def test_malformed_json_files_exit_65(tmp_path, capsys, command, text, field):
@@ -340,9 +342,22 @@ AUTOMATON_A = {
         ({"states": 10**9},
          "field 'states': 1000000000 states declared, but the file names at most 5 "
          "and may leave at most 65536 unnamed"),
+        # JSON numbers with a fraction, strings and bools are not coerced
+        ({"states": 2.9}, "field 'states': expected an integer, got 2.9"),
+        ({"states": True}, "field 'states': expected an integer, got true"),
+        ({"initial": [0.7]}, "field 'initial': expected an integer, got 0.7"),
+        ({"initial": ["0"]}, 'field \'initial\': expected an integer, got "0"'),
+        ({"initial": "0"}, 'field \'initial\': expected an array, got "0"'),
+        ({"accepting": [True]}, "field 'accepting': expected an integer, got true"),
+        ({"edges": [[0, "a", 1.0]]}, "field 'edges': expected an integer, got 1.0"),
+        ({"epsilon": [["0", 1]]}, 'field \'epsilon\': expected an integer, got "0"'),
+        ({"alphabet": "a"}, 'field \'alphabet\': expected an array, got "a"'),
     ],
     ids=["negative states", "edge target 2 of 2 states", "edge target -1",
-         "unknown edge symbol", "epsilon target 5", "initial 3", "states 10^9"],
+         "unknown edge symbol", "epsilon target 5", "initial 3", "states 10^9",
+         "states 2.9", "states true", "initial 0.7", "initial string 0",
+         "initial not an array", "accepting true", "edge target 1.0",
+         "epsilon source string 0", "alphabet string"],
 )
 def test_malformed_automaton_files_exit_65_with_one_line(tmp_path, capsys, change, message):
     path = tmp_path / "bad.json"
@@ -466,6 +481,20 @@ def test_candidate_guard_counts_unary_word_tuples(capsys):
     )
     assert code == 65
     assert "16000000 elements" in err
+
+
+def test_pool_guard_counts_the_characters_the_pools_would_spell(capsys):
+    # 1 * 1 * 100,000 word tuples pass the candidate guard, but the bridge
+    # pool would spell 0 + 1 + ... + 99,999 characters
+    code, out, err = run(
+        capsys, "decide", "--lang", "a*", "--alphabet", "a", "--variant", "pixton",
+        "--axiom-lt", "2", "--inner-lt", "1", "--outer-lt", "100000",
+    )
+    assert (code, out) == (65, "")
+    assert err == (
+        "splicekit: rule pools would spell 4999950000 characters, "
+        "exceeding the limit of 10000000\n"
+    )
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -449,8 +449,7 @@ def test_mask_views_match_edge_set_routes(system):
 
 def _reference(system):
     """The from-scratch reference for the path ``build_closure`` takes: the
-    gadgets for a triplet rule product (every canonical bridge pool is
-    full), the tries for anything else."""
+    gadgets for a triplet rule product, the tries for anything else."""
     if isinstance(system.rules, RuleProduct) and system.variant == "pixton":
         return build_gadget_closure_reference(system)
     return build_closure_reference(system)
@@ -469,45 +468,6 @@ def _check_views_of_the_masks(system):
         # both are built without Nfa.__post_init__, which replace runs
         assert replace(c.base) == c.base and replace(c.nfa()) == c.nfa()
     assert closure.base == reference.base
-
-
-_SITES = (("", "a", "b"), (0, 1, 2))
-_FULL = (("", "a", "b", "aa", "ab", "ba", "bb"), (0, 1, 2, 1, 3, 3, 2))
-
-
-@pytest.mark.parametrize(
-    "bridges",
-    [
-        (("", "a"), (0, 1)),  # a word shorter than the bound is missing
-        (("", "b", "a"), (0, 2, 1)),  # not in ll-order
-        (("", "a", "b", "aa", "ab", "ba", "bb"), (0, 1, 1, 1, 3, 3, 2)),  # a and b: aa vs ba
-        (("", "a", "c"), (0, 1, 2)),  # not over the system's alphabet; "c" is in no rule
-    ],
-    ids=["short", "order", "no action", "alphabet"],
-)
-def test_product_without_a_full_bridge_pool_takes_the_tries(bridges):
-    """Only a bridge pool of every word shorter than its bound, in ll-order,
-    whose classes follow a letter action, gives gadgets; any other pool is
-    spelled into tries, as the reference builds them from the rules."""
-    tuples = frozenset({(1, 2, 1), (2, 1, 0), (0, 0, 3)})
-    product = RuleProduct("pixton", (_SITES, _SITES, bridges), tuples)
-    system = SplicingSystem("pixton", AB, ("ab", "ba"), product)
-    assert closure_module._bridge_action(product, AB.symbols) is None
-    assert build_closure(system) == build_closure_reference(system)
-
-
-def test_product_with_a_full_bridge_pool_takes_the_gadgets():
-    tuples = frozenset({(1, 2, 1), (2, 1, 0), (0, 0, 3)})
-    product = RuleProduct("pixton", (_SITES, _SITES, _FULL), tuples)
-    system = SplicingSystem("pixton", AB, ("ab", "ba"), product)
-    assert closure_module._bridge_action(product, AB.symbols) == (
-        3, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 3, (2, 0): 3, (2, 1): 2}
-    )
-    closure = build_closure(system)
-    assert closure == build_gadget_closure_reference(system)
-    trie = build_closure_reference(system)
-    assert closure.base != trie.base
-    assert closure_dfa(closure) == closure_dfa(trie)
 
 
 @settings(max_examples=200, deadline=None)

@@ -28,10 +28,17 @@ from splicekit import (
     syntactic_monoid,
     system_to_json,
     theorem_bounds,
+    words_shorter_than,
 )
 from splicekit.closure import closure_dfa
-from splicekit.decide import BoundsProfile, candidate_count, canonical_axioms, canonical_rules
-from splicekit.monoid import SyntacticMonoid
+from splicekit.decide import (
+    BoundsProfile,
+    _spelled_chars,
+    candidate_count,
+    canonical_axioms,
+    canonical_rules,
+)
+from splicekit.monoid import SyntacticMonoid, class_levels
 from splicekit.splicing import RuleProduct, longest_rule_component
 
 from helpers import (
@@ -200,6 +207,14 @@ def test_candidate_guard_trips_cleanly():
     assert err.value.limit == 10_000_000
     assert err.value.candidates > 10_000_000
     assert str(err.value.candidates) in str(err.value)
+
+
+@pytest.mark.parametrize("symbols", ["", "a", "ab", "abc"])
+def test_pool_guard_counts_the_characters_of_the_words_it_guards(symbols):
+    alphabet = Alphabet.from_string(symbols)
+    for lt in range(1, 7):
+        spelled = sum(map(len, words_shorter_than(alphabet, lt)))
+        assert _spelled_chars(len(alphabet), lt) == spelled
 
 
 def test_candidate_limit_env_override(monkeypatch):
@@ -506,6 +521,32 @@ def test_rule_product_counts_and_iterates_the_word_level_rules(dfa, variant, inn
     assert longest_rule_component(product) == longest_rule_component(expected)
     again = canonical_rules(RespectContext(monoid), AB, bounds)
     assert again == product and hash(again) == hash(product)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dfa=small_dfas(),
+    variant=st.sampled_from(["classic", "pixton"]),
+    inner=st.integers(1, 3),
+    outer=st.integers(1, 5),
+)
+def test_pools_and_class_levels_match_the_class_of_each_word(dfa, variant, inner, outer):
+    """The ll class layout against an independent route: every word shorter
+    than the bound, spelled by ``words_shorter_than`` and classed one by one
+    by ``class_of``.  A level holds the classes of one length in the
+    ll-order of their least words."""
+    monoid = syntactic_monoid(dfa)
+    bounds = custom_bounds(variant, 4, inner, outer)
+    product = canonical_rules(RespectContext(monoid), AB, bounds)
+    for (words, classes), lt in zip(product.pools, bounds.component_lts):
+        assert words == tuple(words_shorter_than(AB, lt))
+        assert classes == tuple(map(monoid.class_of, words))
+    for lt in (inner, outer):
+        words = list(words_shorter_than(AB, lt))
+        assert class_levels(monoid, lt) == [
+            list(dict.fromkeys(monoid.class_of(w) for w in words if len(w) == n))
+            for n in range(lt)
+        ]
 
 
 @settings(max_examples=100, deadline=None)

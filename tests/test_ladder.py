@@ -36,3 +36,18 @@ def test_ladder_binary_case_runs_at_custom_bounds():
     assert record["case"] == "a+b+ classic custom(3,3,3)"
     assert (record["verdict"], record["witness"]) == ("yes", None)
     assert (record["monoid_size"], record["rules"], record["closure_states"]) == (5, 2134, 363)
+
+
+def test_ladder_compares_the_checkout_with_itself(tmp_path):
+    out = tmp_path / "compare.json"
+    subprocess.run(
+        [sys.executable, LADDER, "--compare", ROOT, "--case", "0", "--repeats", "2",
+         "--out", str(out)],
+        capture_output=True, text=True, check=True,
+    )
+    (record,) = json.loads(out.read_text())["cases"]
+    assert (record["case"], record["rounds"]) == ("(aa)* classic theorem", 2)
+    for key in ("total_s", "ru_maxrss_mb"):
+        change, parent = record["change"][key], record["parent"][key]
+        assert change > 0 and parent > 0
+        assert record["ratio"][key] == round(change / parent, 4)

@@ -11,10 +11,13 @@ from splicekit import (
     SplicingSystem,
     UnknownSymbolError,
     bounded_closure,
+    determinize,
+    minimize,
     parse_regex,
     parse_rule,
     rule_to_text,
     sigma_step,
+    syntactic_monoid,
     splice_classic,
     splice_pixton,
     system_from_json,
@@ -146,17 +149,24 @@ def test_system_rejects_rules_that_are_neither_a_tuple_nor_a_product():
 
 
 def test_rule_product_validation():
-    pool = (("", "a", "c"), (0, 1, 2))
-    product = RuleProduct("pixton", (pool,) * 3, frozenset({(1, 1, 0)}))
-    assert list(product) == [PixtonRule("a", "a", "")]
-    # "c" is in the pools but in no rule, and only rule components are checked
+    # over ab, a* has the classes of "" (a is congruent to it) and of b
+    monoid = syntactic_monoid(minimize(determinize(parse_regex("a*", AB))))
+    product = RuleProduct("pixton", monoid, (2, 2, 1), frozenset({(0, 0, 0)}))
+    assert product.pools == ((("", "a", "b"), (0, 0, 1)),) * 2 + ((("",), (0,)),)
+    assert list(product) == [
+        PixtonRule("", "", ""), PixtonRule("", "a", ""),
+        PixtonRule("a", "", ""), PixtonRule("a", "a", ""),
+    ]
     assert SplicingSystem("pixton", AB, (), product).rules is product
+    with pytest.raises(ValueError, match="pixton rule products need 3 components"):
+        RuleProduct("pixton", monoid, (2, 2, 1, 1), product.tuples)
+    with pytest.raises(ValueError, match="pixton rule products need 3 components"):
+        RuleProduct("pixton", monoid, (2, 2, 1), frozenset({(0, 0)}))
     with pytest.raises(ValueError, match="classic system holds pixton rules"):
         SplicingSystem("classic", AB, (), product)
-    with pytest.raises(ValueError, match="pixton rule products need 3 components"):
-        RuleProduct("pixton", (pool,) * 4, product.tuples)
-    with pytest.raises(UnknownSymbolError, match="symbol 'c' not in alphabet"):
-        SplicingSystem("pixton", AB, (), RuleProduct("pixton", (pool,) * 3, frozenset({(1, 2, 0)})))
+    for other in ("ba", "abc"):
+        with pytest.raises(ValueError, match="the rule product's alphabet is not the system's"):
+            SplicingSystem("pixton", Alphabet.from_string(other), (), product)
 
 
 def test_rule_text_round_trip():
