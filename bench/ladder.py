@@ -1,7 +1,7 @@
 """Per-stage ladder of decisions, written as JSON.
 
     python3 bench/ladder.py --out OUT.json [--repeats 5]
-    python3 bench/ladder.py --compare DIR --out OUT.json [--repeats 5]
+    python3 bench/ladder.py --compare DIR --out OUT.json [--repeats 5] [--case I ...]
 
 Cases, unary at theorem bounds: ``(a^k)*`` for k = 2..9 in both variants,
 and ``a+``, ``aa+``, ``aaa+``, ``aaaa+``, ``a^5+``, ``a^6+`` and ``a^8+``
@@ -33,7 +33,10 @@ minutes, so the two sides are interleaved: each of ``--repeats`` rounds (or
 the case's own repeat count) runs the case once from each checkout, each
 in its own subprocess, the first side alternating from round to round.  A
 record holds each side's median total seconds and peak RSS over the rounds
-and the change/parent ratio of each.
+with its outcome (verdict, witness, monoid size, rule and closure-state
+counts, which must agree over the rounds), and the change/parent ratio of
+the seconds and the RSS.  ``--case I``, repeatable, limits the
+comparison to those case indices, in the order given.
 """
 
 from __future__ import annotations
@@ -142,6 +145,10 @@ def _case_count(script: str) -> int:
     return int(done.stdout)
 
 
+# the fields of a case record that say what the decision was
+_OUTCOME = ("verdict", "witness", "monoid_size", "rules", "closure_states")
+
+
 def compare(parent: str, index: int, repeats: int) -> dict:
     """Case ``index`` measured from this ladder and from the one at
     ``parent``, one run each per round, the first side alternating."""
@@ -157,11 +164,16 @@ def compare(parent: str, index: int, repeats: int) -> dict:
         raise SystemExit(f"case {index} differs between the checkouts: {sorted(names)}")
     record: dict = {"case": names.pop(), "rounds": rounds}
     for side, records in runs.items():
+        outcomes = {tuple(r[key] for key in _OUTCOME) for r in records}
+        if len(outcomes) != 1:
+            raise SystemExit(f"case {index} gives different outcomes on the {side} side")
         record[side] = {
             key: statistics.median(r[key] for r in records) for key in ("total_s", "ru_maxrss_mb")
         }
+        record[side].update(zip(_OUTCOME, outcomes.pop()))
     record["ratio"] = {
-        key: round(record["change"][key] / record["parent"][key], 4) for key in record["change"]
+        key: round(record["change"][key] / record["parent"][key], 4)
+        for key in ("total_s", "ru_maxrss_mb")
     }
     return record
 
@@ -171,10 +183,13 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", help="the JSON file to write (required)")
     parser.add_argument("--compare", metavar="DIR", help="the checkout to compare against")
-    parser.add_argument("--case", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--case", type=int, action="append",
+                        help="with --compare: a case index to compare (repeatable)")
     args = parser.parse_args()
     if args.case is not None and args.compare is None:
-        *case, repeats = CASES[args.case]
+        if len(args.case) != 1:
+            parser.error("without --compare, --case takes one index")
+        *case, repeats = CASES[args.case[0]]
         print(json.dumps(measure(*case, repeats or args.repeats)))
         return
     if args.out is None:
@@ -184,9 +199,10 @@ def main() -> None:
         parent = os.path.join(os.path.abspath(args.compare), "bench", "ladder.py")
         shared = range(min(len(CASES), _case_count(parent)))
         if args.case is not None:
-            if args.case not in shared:
-                parser.error(f"case {args.case} is not in both checkouts")
-            shared = [args.case]
+            missing = [i for i in args.case if i not in shared]
+            if missing:
+                parser.error(f"case {missing[0]} is not in both checkouts")
+            shared = args.case
         for i in shared:
             record = compare(parent, i, args.repeats)
             records.append(record)

@@ -121,10 +121,12 @@ a right-site read, forwards from the reachable set, images only the
 co-reachable states of each prefix's set, and a left-site read, backwards
 from the co-reachable set, only the reachable ones; the sets are still
 closed through every biclique.  The points coreach & post(t) and
-reach & pre(s) are then those of unrestricted reads.  On canonical
-systems most states are useless, mostly in the tries of left sites that
-are not factors of the language (248 of 1,485 states are useful on a+b+
-classic at bounds (4,3,4)), and those are never imaged.
+reach & pre(s) are then those of unrestricted reads.  On a whole
+canonical system most states are useless, mostly in the tries of left
+sites that are not factors of the language (248 of 1,485 states are
+useful on a+b+ classic at bounds (4,3,4)), and those are never imaged.
+``decide`` goes further and builds its closure from the factor-site rules
+alone, which leaves those tries out (the same case has 248 states).
 
 Rounds are semi-naive: the reachable and co-reachable sets and the set of
 each site prefix carry over from the round before, and only the states not
@@ -451,7 +453,7 @@ def _gadgets(
     monoid = rules.monoid
     table, gens = monoid.table, monoid.generators
     letters = tuple(zip(monoid.alphabet.symbols, gens))
-    (lefts, left_classes), (rights, right_classes) = rules.pools[:2]
+    (lefts, left_classes), (rights, right_classes) = rules.pool(0), rules.pool(1)
     present = set(right_classes)
     feeds: dict[int, dict[int, set[int]]] = {}  # c1 -> bridge class -> right-site classes
     for c1, c2, x in rules.tuples:

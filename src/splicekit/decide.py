@@ -8,6 +8,12 @@ decision reduces to building the canonical system, constructing its closure
 automaton, and checking language equality.  Below the canonical bounds a
 positive outcome is still a certificate, but a negative one is only
 "inconclusive".
+
+The closure is built from the factor-site rules only: those whose left and
+right sites are both factors of L.  The axioms lie in L and every rule
+respects L, so the closure lies in L, and a splicing reads its sites in two
+closure words: a rule with a site that is not a factor of L never fires,
+and dropping it keeps the closure.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .automata import (
     Alphabet,
@@ -28,9 +34,16 @@ from .automata import (
 )
 from .closure import ClosureAutomaton, build_closure, closure_dfa
 from .errors import CandidateLimitExceededError, PoolLimitExceededError
-from .monoid import SyntacticMonoid, class_levels, syntactic_monoid
+from .monoid import SyntacticMonoid, class_levels, factor_classes, syntactic_monoid
 from .respect import RespectContext, prune_minimal
-from .splicing import CLASSIC, RuleProduct, SplicingSystem, _rule_type, triplet
+from .splicing import (
+    CLASSIC,
+    RuleProduct,
+    SplicingSystem,
+    _rule_type,
+    triplet,
+    triplet_form,
+)
 
 DEFAULT_CANDIDATE_LIMIT = 10_000_000
 CANDIDATE_LIMIT_ENV = "SPLICEKIT_CANDIDATE_LIMIT"
@@ -201,6 +214,23 @@ def _canonical(
     return SplicingSystem(variant, lang.alphabet, axioms, rules), n_respecting
 
 
+def _factor_site_rules(rules, monoid: SyntacticMonoid):
+    """The rules whose left and right sites are both factors of the
+    language: of a product, its class tuples whose sites' classes are
+    factor classes, sharing its spelled pools; of a tuple, the rules whose
+    sites' words are."""
+    factors = factor_classes(monoid)
+
+    def fires(left: int, right: int, _insert: int) -> bool:
+        return left in factors and right in factors
+
+    if isinstance(rules, RuleProduct):
+        return rules.restricted(
+            frozenset(t for t in rules.tuples if fires(*triplet(t, monoid.mul)))
+        )
+    return tuple(r for r in rules if fires(*map(monoid.class_of, triplet_form(r))))
+
+
 def canonical_system(
     lang: Dfa,
     variant: str,
@@ -217,8 +247,10 @@ class Decision:
 
     ``system`` is the canonical system that was tested (the certificate for
     a yes) and ``closure`` the closure automaton the comparison with L ran
-    on; ``witness`` is a word of L the system cannot generate (only emitted
-    at theorem bounds); ``reason`` explains an inconclusive verdict.
+    on, built from the system's factor-site rules only, whose closure is
+    the whole system's (see the module docstring); ``witness`` is a word of
+    L the system cannot generate (only emitted at theorem bounds);
+    ``reason`` explains an inconclusive verdict.
     ``stats`` holds counts only, so equal decisions compare equal;
     ``seconds`` holds the wall-clock seconds of each stage (monoid, rules,
     saturate, closure_dfa, comparison, in that order) and takes no part in
@@ -244,7 +276,8 @@ def decide_splicing(
     bounds: BoundsProfile | None = None,
     prune: bool = False,
 ) -> Decision:
-    """Build the canonical system, its closure, and compare with L.
+    """Build the canonical system and the closure of its factor-site rules,
+    and compare that closure with L.
 
     ``bounds`` defaults to the theorem bounds for the syntactic monoid of L.
     """
@@ -254,8 +287,9 @@ def decide_splicing(
     if bounds is None:
         bounds = theorem_bounds(monoid.size, variant)
     system, n_respecting = _canonical(lang, monoid, variant, bounds, prune)
+    firing = replace(system, rules=_factor_site_rules(system.rules, monoid))
     marks.append(time.perf_counter())
-    closure = build_closure(system)
+    closure = build_closure(firing)
     marks.append(time.perf_counter())
     generated = closure_dfa(closure)
     marks.append(time.perf_counter())

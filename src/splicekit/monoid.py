@@ -10,7 +10,9 @@ least word of its class.
 
 ``class_pool`` and ``class_levels`` are the one owner of the ll class
 layout: every word shorter than a bound with its class, and the classes
-of each length without the words.
+of each length without the words.  ``class_counts`` counts the words of
+each class without spelling them, and ``factor_classes`` names the classes
+of the factors of the language's words.
 """
 
 from __future__ import annotations
@@ -115,6 +117,35 @@ def class_levels(monoid: SyntacticMonoid, lt: int) -> list[list[int]]:
         step = (monoid.table[x][g] for x in levels[-1] for g in monoid.generators)
         levels.append(list(dict.fromkeys(step)))
     return levels
+
+
+def class_counts(monoid: SyntacticMonoid, lt: int) -> dict[int, int]:
+    """The number of words shorter than lt (at least 1) in each class that
+    has one, counted length by length: the words of length n + 1 of a class
+    are those of length n extended by a letter into it."""
+    table, gens = monoid.table, monoid.generators
+    level = {monoid.identity: 1}
+    total = dict(level)
+    for _ in range(1, lt):
+        step: dict[int, int] = {}
+        for x, n in level.items():
+            for g in gens:
+                y = table[x][g]
+                step[y] = step.get(y, 0) + n
+        for y, n in step.items():
+            total[y] = total.get(y, 0) + n
+        level = step
+    return total
+
+
+def factor_classes(monoid: SyntacticMonoid) -> frozenset[int]:
+    """The classes c with a·c·b accepting for some classes a and b: the
+    classes of the factors of the language's words, since every class holds
+    a word.  First the classes with an accepting right extension, then
+    their left divisors, in O(m^2) table reads."""
+    table = monoid.table
+    prefixes = {c for c, row in enumerate(table) if not monoid.accepting.isdisjoint(row)}
+    return frozenset(c for c in range(monoid.size) if any(row[c] in prefixes for row in table))
 
 
 def _check_monoid_laws(monoid: SyntacticMonoid) -> None:

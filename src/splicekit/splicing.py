@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterator
@@ -43,7 +42,7 @@ from .automata import (
 )
 from .automata import automaton_to_json as _automaton_json
 from .errors import InfiniteAxiomLanguageError, json_field, json_typed
-from .monoid import SyntacticMonoid, class_pool
+from .monoid import SyntacticMonoid, class_counts, class_pool
 
 CLASSIC = "classic"
 PIXTON = "pixton"
@@ -154,11 +153,13 @@ class RuleProduct:
 
     ``component_lts`` holds one strict length bound per rule component, in
     the variant's component order, and ``tuples`` the allowed class tuples,
-    the respecting ones for a canonical system.  ``pools`` spells each
+    the respecting ones for a canonical system.  ``pool`` spells one
     component's words, every word shorter than its bound in ll-order with
-    the class of each (``monoid.class_pool``), once, on first use.  The
-    rules come in nested-loop order: first component slowest, each pool in
-    ll-order.  Nothing per rule is stored: ``len`` is a count over the
+    the class of each (``monoid.class_pool``), once per bound, on first
+    use; ``restricted`` products share those spelled pools.  The rules come
+    in nested-loop order: first component slowest, each pool in ll-order.
+    Nothing per rule is stored and ``len`` spells no word: it multiplies
+    the word counts of each class (``monoid.class_counts``) over the
     tuples, and iteration builds the rule objects as it goes.
     """
 
@@ -173,11 +174,31 @@ class RuleProduct:
             raise ValueError(f"{self.variant} rule products need {arity} components")
 
     @cached_property
+    def _spelled(self) -> dict[int, tuple[tuple[str, ...], tuple[int, ...]]]:
+        """bound -> (words in ll-order, the class of each word), filled by
+        ``pool``."""
+        return {}
+
+    def pool(self, depth: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """The words of component ``depth`` in ll-order and the class of
+        each, spelled on first use of their bound."""
+        lt = self.component_lts[depth]
+        got = self._spelled.get(lt)
+        if got is None:
+            got = self._spelled[lt] = class_pool(self.monoid, lt)
+        return got
+
+    @property
     def pools(self) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
-        """One (words in ll-order, the class of each word) pair per
-        component, spelled once per distinct bound."""
-        spelled = {lt: class_pool(self.monoid, lt) for lt in set(self.component_lts)}
-        return tuple(spelled[lt] for lt in self.component_lts)
+        """Every component's ``pool``."""
+        return tuple(map(self.pool, range(len(self.component_lts))))
+
+    def restricted(self, tuples: frozenset[tuple[int, ...]]) -> "RuleProduct":
+        """The product of the same monoid and bounds with only ``tuples``, a
+        subset of this one's, sharing this product's spelled pools."""
+        kept = RuleProduct(self.variant, self.monoid, self.component_lts, tuples)
+        kept.__dict__["_spelled"] = self._spelled
+        return kept
 
     @cached_property
     def _trie(self) -> dict:
@@ -191,8 +212,9 @@ class RuleProduct:
 
     @cached_property
     def _count(self) -> int:
-        counts = [Counter(classes) for _words, classes in self.pools]
-        return sum(math.prod(n[c] for n, c in zip(counts, t)) for t in self.tuples)
+        counted = {lt: class_counts(self.monoid, lt) for lt in set(self.component_lts)}
+        counts = [counted[lt] for lt in self.component_lts]
+        return sum(math.prod(n.get(c, 0) for n, c in zip(counts, t)) for t in self.tuples)
 
     def __len__(self) -> int:
         return self._count
@@ -216,7 +238,7 @@ class RuleProduct:
         first visit; prefixes that end in one node share its tuple of last
         words.
         """
-        last = len(self.pools) - 1
+        last = len(self.component_lts) - 1
         # id of a trie node -> (pool word, child node) for each word it
         # allows, or the words alone at the last component; the trie keeps
         # every node alive, so ids stay unique
@@ -225,7 +247,7 @@ class RuleProduct:
         def allowed(depth: int, node: dict):
             got = kept.get(id(node))
             if got is None:
-                words, classes = self.pools[depth]
+                words, classes = self.pool(depth)
                 got = [(w, node[c]) for w, c in zip(words, classes) if c in node]
                 if depth == last:
                     got = tuple(w for w, _child in got)
@@ -246,7 +268,7 @@ class RuleProduct:
     def words(self) -> dict[str, None]:
         """Every component word of some rule, once, pool by pool in
         ll-order: the pool words whose class some tuple allows there."""
-        used = [{t[depth] for t in self.tuples} for depth in range(len(self.pools))]
+        used = [{t[depth] for t in self.tuples} for depth in range(len(self.component_lts))]
         return dict.fromkeys(
             w
             for (words, classes), allowed in zip(self.pools, used)

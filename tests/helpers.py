@@ -19,6 +19,9 @@ library's gadget code, and saturates the same way.  ``reverse`` and
 ``reversed_dfa`` mirror a rule and a language for the reversal relation,
 and ``rename`` and ``renamed_dfa`` swap two letters for the renaming
 relation; each compares two decides without any oracle.
+``is_factor_brute`` decides whether a word is a factor of a DFA's language
+by trying every short context around it, and ``factor_site_system`` keeps a
+system's rules whose two sites pass it, with no monoid.
 """
 
 from __future__ import annotations
@@ -238,6 +241,31 @@ def random_min_dfa(rng: random.Random, alphabet: Alphabet, max_states: int) -> D
             transitions=transitions,
         )
     )
+
+
+def is_factor_brute(dfa: Dfa, word: str) -> bool:
+    """Whether x·word·y is accepted for some words x and y: contexts shorter
+    than the state count suffice, since a shortest path into a state, or
+    from one to an accepting state, repeats no state."""
+    context = list(words_shorter_than(dfa.alphabet, dfa.state_count))
+    return any(dfa.accepts(x + word + y) for x in context for y in context)
+
+
+def factor_site_system(system: SplicingSystem, dfa: Dfa) -> SplicingSystem:
+    """The system with only the rules whose left and right sites are both
+    factors of the DFA's language, in their order; each site word is
+    checked once."""
+    seen: dict[str, bool] = {}
+
+    def factor(site: str) -> bool:
+        if site not in seen:
+            seen[site] = is_factor_brute(dfa, site)
+        return seen[site]
+
+    kept = tuple(
+        rule for rule in system.rules if all(map(factor, triplet_form(rule)[:2]))
+    )
+    return SplicingSystem(system.variant, system.alphabet, system.axioms, kept)
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, max_len: int) -> str:

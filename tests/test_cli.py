@@ -21,8 +21,14 @@ from splicekit import (
     system_from_json,
 )
 from splicekit import closure as closure_module
+from splicekit import splicing as splicing_module
 from splicekit.cli import main
-from splicekit.closure import ClosureAutomaton
+from splicekit.closure import ClosureAutomaton, closure_dfa
+
+from helpers import factor_site_system
+
+
+AB_PLUS = minimize(determinize(parse_regex("a+b+", Alphabet.from_string("ab"))))
 
 
 def run(capsys, *argv):
@@ -94,8 +100,10 @@ def test_decide_emits_the_closure_it_compared(tmp_path, capsys):
         "--emit-system", str(system_path), "--emit-closure", str(closure_path),
     )
     assert code == 0
-    fresh = build_closure(system_from_json(system_path.read_text()))
+    system = system_from_json(system_path.read_text())
+    fresh = build_closure(factor_site_system(system, AB_PLUS))
     assert closure_path.read_text() == automaton_to_json(fresh.nfa()) + "\n"
+    assert closure_dfa(fresh) == closure_dfa(build_closure(system))
 
 
 def test_decide_path_stays_on_the_masks(tmp_path, capsys, monkeypatch):
@@ -118,9 +126,32 @@ def test_decide_path_stays_on_the_masks(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     monkeypatch.undo()
-    fresh = build_closure(system_from_json(system_path.read_text()))
+    system = system_from_json(system_path.read_text())
+    fresh = build_closure(factor_site_system(system, AB_PLUS))
     assert json.loads(out.splitlines()[1])["closure_epsilon_edges"] == len(fresh.added)
     assert closure_path.read_text() == automaton_to_json(fresh.nfa()) + "\n"
+    assert closure_dfa(fresh) == closure_dfa(build_closure(system))
+
+
+def test_decide_spells_the_bridge_pool_only_to_emit_the_system(tmp_path, capsys, monkeypatch):
+    """The gadgets read only the site pools and the rule count spells no
+    pool, so a triplet decide spells its bridge bound only for
+    --emit-system, and no bound twice."""
+    asked = []
+    spell = splicing_module.class_pool
+
+    def recorded(monoid, lt):
+        asked.append(lt)
+        return spell(monoid, lt)
+
+    monkeypatch.setattr(splicing_module, "class_pool", recorded)
+    argv = _decide("a*b*", "ab", "pixton", "--axiom-lt", "6", "--inner-lt", "4",
+                   "--outer-lt", "6", "--stats", "--emit-closure", str(tmp_path / "closure.json"))
+    assert run(capsys, *argv)[0] == 0
+    assert asked == [4]
+    asked.clear()
+    assert run(capsys, *argv, "--emit-system", str(tmp_path / "system.json"))[0] == 0
+    assert sorted(asked) == [4, 6]
 
 
 def test_monoid_json(capsys):
@@ -569,9 +600,9 @@ _PINNED_CALLS = {
 }
 
 _PINNED_DIGESTS = {
-    "decide a+b+ classic custom(3,3,3)": "e28dc16f45db045e808cc9da99553e5ab0556a82b0f5ed01fd9b66aec0dc6930",
-    "decide a+b+ classic custom(4,3,4)": "b2db9a9dd1796b2f23ae0a07c2efc20172a2537c2f524e2e187a23f02eac1b9d",
-    "decide a*b* pixton custom(6,4,6)": "5e0a39d7613025a991be76a89de5568e472c35550cc71d04064c65c865a8afcf",
+    "decide a+b+ classic custom(3,3,3)": "149dafb20347e95eecf5a40cd4d64d4713b42696b7f26a8510bf89b5014486f5",
+    "decide a+b+ classic custom(4,3,4)": "b0c00d1d3188a54190fb7880f7b22668c5680a13481ca3d27236b5f934f105c3",
+    "decide a*b* pixton custom(6,4,6)": "a3f46eb209d7738eff834a0f107c59dc4e05e2932f03331dca77728e7f21e2e1",
     "decide a* classic theorem": "ef1dbb11b5027339d6bb880eaa11e9bbd87f29fccfce474741323c0acb3d10b1",
     "decide (a^2)* classic theorem": "8815754c7871cfd76947710d51f91e5238d17115681773a5a8bfe57867911179",
     "decide (a^2)* pixton theorem": "911883504d115e2756475f0d4173769880c17d5b3ccdba9f83e763559fa81633",
@@ -583,7 +614,7 @@ _PINNED_DIGESTS = {
     "decide (a^5)* pixton theorem": "6740667fa883f288149ca2128e9a6b50600ca861674704b6e4d16dd9d1b733e3",
     "decide a+ classic theorem": "008160bf8a25c0d5bf7698173b3aa9d187e9f2281e28610a1025b33e8223712d",
     "decide aa+ classic theorem": "ea9eef984346bde48edfbb1b35e1fdb36e99c1bca1ee9e8ba106e268f8570010",
-    "decide a+b+ classic custom(3,3,3) --prune": "ccd00aa3074fc8ea09b64117f38683217814e53bbcbd4a967dab995e3923190a",
+    "decide a+b+ classic custom(3,3,3) --prune": "c005b8bbf033f3ef9ad3f676f526bfc002f3154792fd61cd9c30581b6d632d27",
     "monoid a+b+ under ba": "20d872cde1cdeec521738c70aa5f59116b145f8e12261f260bb85becf9b297f5",
     "respect --witness classic": "12002854155f63590343bbe6501fcf16294ff59e64b31ffbdc83d921bb457a1b",
     "respect --witness pixton": "68164f7aea91ff317c651c16174f1e85d5c1120482f0cc451263342f26765e25",

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splicekit import (
@@ -45,6 +45,8 @@ from helpers import (
     all_words_upto,
     build_closure_reference,
     build_gadget_closure_reference,
+    factor_site_system,
+    is_factor_brute,
     random_regex,
     rename,
     renamed_dfa,
@@ -585,8 +587,52 @@ def test_gadget_and_trie_closures_give_one_verdict_and_witness(dfa, inner, outer
     assert generated == closure_dfa(trie)
     assert equivalent(generated, dfa) == equivalent(closure_dfa(trie), dfa)
     decision = decide_splicing(dfa, "pixton", custom_bounds("pixton", 4, inner, outer))
-    assert decision.closure == gadget
+    # decide's closure reads the product's factor-site tuples through the
+    # gadgets: a triplet's sites are its first two components
+    monoid = syntactic_monoid(dfa)
+    factors = {c for c, w in enumerate(monoid.representatives) if is_factor_brute(dfa, w)}
+    firing = symbolic.rules.restricted(
+        frozenset(t for t in symbolic.rules.tuples if {t[0], t[1]} <= factors)
+    )
+    assert decision.closure == build_closure(dataclasses.replace(symbolic, rules=firing))
+    assert closure_dfa(decision.closure) == generated
     assert decision.verdict == ("yes" if equivalent(closure_dfa(trie), dfa)[0] else "inconclusive")
+
+
+EMPTY = Dfa(alphabet=AB, state_count=1, initial=0, accepting=frozenset(), transitions=((0, 0),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dfa=small_dfas(),
+    variant=st.sampled_from(["classic", "pixton"]),
+    inner=st.integers(1, 3),
+    outer=st.integers(1, 4),
+    prune=st.booleans(),
+)
+@example(dfa=EMPTY, variant="classic", inner=2, outer=3, prune=False)
+@example(dfa=EMPTY, variant="pixton", inner=2, outer=3, prune=True)
+def test_factor_site_closure_is_the_canonical_closure(dfa, variant, inner, outer, prune):
+    """decide saturates only the rules whose two sites are factors of L,
+    yet its closure is the whole canonical system's, which it keeps as the
+    certificate."""
+    bounds = custom_bounds(variant, 4, inner, outer)
+    decision = decide_splicing(dfa, variant, bounds, prune)
+    assert decision.system == canonical_system(dfa, variant, bounds, prune)
+    generated = closure_dfa(decision.closure)
+    assert generated == closure_dfa(build_closure(decision.system))
+    if variant == "classic" or prune:
+        # tries, which a product and its rule objects number alike
+        assert decision.closure == build_closure(factor_site_system(decision.system, dfa))
+    if not dfa.accepting:
+        assert decision.verdict == "yes"
+
+
+def test_no_hub_reads_a_site_that_is_not_a_factor():
+    decision = decide_splicing(lang("a+b+"), "classic", custom_bounds("classic", 4, 3, 4))
+    hubs = decision.closure.left_hubs + decision.closure.right_hubs
+    assert hubs and not any("ba" in site for site, _hub in hubs)
+    assert any("ba" in site for site, _hub in build_closure(decision.system).left_hubs)
 
 
 @settings(max_examples=50, deadline=None)

@@ -35,7 +35,7 @@ def test_ladder_binary_case_runs_at_custom_bounds():
     record = json.loads(done.stdout)
     assert record["case"] == "a+b+ classic custom(3,3,3)"
     assert (record["verdict"], record["witness"]) == ("yes", None)
-    assert (record["monoid_size"], record["rules"], record["closure_states"]) == (5, 2134, 363)
+    assert (record["monoid_size"], record["rules"], record["closure_states"]) == (5, 2134, 118)
 
 
 def test_ladder_compares_the_checkout_with_itself(tmp_path):
@@ -51,3 +51,18 @@ def test_ladder_compares_the_checkout_with_itself(tmp_path):
         change, parent = record["change"][key], record["parent"][key]
         assert change > 0 and parent > 0
         assert record["ratio"][key] == round(change / parent, 4)
+
+
+def test_ladder_comparison_records_each_side_s_outcome(tmp_path):
+    out = tmp_path / "compare.json"
+    subprocess.run(
+        [sys.executable, LADDER, "--compare", ROOT, "--case", "0", "--case", "1",
+         "--repeats", "1", "--out", str(out)],
+        capture_output=True, text=True, check=True,
+    )
+    records = json.loads(out.read_text())["cases"]
+    assert [r["case"] for r in records] == ["(aa)* classic theorem", "(aa)* pixton theorem"]
+    for record in records:
+        for side in ("change", "parent"):
+            assert (record[side]["verdict"], record[side]["witness"]) == ("no", "a" * 16)
+        assert set(record["ratio"]) == {"total_s", "ru_maxrss_mb"}

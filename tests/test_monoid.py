@@ -14,9 +14,14 @@ from splicekit import (
     pumping_factorization,
     syntactic_monoid,
 )
-from splicekit.monoid import satisfies_pump_conditions
+from splicekit.monoid import (
+    class_counts,
+    class_pool,
+    factor_classes,
+    satisfies_pump_conditions,
+)
 
-from helpers import all_words_upto, congruence_classes_brute, random_min_dfa
+from helpers import all_words_upto, congruence_classes_brute, is_factor_brute, random_min_dfa
 
 A = Alphabet.from_string("a")
 AB = Alphabet.from_string("ab")
@@ -30,6 +35,28 @@ def test_monoid_sizes():
     assert syntactic_monoid(lang("(aa)*", A)).size == 2
     assert syntactic_monoid(lang("a+b+")).size == 5
     assert syntactic_monoid(lang("(a|b)*")).size == 1
+
+
+def test_factor_classes_are_the_classes_of_factor_words():
+    rng = random.Random(20)
+    for _ in range(150):
+        d = random_min_dfa(rng, AB, 3)
+        monoid = syntactic_monoid(d)
+        factors = factor_classes(monoid)
+        # every class through its representative, and the short words
+        words = [*monoid.representatives, *all_words_upto(AB, 4)]
+        for w in words:
+            assert (monoid.class_of(w) in factors) == is_factor_brute(d, w), (d, w)
+
+
+def test_class_counts_count_the_pool_words_of_each_class():
+    rng = random.Random(21)
+    for _ in range(30):
+        monoid = syntactic_monoid(random_min_dfa(rng, AB, 3))
+        for lt in range(1, 6):
+            _words, classes = class_pool(monoid, lt)
+            want = {c: classes.count(c) for c in set(classes)}
+            assert class_counts(monoid, lt) == want
 
 
 def test_sizes_match_brute_force_congruence():
