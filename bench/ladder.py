@@ -25,17 +25,26 @@ gives the other stages at decide's own boundaries:
 
 A record holds the median seconds of each stage over the repeats, the
 median total, the verdict and witness, the monoid size, the rule and
-closure-state counts and the peak RSS.
+closure-state counts and the peak RSS.  The case's subprocess also times
+``splicebench/calibrate.py``'s fixed kernel just before and just after the
+case (``speed_now``), and the record keeps the mean of the two host-speed
+factors as ``speed`` (above 1 where the host ran slower than the
+kernel's reference) and the total divided by it as ``calibrated_total_s``.
 
 ``--compare DIR`` measures this checkout against the one at DIR, such as
 its parent commit, on every case index both share.  Host speed drifts over
 minutes, so the two sides are interleaved: each of ``--repeats`` rounds (or
 the case's own repeat count) runs the case once from each checkout, each
-in its own subprocess, the first side alternating from round to round.  A
-record holds each side's median total seconds and peak RSS over the rounds
-with its outcome (verdict, witness, monoid size, rule and closure-state
-counts, which must agree over the rounds), and the change/parent ratio of
-the seconds and the RSS.  ``--case I``, repeatable, limits the
+in its own subprocess, the first side alternating from round to round, and
+both sides' subprocesses take their host-speed factor from this checkout's
+``calibrate.py``, so the parent's ladder need not have one.  Host speed
+still drifts within and between rounds (``a+`` classic theorem, whose work
+a change left alone, read x1.47 over 5 rounds), so each total is also
+divided by its own run's host-speed factor.  A record holds each side's median total seconds, calibrated total
+seconds, host-speed factor and peak RSS over the rounds with its outcome
+(verdict, witness, monoid size, rule and closure-state counts, which must
+agree over the rounds), and the change/parent ratio of the seconds, the
+calibrated seconds and the RSS.  ``--case I``, repeatable, limits the
 comparison to those case indices, in the order given.
 """
 
@@ -125,14 +134,38 @@ def measure(
     }
 
 
+# Run in a case's subprocess: the ladder at argv[2] with the arguments after
+# it, between two host-speed factors from the calibrate.py in argv[1], each
+# the mean of five runs of its kernel (about 21 ms each).
+_CALIBRATED = """
+import contextlib, io, json, runpy, sys
+sys.path.insert(0, sys.argv[1])
+from calibrate import speed_now
+script, sys.argv = sys.argv[2], sys.argv[2:]
+before, _ = speed_now(5)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    runpy.run_path(script, run_name="__main__")
+after, _ = speed_now(5)
+record = json.loads(out.getvalue())
+record["speed"] = (before + after) / 2
+print(json.dumps(record))
+"""
+
+
 def _record(script: str, index: int, repeats: int) -> dict:
     """The record of case ``index`` as the ladder at ``script`` measures it,
-    in a subprocess of its own."""
+    in a subprocess of its own, with its host-speed factor and calibrated
+    total."""
     done = subprocess.run(
-        [sys.executable, script, "--case", str(index), "--repeats", str(repeats)],
+        [sys.executable, "-c", _CALIBRATED, os.path.join(ROOT, "splicebench"), script,
+         "--case", str(index), "--repeats", str(repeats)],
         capture_output=True, text=True, check=True,
     )
-    return json.loads(done.stdout)
+    record = json.loads(done.stdout)
+    record["speed"] = round(record["speed"], 4)
+    record["calibrated_total_s"] = round(record["total_s"] / record["speed"], 6)
+    return record
 
 
 def _case_count(script: str) -> int:
@@ -145,8 +178,10 @@ def _case_count(script: str) -> int:
     return int(done.stdout)
 
 
-# the fields of a case record that say what the decision was
+# the fields of a case record that say what the decision was, and those
+# that measure it
 _OUTCOME = ("verdict", "witness", "monoid_size", "rules", "closure_states")
+_MEASURED = ("total_s", "calibrated_total_s", "speed", "ru_maxrss_mb")
 
 
 def compare(parent: str, index: int, repeats: int) -> dict:
@@ -168,12 +203,12 @@ def compare(parent: str, index: int, repeats: int) -> dict:
         if len(outcomes) != 1:
             raise SystemExit(f"case {index} gives different outcomes on the {side} side")
         record[side] = {
-            key: statistics.median(r[key] for r in records) for key in ("total_s", "ru_maxrss_mb")
+            key: round(statistics.median(r[key] for r in records), 6) for key in _MEASURED
         }
         record[side].update(zip(_OUTCOME, outcomes.pop()))
     record["ratio"] = {
         key: round(record["change"][key] / record["parent"][key], 4)
-        for key in ("total_s", "ru_maxrss_mb")
+        for key in ("total_s", "calibrated_total_s", "ru_maxrss_mb")
     }
     return record
 
@@ -207,8 +242,8 @@ def main() -> None:
             record = compare(parent, i, args.repeats)
             records.append(record)
             print(f"{record['case']:32} total {record['parent']['total_s']:.4f} -> "
-                  f"{record['change']['total_s']:.4f} s (x{record['ratio']['total_s']})",
-                  file=sys.stderr)
+                  f"{record['change']['total_s']:.4f} s (x{record['ratio']['total_s']}, "
+                  f"calibrated x{record['ratio']['calibrated_total_s']})", file=sys.stderr)
     else:
         for i in range(len(CASES)):
             record = _record(os.path.abspath(__file__), i, args.repeats)

@@ -317,14 +317,53 @@ class NfaBuilder:
 # its hub, is closed without expanding them; ``Nfa.from_edges`` gives one
 # biclique per state with incoming epsilon edges.  ``_predecessors`` turns
 # the rows around for the walks that run backwards.
+#
+# A mask of w bits costs O(w) per big-int operation, so ``_bits`` reads it a
+# 64-bit word at a time: one shift of the mask per word it lists, and one
+# jump over each run of zero words, so listing k states costs
+# O(w · min(k, w / 64)) where clearing one bit at a time cost O(w · k); the
+# states of a word come from a byte table, with no big-int operation.
+# ``_close`` images its letters as ``_Moves``: the edges p -> p + 1 (or
+# p -> p - 1 read backwards) of a row are imaged for every state at once
+# by one shift of the mask, and only the states with another edge through
+# ``_image``.
+
+
+_WORD = (1 << 64) - 1
+# the set bits of each byte value, ascending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def _bits(mask: int) -> Iterator[int]:
-    """The states of a mask in ascending order."""
+    """The states of a mask in ascending order.
+
+    The mask is read a 64-bit word at a time: the low word is taken off by
+    one AND and the mask shifted past it, and the word's states are listed
+    a byte at a time from a table.  A zero word, or a zero byte of a word,
+    is skipped along with every zero below the lowest state.
+    """
+    offset = 0  # the state of the mask's bit 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        word = mask & _WORD
+        if not word:
+            skip = (mask & -mask).bit_length() - 1
+            mask >>= skip
+            offset += skip
+            continue
+        mask >>= 64
+        base = offset
+        while word:
+            byte = word & 255
+            if byte:
+                for i in _BYTE_BITS[byte]:
+                    yield base + i
+                word >>= 8
+                base += 8
+            else:
+                skip = (word & -word).bit_length() - 1
+                word >>= skip
+                base += skip
+        offset += 64
 
 
 def _mask(states: Iterable[int]) -> int:
@@ -348,12 +387,33 @@ def _predecessors(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
     return out
 
 
-def _image(mask: int, rows: list[int]) -> int:
+def _image(mask: int, rows: Sequence[int]) -> int:
     """Union of ``rows[s]`` over the states s in mask."""
     out = 0
     for s in _bits(mask):
         out |= rows[s]
     return out
+
+
+# One symbol's letter rows, read forwards or backwards, with the edges to
+# each state's neighbour split off: (rows, shift, rest, forward).  ``shift``
+# holds the states p whose row holds p + 1 (p - 1 when not ``forward``), and
+# ``rest`` every state whose row holds any other state.  ``_move`` images
+# the first by one bit shift and only the second through the rows.
+_Moves = tuple[Sequence[int], int, int, bool]
+
+
+def _unsplit(rows: Sequence[int]) -> _Moves:
+    """Moves with nothing split off, which image every state through the
+    rows."""
+    return rows, 0, -1, True
+
+
+def _move(mask: int, moves: _Moves) -> int:
+    """Union of the moves' ``rows[s]`` over the states s in mask."""
+    rows, shift, rest, forward = moves
+    near = mask & shift
+    return (near << 1 if forward else near >> 1) | _image(mask & rest, rows)
 
 
 def _eps_step(mask: int, bicliques: list[tuple[int, int]]) -> int:
@@ -369,9 +429,9 @@ def _close(
     seen: int,
     frontier: int,
     bicliques: list[tuple[int, int]],
-    moves: Iterable[list[int]] = (),
+    moves: Sequence[_Moves] = (),
 ) -> int:
-    """Close seen | frontier under the bicliques and the letter rows in moves.
+    """Close seen | frontier under the bicliques and the letters in moves.
 
     ``seen`` must already be closed except through the frontier: every
     successor of a state in seen lies in seen or is reached from the
@@ -382,8 +442,8 @@ def _close(
     while frontier:
         seen |= frontier
         step = _eps_step(frontier, bicliques)
-        for rows in moves:
-            step |= _image(frontier, rows)
+        for letter in moves:
+            step |= _move(frontier, letter)
         frontier = step & ~seen
     return seen
 
@@ -392,7 +452,8 @@ def _coreachable(nfa: Nfa, bicliques: Iterable[tuple[int, int]]) -> int:
     """The mask of the states from which an accepting state of the automaton
     can be reached through its letter rows and these bicliques."""
     back = [(dst, src) for src, dst in bicliques]
-    return _close(0, _mask(nfa.accepting), back, _predecessors(nfa.rows, nfa.state_count))
+    rows = _predecessors(nfa.rows, nfa.state_count)
+    return _close(0, _mask(nfa.accepting), back, [_unsplit(r) for r in rows])
 
 
 def _explore(start, successors: Callable) -> Iterator[tuple[object, tuple[int, ...]]]:
@@ -634,7 +695,7 @@ def enumerate_words(d: Dfa, max_len: int) -> list[str]:
     for s, row in enumerate(d.transitions):
         for t in row:
             back[t] |= 1 << s
-    alive = set(_bits(_close(0, _mask(d.accepting), [], [back])))
+    alive = set(_bits(_close(0, _mask(d.accepting), [], [_unsplit(back)])))
     out: list[str] = []
     level: list[tuple[str, int]] = []
     if d.initial in alive:
@@ -659,7 +720,7 @@ def trim(nfa: Nfa) -> Nfa:
     in ascending order.  Each biclique keeps its shape, cut down to the kept
     states, so epsilon edges grouped by target stay so."""
     eps = nfa.epsilon
-    reach = _close(0, _mask(nfa.initial), eps, nfa.rows)
+    reach = _close(0, _mask(nfa.initial), eps, [_unsplit(r) for r in nfa.rows])
     keep = reach & _coreachable(nfa, eps)
     renum = {s: i for i, s in enumerate(_bits(keep))}
 

@@ -11,13 +11,15 @@ least word of its class.
 ``class_pool`` and ``class_levels`` are the one owner of the ll class
 layout: every word shorter than a bound with its class, and the classes
 of each length without the words.  ``class_counts`` counts the words of
-each class without spelling them, and ``factor_classes`` names the classes
-of the factors of the language's words.
+each class without spelling them; the levels and the counts of a bound come
+from one walk over its lengths, kept on the monoid.  ``factor_classes``
+names the classes of the factors of the language's words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .automata import Alphabet, Dfa, _access_words, _explore, minimize, words_shorter_than
 
@@ -52,6 +54,11 @@ class SyntacticMonoid:
     def shortest_representative(self, element: int) -> str:
         """The ll-least word mapping to this element."""
         return self.representatives[element]
+
+    @cached_property
+    def _walks(self) -> dict[int, tuple[tuple[tuple[int, ...], ...], dict[int, int]]]:
+        """bound -> (class levels, class counts), filled by ``_class_walk``."""
+        return {}
 
 
 def syntactic_monoid(d: Dfa) -> SyntacticMonoid:
@@ -104,7 +111,7 @@ def class_pool(monoid: SyntacticMonoid, lt: int) -> tuple[tuple[str, ...], tuple
     return words, tuple(classes)
 
 
-def class_levels(monoid: SyntacticMonoid, lt: int) -> list[list[int]]:
+def class_levels(monoid: SyntacticMonoid, lt: int) -> tuple[tuple[int, ...], ...]:
     """The classes of the words of each length n < lt, each level in the
     ll-order of the classes' least words of that length.
 
@@ -112,30 +119,42 @@ def class_levels(monoid: SyntacticMonoid, lt: int) -> list[list[int]]:
     of some class, so walking a level in order, each class by every
     generator in alphabet order, meets the next level in order.
     """
-    levels = [[monoid.identity]]
-    for _ in range(1, lt):
-        step = (monoid.table[x][g] for x in levels[-1] for g in monoid.generators)
-        levels.append(list(dict.fromkeys(step)))
-    return levels
+    return _class_walk(monoid, lt)[0]
 
 
 def class_counts(monoid: SyntacticMonoid, lt: int) -> dict[int, int]:
     """The number of words shorter than lt (at least 1) in each class that
     has one, counted length by length: the words of length n + 1 of a class
-    are those of length n extended by a letter into it."""
-    table, gens = monoid.table, monoid.generators
-    level = {monoid.identity: 1}
-    total = dict(level)
-    for _ in range(1, lt):
-        step: dict[int, int] = {}
-        for x, n in level.items():
-            for g in gens:
-                y = table[x][g]
-                step[y] = step.get(y, 0) + n
-        for y, n in step.items():
-            total[y] = total.get(y, 0) + n
-        level = step
-    return total
+    are those of length n extended by a letter into it.  The dict is shared
+    by every caller with this monoid and bound."""
+    return _class_walk(monoid, lt)[1]
+
+
+def _class_walk(
+    monoid: SyntacticMonoid, lt: int
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """The class levels and the class counts of bound lt, from one walk over
+    the lengths below it, made on the first ask for the bound and then kept
+    on the monoid: canonical rules, a product's count and the closure's
+    gadgets all read the same bound."""
+    got = monoid._walks.get(lt)
+    if got is None:
+        table, gens = monoid.table, monoid.generators
+        level = {monoid.identity: 1}  # class -> its words of this length
+        levels = [tuple(level)]
+        total = dict(level)
+        for _ in range(1, lt):
+            step: dict[int, int] = {}
+            for x, n in level.items():
+                for g in gens:
+                    y = table[x][g]
+                    step[y] = step.get(y, 0) + n
+            for y, n in step.items():
+                total[y] = total.get(y, 0) + n
+            levels.append(tuple(step))
+            level = step
+        got = monoid._walks[lt] = (tuple(levels), total)
+    return got
 
 
 def factor_classes(monoid: SyntacticMonoid) -> frozenset[int]:

@@ -22,6 +22,8 @@ relation; each compares two decides without any oracle.
 ``is_factor_brute`` decides whether a word is a factor of a DFA's language
 by trying every short context around it, and ``factor_site_system`` keeps a
 system's rules whose two sites pass it, with no monoid.
+``neighbour_split`` splits letter rows state by state into the neighbour
+edges that ``automata._move`` images by a shift and the rest.
 """
 
 from __future__ import annotations
@@ -223,6 +225,19 @@ def trim_brute(nfa: Nfa) -> Nfa:
             (renum[p], renum[q]) for p, q in nfa.epsilon_edges if p in keep and q in keep
         ),
     )
+
+
+def neighbour_split(rows, step: int) -> tuple[int, int]:
+    """The mask of the states p whose row holds p + step, and the mask of
+    those whose row holds any other state, one state at a time."""
+    shift = rest = 0
+    for p, row in enumerate(rows):
+        near = 1 << p + step if p + step >= 0 else 0
+        if row & near:
+            shift |= 1 << p
+        if row & ~near:
+            rest |= 1 << p
+    return shift, rest
 
 
 def random_min_dfa(rng: random.Random, alphabet: Alphabet, max_states: int) -> Dfa:

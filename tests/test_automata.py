@@ -32,6 +32,12 @@ from splicekit import (
 )
 from splicekit.automata import (
     UNNAMED_STATES,
+    _bits,
+    _image,
+    _mask,
+    _move,
+    _predecessors,
+    _unsplit,
     count_words_shorter_than,
     has_cycle,
     occurrences,
@@ -45,6 +51,7 @@ from helpers import (
     determinize_brute,
     has_cycle_brute,
     minimize_moore,
+    neighbour_split,
     nfa_accepts_brute,
     random_min_dfa,
     random_regex,
@@ -613,3 +620,78 @@ def random_graph(rng: random.Random) -> Nfa:
 def test_has_cycle_matches_brute_self_reachability(seed):
     nfa = random_graph(random.Random(seed))
     assert has_cycle(nfa) == has_cycle_brute(nfa)
+
+
+def _bits_brute(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        0,
+        1,
+        (1 << 63) - 1,
+        1 << 62,
+        (1 << 64) - 1,
+        1 << 63,
+        (1 << 65) - 1,
+        1 << 64,
+        1 | 1 << 64,
+        # all-zero words between the states
+        1 << 3 | 1 << 200,
+        (1 << 64) - 1 | ((1 << 64) - 1) << 320,
+        1 << 127 | 1 << 128 | 1 << 1000,
+        0b1011 << 4096,
+    ],
+)
+def test_bits_lists_the_states_of_a_mask_in_order(mask):
+    assert list(_bits(mask)) == _bits_brute(mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**300), st.integers(0, 640))
+def test_bits_matches_a_bit_scan(mask, gap):
+    mask |= mask << gap
+    assert list(_bits(mask)) == _bits_brute(mask)
+
+
+@st.composite
+def neighbour_rows(draw):
+    """Letter rows over n states, each state drawn with or without the edge
+    p -> p + 1 (the last state has none) and with or without other edges."""
+    n = draw(st.integers(1, 150))
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    rows = []
+    for p in range(n):
+        row = 0
+        if p + 1 < n and rng.random() < 0.7:
+            row |= 1 << p + 1
+        while rng.random() < 0.3:
+            row |= 1 << rng.randrange(n)
+        rows.append(row)
+    masks = [_mask(q for q in range(n) if rng.random() < density) for density in (0.05, 0.5, 1)]
+    return rows, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(neighbour_rows())
+def test_shifted_images_equal_row_images(drawn):
+    """The split image, a shift for the edges to a neighbour and the rows
+    for the rest, against the image of the whole rows, forwards and
+    backwards (state 0 has no neighbour below, the last none above)."""
+    rows, masks = drawn
+    n = len(rows)
+    back = _predecessors([rows], n)[0]
+    shift, rest = neighbour_split(rows, 1)
+    back_shift, back_rest = neighbour_split(back, -1)
+    assert back_shift == shift << 1
+    forward = (rows, shift, rest, True)
+    backward = (back, back_shift, back_rest, False)
+    for mask in masks:
+        want = 0
+        for p in _bits_brute(mask):
+            want |= rows[p]
+        assert _move(mask, forward) == _image(mask, rows) == want
+        assert _move(mask, backward) == _image(mask, back)
+        assert _move(mask, _unsplit(rows)) == want

@@ -19,6 +19,7 @@ from splicekit import (
     canonical_system,
     closure_language,
     custom_bounds,
+    decide_splicing,
     determinize,
     difference_witness,
     enumerate_words,
@@ -29,7 +30,7 @@ from splicekit import (
     theorem_bounds,
 )
 from splicekit import closure as closure_module
-from splicekit.automata import _bits, _image, _mask
+from splicekit.automata import _bits, _mask, _move, _predecessors
 from splicekit.closure import closure_dfa
 from splicekit.splicing import RuleProduct, sigma_step
 
@@ -40,6 +41,7 @@ from helpers import (
     coreachable_brute,
     determinize_brute,
     ll_sorted,
+    neighbour_split,
     random_pixton_rule,
     random_word,
     useful_brute,
@@ -543,18 +545,41 @@ def test_canonical_coreach_and_base_views_match_brute_force(make):
 
 @CANONICAL_SYSTEMS
 def test_site_reads_image_only_useful_states(make, monkeypatch):
-    """Every state a site read images is reachable and co-reachable in the
-    saturated automaton; the reads still find every point, as the tests
-    against the from-scratch reference show."""
+    """Every state a site read images, by a shift or through the rows, is
+    reachable and co-reachable in the saturated automaton; the reads still
+    find every point, as the tests against the from-scratch reference show."""
     system = make()
     imaged = []
 
-    def record(mask, rows):
+    def record(mask, moves):
         imaged.append(mask)
-        return _image(mask, rows)
+        return _move(mask, moves)
 
-    monkeypatch.setattr(closure_module, "_image", record)
+    monkeypatch.setattr(closure_module, "_move", record)
     closure = build_closure(system)
     monkeypatch.undo()
     useful = _mask(useful_brute(closure.nfa()))
     assert imaged and all(mask & ~useful == 0 for mask in imaged)
+
+
+@CANONICAL_SYSTEMS
+def test_letter_moves_split_each_row_exactly(make):
+    """The rule loop sorts each letter edge as it writes it; the split it
+    ends with is the one a pass over the finished rows gives, forwards and
+    backwards."""
+    base, forward, backward, _, _ = closure_module._base_automaton(make())
+    back_rows = _predecessors(base.rows, base.state_count)
+    for sym, rows, back in zip(base.alphabet.symbols, base.rows, back_rows):
+        assert forward[sym] == (rows, *neighbour_split(rows, 1), True)
+        assert backward[sym] == (back, *neighbour_split(back, -1), False)
+
+
+def test_theorem_growth_is_pinned():
+    """The points ``decide`` saturates for aaa+ classic at theorem bounds,
+    every round, site and mask, through a digest of their text form."""
+    closure = decide_splicing(lang("aaa+", A), "classic").closure
+    assert (closure.rounds, closure.base.state_count, len(closure.growth)) == (3, 5556, 332)
+    text = "\n".join(f"{g.round} {g.side} {g.site} {g.hub} {g.points:x}" for g in closure.growth)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "34199cbd3895a4d0d0257ac2c35930ae86331d0e548885aa7026025cf42a9423"
+    )

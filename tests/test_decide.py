@@ -545,10 +545,10 @@ def test_pools_and_class_levels_match_the_class_of_each_word(dfa, variant, inner
         assert classes == tuple(map(monoid.class_of, words))
     for lt in (inner, outer):
         words = list(words_shorter_than(AB, lt))
-        assert class_levels(monoid, lt) == [
-            list(dict.fromkeys(monoid.class_of(w) for w in words if len(w) == n))
+        assert class_levels(monoid, lt) == tuple(
+            tuple(dict.fromkeys(monoid.class_of(w) for w in words if len(w) == n))
             for n in range(lt)
-        ]
+        )
 
 
 @settings(max_examples=100, deadline=None)

@@ -47,10 +47,11 @@ def test_ladder_compares_the_checkout_with_itself(tmp_path):
     )
     (record,) = json.loads(out.read_text())["cases"]
     assert (record["case"], record["rounds"]) == ("(aa)* classic theorem", 2)
-    for key in ("total_s", "ru_maxrss_mb"):
+    for key in ("total_s", "calibrated_total_s", "ru_maxrss_mb"):
         change, parent = record["change"][key], record["parent"][key]
         assert change > 0 and parent > 0
         assert record["ratio"][key] == round(change / parent, 4)
+    assert record["change"]["speed"] > 0 and record["parent"]["speed"] > 0
 
 
 def test_ladder_comparison_records_each_side_s_outcome(tmp_path):
@@ -65,4 +66,4 @@ def test_ladder_comparison_records_each_side_s_outcome(tmp_path):
     for record in records:
         for side in ("change", "parent"):
             assert (record[side]["verdict"], record[side]["witness"]) == ("no", "a" * 16)
-        assert set(record["ratio"]) == {"total_s", "ru_maxrss_mb"}
+        assert set(record["ratio"]) == {"total_s", "calibrated_total_s", "ru_maxrss_mb"}
