@@ -44,7 +44,9 @@ divided by its own run's host-speed factor.  A record holds each side's median t
 seconds, host-speed factor and peak RSS over the rounds with its outcome
 (verdict, witness, monoid size, rule and closure-state counts, which must
 agree over the rounds), and the change/parent ratio of the seconds, the
-calibrated seconds and the RSS.  ``--case I``, repeatable, limits the
+calibrated seconds and the RSS.  The comparison stops, naming the case,
+if the two sides' verdicts or witnesses differ; the other counts, such as
+the closure states, may differ.  ``--case I``, repeatable, limits the
 comparison to those case indices, in the order given.
 """
 
@@ -206,6 +208,12 @@ def compare(parent: str, index: int, repeats: int) -> dict:
             key: round(statistics.median(r[key] for r in records), 6) for key in _MEASURED
         }
         record[side].update(zip(_OUTCOME, outcomes.pop()))
+    decided = {side: (record[side]["verdict"], record[side]["witness"]) for side in runs}
+    if decided["change"] != decided["parent"]:
+        raise SystemExit(
+            f"case {index} ({record['case']}) is decided differently: "
+            f"{decided['parent']} in the parent, {decided['change']} in this checkout"
+        )
     record["ratio"] = {
         key: round(record["change"][key] / record["parent"][key], 4)
         for key in ("total_s", "calibrated_total_s", "ru_maxrss_mb")

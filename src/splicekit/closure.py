@@ -3,14 +3,17 @@
 The construction saturates a fixed state set with epsilon edges.  The base
 automaton accepts exactly the axioms.  Every distinct site word gets a hub
 state, one for its use as a left site and one for its use as a right site.
-Each left hub is the root of a trie of insert words: the word a rule writes
-between the retained prefix and the adopted suffix (the bridge v for a
-triplet rule, u1·v2 for a classic rule, which is the exact triplet form of
-the quadruple).  A rule walks its left hub's trie along its insert word,
-extending it where no node exists yet, and adds one static epsilon edge from
-the node where the word ends to the hub of its right site.  A triplet rule
-product replaces the tries with class x length gadgets (below).  A
-saturation round recomputes, inside the current automaton,
+A rule writes its insert word between the retained prefix and the adopted
+suffix (the bridge v for a triplet rule, u1·v2 for a classic rule, which is
+the exact triplet form of the quadruple), and the rule part of the base
+joins each left hub to the right hubs along those words.  A tuple of rules
+gets one trie of insert words per left hub: a rule walks its left hub's
+trie along its insert word, extending it where no node exists yet, and adds
+one static epsilon edge from the node where the word ends to the hub of its
+right site.  A rule product is read through the syntactic monoid instead:
+a triplet one through class x length gadgets, a classic one through site
+chains (below).  A saturation round recomputes, inside the current
+automaton,
 
   LeftPoints(s)  = reachable states from which the left-site word s can be
                    read on a path that stays co-reachable, and
@@ -19,10 +22,7 @@ saturation round recomputes, inside the current automaton,
 
 then adds epsilon edges LeftPoint -> left hub of s and right hub of t ->
 RightPoint.  Sharing hubs per site word keeps saturation at
-O(states x sites) edges rather than O(states x rules); sharing insert
-prefixes keeps the rule part of the state set at one node per distinct
-(left site, insert prefix) pair, where a path per rule would cost one state
-per rule plus its insert length, over tens of thousands of canonical rules.
+O(states x sites) edges rather than O(states x rules).
 
 Why the tries keep the language.  Statically, trie nodes are entered only
 from their left hub, so the labeled paths from the left hub of s to the
@@ -61,10 +61,7 @@ saturation adds the same edges out of them, since the edges out of a state
 go to the left hubs of the sites it is a point of, which its right language
 decides.  Merging NFA states with equal right languages keeps the accepted
 language, and it keeps the saturation points: left points depend on right
-languages, and right points on the union of left languages.  Classic
-rules spell u1 and v2 both in a site and in the insert, so a class cannot
-stand for them, and a tuple of rules has no classes: both keep the
-tries.
+languages, and right points on the union of left languages.
 
 The gadget path numbers its states in blocks: the axiom states; the left
 hubs of the classes with a gadget, in the pool order of their sites; each
@@ -73,59 +70,59 @@ states in the ll-order of their least bridge words; then the right hubs
 that some gadget feeds, in the pool order of their sites.  Nothing is
 numbered in the iteration order of a set.
 
+Site chains.  A classic rule (u1, v1, u2, v2) is in a canonical product iff
+its class tuple is, and its insert u1·v2 is read as u1 along its left site
+u1·v1 and v2 along its right site u2·v2, so only the join between the two
+goes through classes.  A cut of a site is a split into two pool words
+whose class pair opens (left site) or closes (right site) some tuple.  Each
+left site s gets one chain from its left hub that reads s up to its last
+cut, and each right site t one that reads t from its first cut into its
+right hub; the node at each cut is tagged with the cut's pair.  One static
+biclique per right pair (c, d) joins the left cut nodes of every pair
+(a, b) with (a, b, c, d) among the tuples to the right cut nodes of (c, d):
+at most m² bicliques for a monoid of size m, and no junction state.  The
+cuts come from pairing the pool words class by class, so an empty or
+sparse product costs only what it builds.  The labeled paths from the left
+hub of s to the right hub of t spell exactly {u1·v2 : some rule has u1·v1
+= s and u2·v2 = t}, the trie's words.  Split each per-rule path by an
+epsilon edge after u1: the chains are the quotient of those paths that
+merges the nodes of equal (left site, cut), which have equal left
+languages as the trie's merged nodes do, and those of equal (right site,
+cut), which have equal right languages as the gadget's do; so the fixpoint
+keeps the tries' language.  States are numbered: the axiom states; each
+left site in ll-order, its hub, then its chain; each right site in
+ll-order, its chain, then its hub.
+
 Provenance.  Saturation records, per round, the mask of the points each
 site gained; an added edge is one point of such a mask joined to its site's
 hub, and the edge list is derived from the masks only when asked for.  An
 edge names its site word and side: an "in" edge feeds the left hub of its
-site, the root of the trie shared by the rules with that left site; an
-"out" edge leaves the right hub of its site, which the trie endpoints of
-the rules with that right site feed.  A rule's own part of the automaton is
-the trie path from its left hub along its insert word plus the static
-epsilon edge from that path's end to its right hub.
+site, an "out" edge leaves the right hub of its site.
 
-On the trie path, rules are read as ``splicing.site_groups`` gives them,
-one run at a time: a left site, the insert words of the run's rules and
-their right sites, in the rules' order.  A tuple of rules gives one run per
-rule.  A canonical rule product is never turned into rule objects: it gives
-one run per classic (u1, v1, u2) or triplet (u1, u2), whose rules differ
-only in the last component.  States are numbered as a walk over the rules
-one by one would number them: each rule's left hub and new insert nodes,
-then its right hub.  The trie ends of a run's insert words are kept per
-(left site, insert words), and the hubs per tuple of right sites.  A later
-u2 of the same class as an earlier one, after the same (u1, v1), has the
-same insert words, so its run reaches only trie ends that exist and adds
-only right hubs and static epsilon edges; a run whose insert words and
-right sites were both seen adds only its static epsilon edges.
+Representation.  A tuple of rules is read rule by rule through
+``triplet_form``, a rule's left hub and new insert nodes numbered before
+its right hub.  Trie nodes are keyed by (left site, insert prefix); the
+prefixes of a word in the trie are its shortest ones, so a new word is
+walked from the longest of them.  The rule part writes the automaton
+straight into masks, the one form every ``Nfa`` keeps its edges in: each
+new state gets its forward and backward letter rows, and the static epsilon
+edges are bicliques (a right hub's trie ends into it, a gadget's feeds, a
+chain join), sorted after the axiom automaton's by their lowest target.
+The forward rows and the static bicliques are the ``base`` automaton.
+Saturation adds one biclique per left site (its points so far to its hub)
+and one per right site (its hub to its points so far), and closes sets
+through them with ``automata._close``; ``nfa()``, the base with every
+biclique, is what the comparison's subset construction and the closure
+JSON read.  No edge set is built unless one is asked for.
 
-Representation.  Trie nodes are keyed by (left site, insert prefix), so an
-insert word whose whole path exists already costs one lookup.  The prefixes
-of a word that are in the trie are its shortest ones, so a new word is
-walked from the longest of them, found by stepping back from the word, and
-costs one lookup per node it adds plus one.  The rule loop writes the
-automaton straight into masks, the one form every ``Nfa`` keeps its edges
-in: each new state gets its forward and backward letter rows, and each
-static epsilon edge sets its trie end's bit in a bitmap of its right hub,
-O(1) a rule, read at the end as the sources of the hub's biclique.  The
-forward rows and the static bicliques are the ``base`` automaton, an
-``Nfa``.  The epsilon edges are bicliques: the static edges grouped by
-target (the trie ends or gadget states that feed a right hub, the left
-hubs that enter a gadget, and any epsilon edges of the axiom automaton),
-one per left site (its points so far to its hub) and one per right site
-(its hub to its points so far).  Saturation closes sets through them with
-``automata._close``, backwards through their mirror, and ``nfa()``, the
-base with every biclique, is what the comparison's subset construction and
-the closure JSON read.  No edge set is built unless an automaton's
-``labeled_edges`` or ``epsilon_edges`` is asked for.
-
-Trie nodes are numbered one after another along each new insert word, and
-so are a gadget's states along the lengths of a unary bridge, so most
-letter edges go from a state p to p + 1: 181 of 191 on a* classic at
-theorem bounds, 8,975 of 9,711 on aaaa+ (on a+b+ classic at bounds
-(4,3,4), 71 of 208).  The rule loop sorts each letter edge as it writes
-it, and saturation reads each symbol's rows split (``automata._Moves``):
-the states with an edge p -> p + 1 are imaged all at once, forwards by
-``(mask & shift) << 1`` and backwards by the mirror shift, and only the
-states with another edge are imaged through their rows.
+Trie nodes are numbered along each new insert word, a gadget's states
+along the lengths of a unary bridge, and a chain's states along its site,
+so most letter edges go from a state p to p + 1: all 136 on a* classic at
+theorem bounds, all 6,936 on aaaa+, and 109 of 111 on a+b+ classic at
+bounds (4,3,4), whose other two are the axioms'.  Each letter edge is
+sorted as it is written, and saturation reads each symbol's rows split
+(``automata._Moves``): the states with an edge p -> p + 1 are imaged at
+once by a shift of the mask, and only the others through their rows.
 
 Rounds read only useful states.  A state is useful if it is reachable and
 co-reachable, and only useful states carry points: a path from a reachable
@@ -137,11 +134,11 @@ closed through every biclique.  The points coreach & post(t) and
 reach & pre(s) are then those of unrestricted reads.  The split image
 keeps this: the shift and the rows both read the set already cut down to
 the kept states, so a shifted read images no state a row read would not.
-On a whole canonical system most states are useless, mostly in the tries
-of left sites that are not factors of the language (248 of 1,485 states
-are useful on a+b+ classic at bounds (4,3,4)), and those are never imaged.
-``decide`` goes further and builds its closure from the factor-site rules
-alone, which leaves those tries out (the same case has 248 states).
+On a whole canonical system most states are useless, mostly in the chains
+of sites that are not factors of the language (151 of 487 states are
+useful on a+b+ classic at bounds (4,3,4)), and those are never imaged.
+``decide`` builds its closure from the factor-site rules alone, which
+leaves those chains out (151 states in the same case).
 
 Rounds are semi-naive: the reachable and co-reachable sets and the set of
 each site prefix carry over from the round before, and only the states not
@@ -193,10 +190,11 @@ from .automata import (
     _Moves,
     _subset_dfa,
     automaton_to_json,
+    length_lex_key,
     minimize,
 )
-from .monoid import class_levels
-from .splicing import PIXTON, RuleProduct, SplicingSystem, site_groups
+from .monoid import class_counts, class_levels
+from .splicing import PIXTON, RuleProduct, SplicingSystem, triplet_form
 
 
 class AddedEdge(NamedTuple):
@@ -246,21 +244,17 @@ class ClosureAutomaton:
     """Saturated automaton with bridge provenance.
 
     ``base`` is the automaton before saturation: the axiom part, the
-    per-site hubs, the insert-word tries rooted at the left hubs, and the
-    static epsilon edges from each rule's trie endpoint to its right hub,
-    grouped by target in ascending order.  For a triplet rule product the
-    tries are class x length gadgets instead, one per
-    left-site class, entered from the left hubs by static epsilon edges and
-    feeding the right hubs by others (see the module docstring).
+    per-site hubs, and the rule part that joins the left hubs to the right
+    hubs (see the module docstring): the insert-word tries of a tuple of
+    rules, the site chains of a classic rule product or the class x length
+    gadgets of a triplet one, with their static epsilon edges.
     ``left_hubs`` and ``right_hubs`` map site words to their hub states.
     Saturation is recorded in ``growth``: one point mask per site and round
     in which the site gained points, in the order ``build_closure`` found
     them.  The rest is derived from those masks when asked for: ``added``,
     one provenance-tagged edge per point, so traces and DOT output can
     attribute every discovered edge to its site word, and through the hub to
-    the rules with that site (the rules whose trie or gadget an "in" edge
-    feeds, or whose trie endpoints or gadget states feed the hub an "out"
-    edge leaves); the bicliques, which hold every epsilon edge
+    the rules with that site; the bicliques, which hold every epsilon edge
     of the saturated automaton, ``nfa()``, which is ``base`` with those
     bicliques and which ``closure_dfa`` and ``to_json`` read; and the
     co-reachable states, which ``closure_dfa`` keeps its subsets to.  The
@@ -360,10 +354,11 @@ def _extend_prefixes(
 def _base_automaton(
     system: SplicingSystem,
 ) -> tuple[Nfa, dict[str, _Moves], dict[str, _Moves], dict[str, int], dict[str, int]]:
-    """The axiom automaton with the rule part, the left hubs' insert tries
-    or, for a triplet product, the class x length gadgets, and the right
-    hubs, joined by the static epsilon edges: that automaton, its letter
-    moves by symbol forwards and backwards, and the left and right hubs.
+    """The axiom automaton with the rule part, the left hubs' insert tries or,
+    for a rule product, the site chains (classic) or class x length gadgets
+    (triplet), and the right hubs, joined by the static epsilon edges: that
+    automaton, its letter moves by symbol forwards and backwards, and the
+    left and right hubs.
 
     Each letter edge is sorted as it is written: an edge p -> p + 1 puts p
     in the symbol's shift, any other edge its source in the forward rest
@@ -378,7 +373,6 @@ def _base_automaton(
     shift = dict.fromkeys(symbols, 0)
     ahead = dict.fromkeys(symbols, 0)  # the sources of the other edges
     behind = dict.fromkeys(symbols, 0)  # their targets
-    into: dict[int, int] = {}  # static epsilon target -> its sources
 
     def new_state() -> int:
         nonlocal count
@@ -403,13 +397,15 @@ def _base_automaton(
             if succ:
                 for q in _bits(succ):
                     edge(sym, p, q)
-    if isinstance(system.rules, RuleProduct) and system.rules.variant == PIXTON:
-        left_hub, right_hub = _gadgets(system.rules, new_state, edge, into)
-    else:
-        left_hub, right_hub = _tries(system.rules, new_state, edge, into)
+    build = _tries
+    if isinstance(system.rules, RuleProduct):
+        build = _gadgets if system.rules.variant == PIXTON else _chains
+    left_hub, right_hub, joins = build(system.rules, new_state, edge)
 
-    # the axiom states come first, so its bicliques' targets precede the hubs
-    static = axioms.epsilon + tuple((src, 1 << t) for t, src in sorted(into.items()))
+    # the axiom states come first, so its bicliques' targets precede the
+    # rule part's, whose targets are disjoint: ascending by the lowest one
+    joins.sort(key=lambda biclique: biclique[1] & -biclique[1])
+    static = axioms.epsilon + tuple(joins)
     rows = tuple(map(tuple, fwd.values()))
     base = Nfa._unchecked(system.alphabet, count, axioms.initial, axioms.accepting, rows, static)
     forward = {sym: (row, shift[sym], ahead[sym], True) for sym, row in zip(symbols, rows)}
@@ -417,40 +413,28 @@ def _base_automaton(
     return base, forward, backward, left_hub, right_hub
 
 
+# A builder of the rule part writes its states and letter edges through
+# ``new_state`` and ``edge`` and returns the left and right hubs and its
+# static epsilon edges, as bicliques with disjoint target masks.
+_Built = tuple[dict[str, int], dict[str, int], list[tuple[int, int]]]
+
+
 def _tries(
-    rules,
-    new_state: Callable[[], int],
-    edge: Callable[[str, int, int], None],
-    into: dict[int, int],
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Each left hub's insert trie and the right hubs, run by run, written
-    through ``edge``: the left and right hubs, with the trie ends that feed
-    each right hub in ``into``."""
+    rules: tuple, new_state: Callable[[], int], edge: Callable[[str, int, int], None]
+) -> _Built:
+    """Each left hub's insert trie and the right hubs, rule by rule: the
+    rule's left hub and new insert nodes, then its right hub, with one
+    biclique per right hub from the trie ends that feed it."""
     left_hub: dict[str, int] = {}
     right_hub: dict[str, int] = {}
     trie: dict[tuple[str, str], int] = {}  # (left site, insert prefix) -> node
-    ends_of: dict[tuple[str, tuple[str, ...]], list[int]] = {}  # trie ends of insert words
-    hubs_of: dict[tuple[str, ...], list[int]] = {}  # hubs of right sites
-    # right hub -> the trie ends that feed it, as a bitmap kept as long as the
-    # states so far, so that a rule sets its bit in O(1); a bit kept per trie
-    # node would hold O(states^2) bits at once
-    feeders: dict[int, bytearray] = {}
-
-    def state() -> int:
-        """A new state, with room for it in every bitmap."""
-        new = new_state()
-        if new & 7 == 0:
-            for bitmap in feeders.values():
-                bitmap.append(0)
-        return new
-
-    def trie_end(left_site: str, insert: str) -> int:
-        """The node of the insert word in the left site's trie, with the
-        hub and the nodes along the word numbered first if new."""
+    ends: dict[int, list[int]] = {}  # right hub -> the trie ends that feed it
+    for rule in rules:
+        left_site, right_site, insert = triplet_form(rule)
         end = trie.get((left_site, insert))
         if end is None:
             if left_site not in left_hub:
-                left_hub[left_site] = state()
+                left_hub[left_site] = new_state()
             # the word's prefixes in the trie are its shortest ones, so the
             # walk starts at the longest of them; the hub is the empty one
             i = max(len(insert) - 1, 0)
@@ -458,48 +442,88 @@ def _tries(
                 i -= 1
             end = trie[left_site, insert[:i]] if i else left_hub[left_site]
             for j in range(i + 1, len(insert) + 1):
-                nxt = trie[left_site, insert[:j]] = state()
+                nxt = trie[left_site, insert[:j]] = new_state()
                 edge(insert[j - 1], end, nxt)
                 end = nxt
-        return end
+        if right_site not in right_hub:
+            right_hub[right_site] = new_state()
+        ends.setdefault(right_hub[right_site], []).append(end)
+    return left_hub, right_hub, [(_mask(feed), 1 << hub) for hub, feed in ends.items()]
 
-    def hub(right_site: str) -> int:
-        got = right_hub.get(right_site)
-        if got is None:
-            got = right_hub[right_site] = state()
-            feeders[got] = bytearray(got // 8 + 1)
-        return got
 
-    for left_site, inserts, rights in site_groups(rules):
-        ends = ends_of.get((left_site, inserts))
-        hubs = hubs_of.get(rights)
-        if ends is None:
-            # a rule's left hub and insert path are numbered before its right hub
-            ends, hubs = [], []
-            for insert, right_site in zip(inserts, rights):
-                ends.append(trie_end(left_site, insert))
-                hubs.append(hub(right_site))
-            ends_of[left_site, inserts] = ends
-            hubs_of[rights] = hubs
-        elif hubs is None:
-            hubs = hubs_of[rights] = [hub(right_site) for right_site in rights]
-        for end, target in zip(ends, hubs):
-            feeders[target][end >> 3] |= 1 << (end & 7)
-    for target, bitmap in feeders.items():
-        into[target] = int.from_bytes(bitmap, "little")
-    return left_hub, right_hub
+def _chains(
+    rules: RuleProduct, new_state: Callable[[], int], edge: Callable[[str, int, int], None]
+) -> _Built:
+    """One chain per left site and one per right site, numbered left sites
+    then right sites, each in ll-order: a left hub and the nodes reading its
+    site up to its last cut, then the nodes reading a right site's suffixes
+    and its hub.  One biclique per right class pair joins the cut nodes of
+    its left class pairs to its own (see the module docstring)."""
+    monoid = rules.monoid
+    present = [class_counts(monoid, lt) for lt in rules.component_lts]
+    joins: dict[tuple[int, ...], set[tuple[int, ...]]] = {}  # right pair -> its left pairs
+    for classes in rules.tuples:
+        if all(c in words for c, words in zip(classes, present)):
+            joins.setdefault(classes[2:], set()).add(classes[:2])
+    lefts = _cuts(rules, 0, set().union(*joins.values()))
+    rights = _cuts(rules, 2, joins)
+    order = length_lex_key(monoid.alphabet)
+    left_nodes: dict[tuple[int, ...], int] = {}  # left pair -> its cut nodes
+    right_nodes: dict[tuple[int, ...], int] = {}  # right pair -> its cut nodes
+
+    def chain(site: str, cuts: dict, start: int, stop: int, nodes: dict) -> int:
+        """New states reading site[start:stop], numbered one after another,
+        the state at each cut added to its pair's nodes: the first state."""
+        first = new_state()
+        for i in range(start, stop):
+            edge(site[i], first + i - start, new_state())
+        for i, pair in cuts.items():
+            nodes[pair] = nodes.get(pair, 0) | 1 << first + i - start
+        return first
+
+    left_hub = {
+        site: chain(site, lefts[site], 0, max(lefts[site]), left_nodes)
+        for site in sorted(lefts, key=order)
+    }
+    right_hub = {}
+    for site in sorted(rights, key=order):
+        start = min(rights[site])
+        first = chain(site, rights[site], start, len(site), right_nodes)
+        right_hub[site] = first + len(site) - start
+    # the cut nodes of distinct pairs are disjoint, so their sum is their union
+    joined = [
+        (sum(map(left_nodes.get, pairs)), right_nodes[right]) for right, pairs in joins.items()
+    ]
+    return left_hub, right_hub, joined
+
+
+def _cuts(
+    rules: RuleProduct, depth: int, pairs: Iterable[tuple[int, ...]]
+) -> dict[str, dict[int, tuple[int, ...]]]:
+    """site -> cut -> class pair: each word u·v with u from component
+    ``depth`` and v from the next whose classes are one of the pairs, cut
+    after u.  The words are paired class by class, and no pool is spelled
+    for no pairs."""
+    cuts: dict[str, dict[int, tuple[int, ...]]] = {}
+    if pairs:
+        firsts, seconds = {}, {}  # class -> its words, in pool order
+        for words, d in ((firsts, depth), (seconds, depth + 1)):
+            for word, c in zip(*rules.pool(d)):
+                words.setdefault(c, []).append(word)
+        for x, y in pairs:
+            for u in firsts[x]:
+                for v in seconds[y]:
+                    cuts.setdefault(u + v, {})[len(u)] = (x, y)
+    return cuts
 
 
 def _gadgets(
-    rules: RuleProduct,
-    new_state: Callable[[], int],
-    edge: Callable[[str, int, int], None],
-    into: dict[int, int],
-) -> tuple[dict[str, int], dict[str, int]]:
+    rules: RuleProduct, new_state: Callable[[], int], edge: Callable[[str, int, int], None]
+) -> _Built:
     """One class x length gadget per left-site class and the hubs, numbered
-    in blocks (see the module docstring) and written through ``edge``:
-    the left and right hubs, with the sources that feed each gadget start
-    and right hub in ``into``.  The bridges are read only through the
+    in blocks (see the module docstring), with one biclique into each
+    gadget start from its left hubs and one into each right hub from the
+    gadget states that feed it.  The bridges are read only through the
     monoid: their class levels and the generators' action on them."""
     monoid = rules.monoid
     table, gens = monoid.table, monoid.generators
@@ -531,6 +555,7 @@ def _gadgets(
         if alive[0]:
             gadgets[c1] = alive
 
+    joins: list[tuple[int, int]] = []
     left_hub: dict[str, int] = {}
     entering: dict[int, int] = {}  # c1 -> the left hubs that enter its gadget
     for u1, c1 in zip(lefts, left_classes):
@@ -540,7 +565,7 @@ def _gadgets(
     feeders: dict[int, int] = {}  # right-site class -> the gadget states that feed it
     for c1, alive in gadgets.items():
         ids = [{x: new_state() for x in level} for level in alive]
-        into[ids[0][monoid.identity]] = entering[c1]
+        joins.append((entering[c1], 1 << ids[0][monoid.identity]))
         for n, level in enumerate(ids):
             for x, state in level.items():
                 for c2 in feeds[c1].get(x, ()):
@@ -554,8 +579,8 @@ def _gadgets(
     for u2, c2 in zip(rights, right_classes):
         if c2 in feeders:
             right_hub[u2] = new_state()
-            into[right_hub[u2]] = feeders[c2]
-    return left_hub, right_hub
+            joins.append((feeders[c2], 1 << right_hub[u2]))
+    return left_hub, right_hub, joins
 
 
 def build_closure(system: SplicingSystem) -> ClosureAutomaton:

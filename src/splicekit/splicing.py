@@ -12,9 +12,9 @@ syntactic monoid's table the flank triple that respect reads.
 
 A system's rules are a tuple of rule objects or a ``RuleProduct``, the
 canonical rule set kept symbolic.  Either is read as a stream of runs: rules
-that share every component but the last, with the last components in order.
-``site_groups`` maps each run through ``triplet`` for the closure
-construction, and the system JSON is written from the runs.
+that share every component but the last, with the last components in order;
+the system JSON is written from the runs.  The closure construction reads a
+tuple rule by rule and a product through its pools and class tuples.
 """
 
 from __future__ import annotations
@@ -289,33 +289,6 @@ def _component_words(rules) -> dict[str, None]:
     if isinstance(rules, RuleProduct):
         return rules.words()
     return dict.fromkeys(c for r in rules for c in r.components)
-
-
-def site_groups(rules) -> Iterator[tuple[str, tuple[str, ...], tuple[str, ...]]]:
-    """(left site, insert words, right sites) for each run of the rules, in
-    order: the run's i-th rule writes insert word i between its left site
-    and right site i.
-
-    ``triplet`` maps a run as it maps one rule, with the run's last words in
-    place of the last component: a word times them is one word per last
-    word.  Each such tuple is built once per (word, last words) and shared
-    by every later run that asks for it again.
-    """
-    spread: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
-
-    def product(a: str, b: str | tuple[str, ...]) -> str | tuple[str, ...]:
-        if isinstance(b, str):
-            return a + b
-        got = spread.get((a, b))
-        if got is None:
-            got = spread[a, b] = tuple(a + w for w in b)
-        return got
-
-    for prefix, lasts in _runs(rules):
-        left, right, insert = triplet((*prefix, lasts), product)
-        # a triplet run shares its right site; a classic one spreads it
-        rights = right if isinstance(right, tuple) else (right,) * len(lasts)
-        yield left, insert, rights
 
 
 def sigma_step(words: set[str], rules) -> set[str]:

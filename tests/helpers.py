@@ -15,10 +15,14 @@ against the edges it found itself.  ``build_gadget_closure_reference`` is
 its counterpart for triplet rule products, which ``build_closure`` reads
 through class x length gadgets: it reads each gadget state's letter row and
 right-site feeds off the bridge pool word by word, with none of the
-library's gadget code, and saturates the same way.  ``reverse`` and
-``reversed_dfa`` mirror a rule and a language for the reversal relation,
-and ``rename`` and ``renamed_dfa`` swap two letters for the renaming
-relation; each compares two decides without any oracle.
+library's gadget code, and saturates the same way.
+``build_chain_closure_reference`` is the one for classic rule products,
+which ``build_closure`` reads through one chain per site word, joined per
+class pair: it cuts the sites of each rule object by hand, classing its
+components with ``class_of``, with none of the library's chain code.
+``reverse`` and ``reversed_dfa`` mirror a rule and a language for the
+reversal relation, and ``rename`` and ``renamed_dfa`` swap two letters for
+the renaming relation; each compares two decides without any oracle.
 ``is_factor_brute`` decides whether a word is a factor of a DFA's language
 by trying every short context around it, and ``factor_site_system`` keeps a
 system's rules whose two sites pass it, with no monoid.
@@ -32,6 +36,7 @@ import itertools
 import json
 import random
 import re
+from dataclasses import replace
 
 from splicekit import (
     Alphabet,
@@ -628,6 +633,84 @@ def build_gadget_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
         system.alphabet, count, axioms.initial, axioms.accepting,
         frozenset(labeled), frozenset(static_eps),
     )
+    return _saturate_reference(base, left_hub, right_hub)
+
+
+def build_chain_closure_reference(system: SplicingSystem, monoid=None) -> ClosureAutomaton:
+    """The reference for ``build_closure`` on a classic rule product: one
+    chain per left site and one per right site, built from scratch from the
+    system's rule objects, each component classed by ``monoid.class_of``
+    (the product's monoid unless one is given), and saturated as
+    ``build_closure_reference`` saturates.
+
+    A rule (u1, v1, u2, v2) cuts its left site u1·v1 after u1, tagged with
+    the classes of u1 and v1, and its right site u2·v2 after u2, tagged with
+    those of u2 and v2, and joins the two tags.  States are numbered: the
+    axiom states; each left site in ll-order, its hub and then one state
+    per letter up to its last cut; each right site in ll-order, one state
+    per position from its first cut to its end, the last being its hub.
+    Every left cut state has an epsilon edge to every right cut state whose
+    tag some rule joins to its own; the edges into the states of one right
+    tag come from the same states, and form one biclique, the bicliques in
+    the order of their lowest target.
+    """
+    rules = tuple(system.rules)
+    monoid = monoid or system.rules.monoid
+    left_cuts: dict[str, dict[int, tuple[int, int]]] = {}
+    right_cuts: dict[str, dict[int, tuple[int, int]]] = {}
+    joined: set[tuple[tuple[int, int], tuple[int, int]]] = set()
+    for rule in rules:
+        left = (monoid.class_of(rule.u1), monoid.class_of(rule.v1))
+        right = (monoid.class_of(rule.u2), monoid.class_of(rule.v2))
+        left_cuts.setdefault(rule.u1 + rule.v1, {})[len(rule.u1)] = left
+        right_cuts.setdefault(rule.u2 + rule.v2, {})[len(rule.u2)] = right
+        joined.add((left, right))
+
+    axioms = system.axiom_nfa()
+    count = axioms.state_count
+    labeled = set(axioms.labeled_edges)
+    left_hub: dict[str, int] = {}
+    right_hub: dict[str, int] = {}
+    left_tag: dict[int, tuple[int, int]] = {}
+    right_tag: dict[int, tuple[int, int]] = {}
+    for site in ll_sorted(system.alphabet, left_cuts):
+        cuts = left_cuts[site]
+        left_hub[site] = count
+        for i in range(max(cuts) + 1):
+            if i in cuts:
+                left_tag[count + i] = cuts[i]
+            if i:
+                labeled.add((count + i - 1, site[i - 1], count + i))
+        count += max(cuts) + 1
+    for site in ll_sorted(system.alphabet, right_cuts):
+        cuts = right_cuts[site]
+        first = min(cuts)
+        for j in range(first, len(site) + 1):
+            state = count + j - first
+            if j in cuts:
+                right_tag[state] = cuts[j]
+            if j > first:
+                labeled.add((state - 1, site[j - 1], state))
+        count += len(site) - first + 1
+        right_hub[site] = count - 1
+
+    groups: dict[tuple[int, int], set[tuple[int, int]]] = {}  # right tag -> its edges
+    for p, left in left_tag.items():
+        for q, right in right_tag.items():
+            if (left, right) in joined:
+                groups.setdefault(right, set()).add((p, q))
+    joins = []
+    for edges in groups.values():
+        sources = {p for p, _q in edges}
+        targets = {q for _p, q in edges}
+        assert len(edges) == len(sources) * len(targets), "a right tag's edges are no biclique"
+        joins.append((_mask(sources), _mask(targets)))
+    joins.sort(key=lambda biclique: min(_bits(biclique[1])))
+    letters = Nfa.from_edges(
+        system.alphabet, count, axioms.initial, axioms.accepting,
+        frozenset(labeled), axioms.epsilon_edges,
+    )
+    base = replace(letters, epsilon=letters.epsilon + tuple(joins))
     return _saturate_reference(base, left_hub, right_hub)
 
 

@@ -36,6 +36,7 @@ from splicekit.splicing import RuleProduct, sigma_step
 
 from helpers import (
     automaton_to_json_reference,
+    build_chain_closure_reference,
     build_closure_reference,
     build_gadget_closure_reference,
     coreachable_brute,
@@ -251,31 +252,31 @@ def test_canonical_added_edges_are_pinned():
     """The exact ordered provenance of a canonical system's saturation.
 
     Left sites come first, then right sites, each in hub order, and within
-    a site the new points in ascending state order; the 2,020 edges are
+    a site the new points in ascending state order; the 1,430 edges are
     pinned through a digest of their text form.
     """
     system = canonical_system(lang("a+b+"), "classic", custom_bounds("classic", 3, 3, 3))
     closure = build_closure(system)
     assert closure.rounds == 5
     per_round = [sum(1 for e in closure.added if e.round == r) for r in range(1, 6)]
-    assert per_round == [12, 118, 960, 806, 124]
+    assert per_round == [12, 108, 674, 588, 48]
     assert [tuple(e) for e in closure.added[:12]] == [
         (0, 3, "", "in", 1),
         (1, 3, "", "in", 1),
         (2, 3, "", "in", 1),
-        (0, 26, "a", "in", 1),
-        (1, 40, "b", "in", 1),
-        (0, 61, "ab", "in", 1),
-        (28, 1, "a", "out", 1),
-        (32, 2, "ab", "out", 1),
-        (42, 2, "b", "out", 1),
-        (69, 0, "", "out", 1),
-        (69, 1, "", "out", 1),
-        (69, 2, "", "out", 1),
+        (0, 4, "a", "in", 1),
+        (1, 6, "b", "in", 1),
+        (0, 11, "ab", "in", 1),
+        (92, 0, "", "out", 1),
+        (92, 1, "", "out", 1),
+        (92, 2, "", "out", 1),
+        (94, 1, "a", "out", 1),
+        (96, 2, "b", "out", 1),
+        (102, 2, "ab", "out", 1),
     ]
     text = "\n".join(f"{e.src} {e.dst} {e.site} {e.side} {e.round}" for e in closure.added)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "c3f28eda33711dd65a3349ee9d9c4b1c12785798b9788c0f349920578df10e61"
+        "e8007ad21956775dc45a4d3906aa8232388a1219246b79140029c56a37fd32ee"
     )
 
 
@@ -301,8 +302,23 @@ def _sites_and_insert(rule) -> tuple[str, str, str]:
 
 
 def test_state_count_is_axioms_hubs_and_distinct_insert_prefixes():
+    """A tuple of rules takes the tries, the canonical product's rules too
+    when listed; the product itself takes the chains: a left site's hub and
+    a state per letter up to its last cut, and a right site's states from
+    its first cut to its end, the hub included."""
     rng = random.Random(11)
-    systems = [EXAMPLE1, canonical_system(lang("a+b+"), "classic", custom_bounds("classic", 3, 3, 3))]
+    product = canonical_system(lang("a+b+"), "classic", custom_bounds("classic", 3, 3, 3))
+    lefts: dict[str, int] = {}  # site -> its last cut
+    rights: dict[str, int] = {}  # site -> its first cut
+    for rule in product.rules:
+        lefts[rule.u1 + rule.v1] = max(lefts.get(rule.u1 + rule.v1, 0), len(rule.u1))
+        right = rule.u2 + rule.v2
+        rights[right] = min(rights.get(right, len(right)), len(rule.u2))
+    chains = sum(cut + 1 for cut in lefts.values()) + sum(
+        len(site) - cut + 1 for site, cut in rights.items()
+    )
+    assert build_closure(product).base.state_count == product.axiom_nfa().state_count + chains
+    systems = [EXAMPLE1, replace(product, rules=tuple(product.rules))]
     systems += [random_system(rng) for _ in range(10)]
     for system in systems:
         parts = [_sites_and_insert(rule) for rule in system.rules]
@@ -314,6 +330,23 @@ def test_state_count_is_axioms_hubs_and_distinct_insert_prefixes():
             + len(prefixes)
         )
         assert build_closure(system).base.state_count == expected, system
+
+
+def test_classic_product_tuples_without_words_add_no_chain():
+    """A product may name a class that no word shorter than its component's
+    bound has: such a tuple has no rule, and the chains build nothing for
+    it, as the reference built from the rule objects does not."""
+    monoid = syntactic_monoid(lang("a+b+"))
+    e, a, b = monoid.identity, monoid.class_of("a"), monoid.class_of("b")
+    # u1 and v2 are empty below bound 1, so only e is present there
+    tuples = frozenset({(e, a, b, e), (e, a, e, b), (a, e, b, e), (a, a, b, b)})
+    product = RuleProduct("classic", monoid, (1, 2, 2, 1), tuples)
+    system = SplicingSystem("classic", AB, ("ab", "aab"), product)
+    assert len(product) == 1
+    closure = build_closure(system)
+    assert closure == build_chain_closure_reference(system)
+    listed = replace(system, rules=tuple(product))
+    assert closure_dfa(closure) == closure_dfa(build_closure(listed))
 
 
 def test_rule_repeating_left_site_and_insert_word_adds_no_trie_node():
@@ -451,10 +484,13 @@ def test_mask_views_match_edge_set_routes(system):
 
 def _reference(system):
     """The from-scratch reference for the path ``build_closure`` takes: the
-    gadgets for a triplet rule product, the tries for anything else."""
-    if isinstance(system.rules, RuleProduct) and system.variant == "pixton":
+    gadgets for a triplet rule product, the chains for a classic one, the
+    tries for a tuple of rules."""
+    if not isinstance(system.rules, RuleProduct):
+        return build_closure_reference(system)
+    if system.variant == "pixton":
         return build_gadget_closure_reference(system)
-    return build_closure_reference(system)
+    return build_chain_closure_reference(system)
 
 
 def _check_views_of_the_masks(system):
@@ -500,14 +536,13 @@ CANONICAL_SYSTEMS = pytest.mark.parametrize(
 
 @CANONICAL_SYSTEMS
 def test_canonical_saturation_matches_from_scratch_reference(make):
-    """Classic rows against the trie reference; the pixton rows, which take
-    the gadgets, against the gadget reference, and their language against
-    the trie reference's."""
+    """Classic rows, which take the chains, against the chain reference;
+    pixton rows, which take the gadgets, against the gadget reference; and
+    the language of each against the trie reference's."""
     system = make()
     closure = build_closure(system)
     assert closure == _reference(system)
-    if system.variant == "pixton":
-        assert closure_dfa(closure) == closure_dfa(build_closure_reference(system))
+    assert closure_dfa(closure) == closure_dfa(build_closure_reference(system))
 
 
 @CANONICAL_SYSTEMS
@@ -578,8 +613,8 @@ def test_theorem_growth_is_pinned():
     """The points ``decide`` saturates for aaa+ classic at theorem bounds,
     every round, site and mask, through a digest of their text form."""
     closure = decide_splicing(lang("aaa+", A), "classic").closure
-    assert (closure.rounds, closure.base.state_count, len(closure.growth)) == (3, 5556, 332)
+    assert (closure.rounds, closure.base.state_count, len(closure.growth)) == (3, 4016, 332)
     text = "\n".join(f"{g.round} {g.side} {g.site} {g.hub} {g.points:x}" for g in closure.growth)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "34199cbd3895a4d0d0257ac2c35930ae86331d0e548885aa7026025cf42a9423"
+        "60b222ecf26384a3c4249fd405237d1b7e4486c845928eb91db1f01203e06c95"
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
@@ -43,6 +44,7 @@ from splicekit.splicing import RuleProduct, longest_rule_component
 
 from helpers import (
     all_words_upto,
+    build_chain_closure_reference,
     build_closure_reference,
     build_gadget_closure_reference,
     factor_site_system,
@@ -162,6 +164,21 @@ def test_growing_custom_bounds_keep_yes():
             astar, "pixton", custom_bounds("pixton", 2, 2, outer)
         )
         assert decision.verdict == "yes"
+
+
+@pytest.mark.parametrize("variant", ["classic", "pixton"])
+@pytest.mark.parametrize("regex", ["a+b+", "a*b*", "(ab)*"])
+def test_a_yes_stays_a_yes_at_every_larger_bound(regex, variant):
+    """A yes at bounds b is a yes at every b' >= b componentwise: a larger
+    bound only adds axioms and rules, so the closure only grows, and it
+    stays inside L, since the axioms lie in L and the rules respect it.
+    Checked from (3, 2, 3), a yes here, over a grid of (axiom, inner,
+    outer) bounds above it."""
+    language = lang(regex)
+    assert decide_splicing(language, variant, custom_bounds(variant, 3, 2, 3)).verdict == "yes"
+    for bounds in itertools.product((3, 4, 5), (2, 3), (3, 4, 5)):
+        decision = decide_splicing(language, variant, custom_bounds(variant, *bounds))
+        assert decision.verdict == "yes", bounds
 
 
 def test_prune_keeps_generated_language():
@@ -559,20 +576,18 @@ def test_pools_and_class_levels_match_the_class_of_each_word(dfa, variant, inner
     outer=st.integers(1, 4),
 )
 def test_closure_of_a_rule_product_equals_that_of_its_rule_tuple(dfa, variant, inner, outer):
-    # the trie reference walks each rule object on its own, without runs; a
-    # triplet product takes the gadgets instead, whose reference reads the
-    # pools, and accepts the language of the trie closure
+    """The rule objects take the tries, which the trie reference walks one
+    rule at a time; a product takes the gadgets (triplet) or the chains
+    (classic), equal to their own references, and accepts the language of
+    the trie closure."""
     symbolic, listed = product_and_tuple_systems(dfa, variant, inner, outer)
     got, want = build_closure(symbolic), build_closure_reference(listed)
     assert build_closure(listed) == want
     if variant == "pixton":
         assert got == build_gadget_closure_reference(symbolic)
-        assert closure_dfa(got) == closure_dfa(want)
-        return
-    assert got.base == want.base
-    assert (got.left_hubs, got.right_hubs) == (want.left_hubs, want.right_hubs)
-    assert (got.growth, got.rounds) == (want.growth, want.rounds)
-    assert got == want
+    else:
+        assert got == build_chain_closure_reference(symbolic)
+    assert closure_dfa(got) == closure_dfa(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -599,6 +614,24 @@ def test_gadget_and_trie_closures_give_one_verdict_and_witness(dfa, inner, outer
     assert decision.verdict == ("yes" if equivalent(closure_dfa(trie), dfa)[0] else "inconclusive")
 
 
+@settings(max_examples=100, deadline=None)
+@given(dfa=small_dfas(), inner=st.integers(1, 3), outer=st.integers(1, 4))
+def test_chain_and_trie_closures_give_one_verdict_and_witness(dfa, inner, outer):
+    """The canonical classic product, which takes the chains, and its rules
+    as a tuple, which take the tries: one closure language, so one verdict
+    and one ll-least witness against the language, and decide's verdict is
+    the one the trie closure gives."""
+    symbolic, listed = product_and_tuple_systems(dfa, "classic", inner, outer)
+    chain, trie = build_closure(symbolic), build_closure(listed)
+    generated = closure_dfa(trie)
+    assert closure_dfa(chain) == generated
+    assert equivalent(closure_dfa(chain), dfa) == equivalent(generated, dfa)
+    decision = decide_splicing(dfa, "classic", custom_bounds("classic", 4, inner, outer))
+    assert closure_dfa(decision.closure) == generated
+    assert decision.verdict == ("yes" if equivalent(generated, dfa)[0] else "inconclusive")
+    assert decision.witness is None
+
+
 EMPTY = Dfa(alphabet=AB, state_count=1, initial=0, accepting=frozenset(), transitions=((0, 0),))
 
 
@@ -621,9 +654,14 @@ def test_factor_site_closure_is_the_canonical_closure(dfa, variant, inner, outer
     assert decision.system == canonical_system(dfa, variant, bounds, prune)
     generated = closure_dfa(decision.closure)
     assert generated == closure_dfa(build_closure(decision.system))
-    if variant == "classic" or prune:
-        # tries, which a product and its rule objects number alike
-        assert decision.closure == build_closure(factor_site_system(decision.system, dfa))
+    firing = factor_site_system(decision.system, dfa)
+    assert generated == closure_dfa(build_closure(firing))
+    if prune:
+        # a pruned system is a tuple of rules, which takes the tries
+        assert decision.closure == build_closure(firing)
+    elif variant == "classic":
+        monoid = syntactic_monoid(dfa)
+        assert decision.closure == build_chain_closure_reference(firing, monoid)
     if not dfa.accepting:
         assert decision.verdict == "yes"
 

@@ -1,7 +1,10 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LADDER = os.path.join(ROOT, "bench", "ladder.py")
@@ -35,7 +38,7 @@ def test_ladder_binary_case_runs_at_custom_bounds():
     record = json.loads(done.stdout)
     assert record["case"] == "a+b+ classic custom(3,3,3)"
     assert (record["verdict"], record["witness"]) == ("yes", None)
-    assert (record["monoid_size"], record["rules"], record["closure_states"]) == (5, 2134, 118)
+    assert (record["monoid_size"], record["rules"], record["closure_states"]) == (5, 2134, 83)
 
 
 def test_ladder_compares_the_checkout_with_itself(tmp_path):
@@ -67,3 +70,37 @@ def test_ladder_comparison_records_each_side_s_outcome(tmp_path):
         for side in ("change", "parent"):
             assert (record[side]["verdict"], record[side]["witness"]) == ("no", "a" * 16)
         assert set(record["ratio"]) == {"total_s", "calibrated_total_s", "ru_maxrss_mb"}
+
+
+def _ladder_module():
+    spec = importlib.util.spec_from_file_location("ladder", LADDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("field,parent_value", [("verdict", "inconclusive"), ("witness", "ab")])
+def test_ladder_comparison_stops_on_a_changed_decision(monkeypatch, field, parent_value):
+    """A verdict or witness that differs between the two sides ends the
+    comparison with the case named; a closure-state count that differs
+    does not."""
+    ladder = _ladder_module()
+    changed = {field: parent_value}  # what the parent side decides otherwise
+
+    def record(script, index, repeats):
+        parent = script == "PARENT"
+        got = {
+            "case": "a+b+ classic custom(3,3,3)", "verdict": "yes", "witness": None,
+            "monoid_size": 5, "rules": 2134, "closure_states": 118 if parent else 83,
+            "total_s": 1.0, "calibrated_total_s": 1.0, "speed": 1.0, "ru_maxrss_mb": 30.0,
+        }
+        if parent:
+            got.update(changed)
+        return got
+
+    monkeypatch.setattr(ladder, "_record", record)
+    with pytest.raises(SystemExit, match=r"case 23 \(a\+b\+ classic custom\(3,3,3\)\)"):
+        ladder.compare("PARENT", 23, 2)
+    changed.clear()
+    compared = ladder.compare("PARENT", 23, 2)
+    assert (compared["parent"]["closure_states"], compared["change"]["closure_states"]) == (118, 83)
