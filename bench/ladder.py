@@ -23,9 +23,17 @@ gives the other stages at decide's own boundaries:
 - closure_dfa: its minimal DFA;
 - comparison: the subset check and the equivalence with its witness.
 
+Then it writes the canonical system and the closure automaton as
+``decide --emit-system --emit-closure`` does, into a temporary directory
+deleted after the repeat, and times that as ``emit``; ``a^8+`` writes
+1.9 GB and 0.3 GB there.
+
 A record holds the median seconds of each stage over the repeats, the
-median total, the verdict and witness, the monoid size, the rule and
-closure-state counts and the peak RSS.  The case's subprocess also times
+median total (``emit`` left out, so the total stays the decision's), the
+median ``emit_s``, the verdict and witness, the monoid size, the rule and
+closure-state counts and two peak RSS readings: ``ru_maxrss_mb`` just
+before the first emit, the decision's own peak, and ``emit_maxrss_mb``
+after the last one.  The case's subprocess also times
 ``splicebench/calibrate.py``'s fixed kernel just before and just after the
 case (``speed_now``), and the record keeps the mean of the two host-speed
 factors as ``speed`` (above 1 where the host ran slower than the
@@ -41,7 +49,8 @@ both sides' subprocesses take their host-speed factor from this checkout's
 still drifts within and between rounds (``a+`` classic theorem, whose work
 a change left alone, read x1.47 over 5 rounds), so each total is also
 divided by its own run's host-speed factor.  A record holds each side's median total seconds, calibrated total
-seconds, host-speed factor and peak RSS over the rounds with its outcome
+seconds, host-speed factor and peak RSS over the rounds (and the emit
+seconds and peak RSS after emit, where its ladder has the stage) with its outcome
 (verdict, witness, monoid size, rule and closure-state counts, which must
 agree over the rounds), and the change/parent ratio of the seconds, the
 calibrated seconds and the RSS.  The comparison stops, naming the case,
@@ -60,6 +69,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,6 +83,8 @@ from splicekit import (  # noqa: E402
     minimize,
     parse_regex,
 )
+from splicekit.automata import automaton_chunks  # noqa: E402
+from splicekit.splicing import system_chunks  # noqa: E402
 
 # (regex, alphabet, variant, custom (axiom, inner, outer) bounds or None for
 # the theorem bounds, repeats or None for --repeats); new cases go last, so
@@ -99,10 +111,15 @@ def case_name(regex: str, variant: str, bounds: tuple[int, int, int] | None) -> 
     return f"{regex} {variant} custom({','.join(map(str, bounds))})"
 
 
+def _peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def run_once(
     regex: str, alphabet: str, variant: str, bounds: tuple[int, int, int] | None
-) -> tuple[dict, dict]:
-    """One decision from the regex: (seconds per stage, outcome)."""
+) -> tuple[dict, dict, float, float]:
+    """One decision from the regex and its two files: (seconds per stage,
+    outcome, peak RSS before emit, emit seconds)."""
     start = time.perf_counter()
     lang = minimize(determinize(parse_regex(regex, Alphabet.from_string(alphabet))))
     resolve = time.perf_counter() - start
@@ -115,7 +132,18 @@ def run_once(
         "rules": decision.stats["rules_emitted"],
         "closure_states": decision.stats["closure_states"],
     }
-    return {"resolve": resolve, **decision.seconds}, outcome
+    before_emit = _peak_rss_mb()
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        writers = {
+            "system.json": system_chunks(decision.system),
+            "closure.json": automaton_chunks(decision.closure.nfa()),
+        }
+        for name, chunks in writers.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+    emit = time.perf_counter() - start
+    return {"resolve": resolve, **decision.seconds}, outcome, before_emit, emit
 
 
 def measure(
@@ -124,15 +152,18 @@ def measure(
     """The record of one case, measured in this process."""
     runs = [run_once(regex, alphabet, variant, bounds) for _ in range(repeats)]
     outcome = runs[0][1]
-    if any(o != outcome for _, o in runs):
+    if any(o != outcome for _, o, _, _ in runs):
         raise AssertionError("repeats disagree")
+    stages = [r for r, _, _, _ in runs]
     return {
         "case": case_name(regex, variant, bounds),
         **outcome,
         "repeats": repeats,
-        "median_s": {s: round(statistics.median(r[s] for r, _ in runs), 6) for s in runs[0][0]},
-        "total_s": round(statistics.median(sum(r.values()) for r, _ in runs), 6),
-        "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "median_s": {s: round(statistics.median(r[s] for r in stages), 6) for s in stages[0]},
+        "total_s": round(statistics.median(sum(r.values()) for r in stages), 6),
+        "emit_s": round(statistics.median(emit for _, _, _, emit in runs), 6),
+        "ru_maxrss_mb": runs[0][2],
+        "emit_maxrss_mb": _peak_rss_mb(),
     }
 
 
@@ -184,6 +215,7 @@ def _case_count(script: str) -> int:
 # that measure it
 _OUTCOME = ("verdict", "witness", "monoid_size", "rules", "closure_states")
 _MEASURED = ("total_s", "calibrated_total_s", "speed", "ru_maxrss_mb")
+_EMIT = ("emit_s", "emit_maxrss_mb")  # absent where a ladder has no emit stage
 
 
 def compare(parent: str, index: int, repeats: int) -> dict:
@@ -205,7 +237,9 @@ def compare(parent: str, index: int, repeats: int) -> dict:
         if len(outcomes) != 1:
             raise SystemExit(f"case {index} gives different outcomes on the {side} side")
         record[side] = {
-            key: round(statistics.median(r[key] for r in records), 6) for key in _MEASURED
+            key: round(statistics.median(r[key] for r in records), 6)
+            for key in _MEASURED + _EMIT
+            if key in records[0]
         }
         record[side].update(zip(_OUTCOME, outcomes.pop()))
     decided = {side: (record[side]["verdict"], record[side]["witness"]) for side in runs}

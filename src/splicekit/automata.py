@@ -772,55 +772,54 @@ def has_cycle(nfa: Nfa) -> bool:
 
 
 def automaton_to_json(a: Nfa | Dfa) -> str:
-    """Automaton JSON, bit-exact: fixed key order, edges sorted as triples.
+    """Automaton JSON, bit-exact: ``automaton_chunks`` joined."""
+    return "".join(automaton_chunks(a))
+
+
+def automaton_chunks(a: Nfa | Dfa) -> Iterator[str]:
+    """The automaton's JSON in chunks, made as they are asked for: fixed key
+    order, edges sorted as triples and pairs.
 
     Walking the states in order, each state's symbols in string order and
-    each row's targets ascending lists the edges already sorted as triples,
-    so no edge set is built and nothing is sorted here.  The epsilon rows
-    come from the bicliques: those with one target are grouped by target
-    and appended to their sources' rows in ascending target order, so those
-    rows come out sorted and free of repeats; a state that is the source of
-    a wider biclique gets its row from one mask instead.
+    each row's targets ascending lists the letter edges already sorted, so
+    no edge set is built and nothing is sorted here; they come in the first
+    chunk.  Then one chunk per state with epsilon edges: its row is the
+    union of the target masks of the bicliques it is a source of, and each
+    distinct row mask is written once, with a placeholder for the source
+    that each state's chunk fills in with one ``str.replace``.
     """
     nfa = a.to_nfa() if isinstance(a, Dfa) else a
-    into: dict[int, int] = {}  # target -> sources, for one-target bicliques
-    wide: dict[int, int] = {}  # source -> targets, for the others
-    for src, dst in nfa.epsilon:
-        if dst & (dst - 1):
-            for p in _bits(src):
-                wide[p] = wide.get(p, 0) | dst
-        else:
-            t = dst.bit_length() - 1
-            into[t] = into.get(t, 0) | src
-    state_count = nfa.state_count
-    eps: list[list[int]] = [[] for _ in range(state_count)]
-    for t in sorted(into):
-        for p in _bits(into[t]):
-            eps[p].append(t)
-    for p, targets in wide.items():
-        eps[p] = list(_bits(targets | _mask(eps[p])))
+    n = nfa.state_count
     head = json.dumps(
         {
             "alphabet": list(nfa.alphabet.symbols),
-            "states": state_count,
+            "states": n,
             "initial": sorted(nfa.initial),
             "accepting": sorted(nfa.accepting),
         },
         separators=(",", ":"),
     )
     syms = [(json.dumps(sym), row) for sym, row in sorted(zip(nfa.alphabet.symbols, nfa.rows))]
-    edges = [
-        f"[{p},{sym},{q}]"
-        for p in range(state_count)
-        for sym, row in syms
-        for q in _bits(row[p])
-    ]
-    pairs = []
-    for p, row in enumerate(eps):
-        if row:
-            pre = f"[{p},"
-            pairs.append(pre + ("]," + pre).join(map(str, row)) + "]")
-    return f'{head[:-1]},"edges":[{",".join(edges)}],"epsilon":[{",".join(pairs)}]}}'
+    edges = ",".join(
+        f"[{p},{sym},{q}]" for p in range(n) for sym, row in syms if row[p] for q in _bits(row[p])
+    )
+    yield f'{head[:-1]},"edges":[{edges}],"epsilon":['
+    eps = [0] * n
+    for src, dst in nfa.epsilon:
+        for p in _bits(src):
+            eps[p] |= dst
+    # row mask -> its pairs, each led by a comma and with "\0" for the source
+    texts: dict[int, str] = {}
+    first = True
+    for p, targets in enumerate(eps):
+        if targets:
+            text = texts.get(targets)
+            if text is None:
+                text = texts[targets] = ",[\0," + "],[\0,".join(map(str, _bits(targets))) + "]"
+            row = text.replace("\0", str(p))
+            yield row[1:] if first else row
+            first = False
+    yield "]}"
 
 
 def _id(value) -> int:

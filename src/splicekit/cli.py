@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from . import __version__
 from .automata import (
     Alphabet,
     Dfa,
+    automaton_chunks,
     automaton_from_json,
     automaton_to_dot,
     determinize,
@@ -39,8 +41,8 @@ from .splicing import (
     parse_rule,
     splice_classic,
     splice_pixton,
+    system_chunks,
     system_from_json,
-    system_to_json,
 )
 
 _USAGE_EXIT = 64
@@ -74,10 +76,14 @@ def _resolve_lang(lang: str, alphabet: str | None) -> Dfa:
     return minimize(determinize(parse_regex(lang, ab)))
 
 
-def _emit(path: str, payload: str) -> None:
+def _emit(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks as they come, ending the file with one newline."""
+    last = ""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(payload)  # not payload + "\n": that copies the payload
-        if not payload.endswith("\n"):
+        for chunk in chunks:
+            handle.write(chunk)
+            last = chunk or last
+        if not last.endswith("\n"):
             handle.write("\n")
 
 
@@ -161,12 +167,12 @@ def _cmd_closure(args) -> int:
     print(f"rounds: {closure.rounds}")
     print(f"epsilon-added: {closure.added_count}")
     if args.emit_closure:
-        _emit(args.emit_closure, closure.to_json())
+        _emit(args.emit_closure, automaton_chunks(closure.nfa()))
     if args.dot:
         sites = sorted({e.site for e in closure.added})
         palette = {site: _PALETTE[i % len(_PALETTE)] for i, site in enumerate(sites)}
         colors = {(e.src, e.dst): palette[e.site] for e in closure.added}
-        _emit(args.dot, automaton_to_dot(closure.nfa(), colors))
+        _emit(args.dot, (automaton_to_dot(closure.nfa(), colors),))
     return 0
 
 
@@ -236,9 +242,9 @@ def _cmd_decide(args) -> int:
         wall = round(sum(decision.seconds.values()), 3)
         _print_json({**decision.stats, "wall_time_s": wall})
     if args.emit_system:
-        _emit(args.emit_system, system_to_json(decision.system))
+        _emit(args.emit_system, system_chunks(decision.system))
     if args.emit_closure:
-        _emit(args.emit_closure, decision.closure.to_json())
+        _emit(args.emit_closure, automaton_chunks(decision.closure.nfa()))
     return decision.exit_code
 
 

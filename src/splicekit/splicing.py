@@ -11,10 +11,10 @@ syntactic monoid's table the flank triple that respect reads.
 ``_rule_type`` maps a variant name to its rule class.
 
 A system's rules are a tuple of rule objects or a ``RuleProduct``, the
-canonical rule set kept symbolic.  Either is read as a stream of runs: rules
-that share every component but the last, with the last components in order;
-the system JSON is written from the runs.  The closure construction reads a
-tuple rule by rule and a product through its pools and class tuples.
+canonical rule set kept symbolic.  The system JSON is written in chunks,
+a product's per class-trie node (``_rule_chunks``).  The closure
+construction reads a tuple rule by rule and a product through its pools and
+class tuples.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .automata import (
     Dfa,
     Nfa,
     NfaBuilder,
+    automaton_chunks,
     automaton_from_json,
     determinize,
     enumerate_words,
@@ -40,7 +41,6 @@ from .automata import (
     occurrences,
     trim,
 )
-from .automata import automaton_to_json as _automaton_json
 from .errors import InfiniteAxiomLanguageError, json_field, json_typed
 from .monoid import SyntacticMonoid, class_counts, class_pool
 
@@ -277,13 +277,6 @@ class RuleProduct:
         )
 
 
-def _runs(rules) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """The rules as runs (prefix, last words); a tuple gives one run per rule."""
-    if isinstance(rules, RuleProduct):
-        return rules.runs()
-    return ((r.components[:-1], r.components[-1:]) for r in rules)
-
-
 def _component_words(rules) -> dict[str, None]:
     """Every component word of the rules, once, in first-seen order."""
     if isinstance(rules, RuleProduct):
@@ -457,41 +450,70 @@ def rule_to_text(rule: Rule) -> str:
 
 
 def system_to_json(system: SplicingSystem) -> str:
-    """The system as compact JSON; the rules are written run by run."""
+    """The system as compact JSON: ``system_chunks`` joined."""
+    return "".join(system_chunks(system))
+
+
+def system_chunks(system: SplicingSystem) -> Iterator[str]:
+    """The system's compact JSON in chunks, made as they are asked for; an
+    axiom automaton's chunks are spliced in as they come."""
+    head = {"variant": system.variant, "alphabet": list(system.alphabet.symbols)}
+    yield json.dumps(head, separators=(",", ":"))[:-1] + ',"axioms":'
     if isinstance(system.axioms, tuple):
-        axioms = list(system.axiom_words())
+        yield json.dumps(list(system.axiom_words()), separators=(",", ":"))
     else:
-        axioms = json.loads(_automaton_json(system.axioms))
-    doc = {
-        "variant": system.variant,
-        "alphabet": list(system.alphabet.symbols),
-        "axioms": axioms,
-    }
-    head = json.dumps(doc, separators=(",", ":"))
-    return "".join((head[:-1], ',"rules":[', _rules_json(system.rules), "]}"))
+        yield from automaton_chunks(system.axioms)
+    yield ',"rules":['
+    yield from _rule_chunks(system.rules)
+    yield "]}"
 
 
-def _rules_json(rules) -> str:
+# Stands for the part of a rule's array not yet written; json.dumps never
+# writes it raw, it escapes it as \u0000.
+_HOLE = "\0"
+
+
+def _rule_chunks(rules) -> Iterator[str]:
     """The rules' component arrays, comma-separated: the bytes ``json.dumps``
-    writes inside the rule list, with each distinct word encoded once."""
-    encoded: dict[str, str] = {}
-    # a run's last words, each encoded and closing its rule's array
-    closers: dict[tuple[str, ...], tuple[str, ...]] = {}
+    writes inside the rule list.
 
-    def encode(word: str) -> str:
-        got = encoded.get(word)
-        if got is None:
-            got = encoded[word] = json.dumps(word)
-        return got
+    A tuple is one chunk.  A product is written per class-trie node: a
+    node's text holds every rule tail below it, each led by ``_HOLE``, and
+    its parent writes it once for each pool word of the node's class by
+    putting the word's encoding in every hole with one ``str.replace``; the
+    root yields one chunk per first-component word.  No per-rule string is
+    made.
+    """
+    if not isinstance(rules, RuleProduct):
+        yield json.dumps([list(r.components) for r in rules], separators=(",", ":"))[1:-1]
+        return
+    last = len(rules.component_lts) - 1
+    pools = [(tuple(map(json.dumps, words)), classes) for words, classes in rules.pools]
 
-    parts: list[str] = []
-    for prefix, lasts in _runs(rules):
-        ends = closers.get(lasts)
-        if ends is None:
-            ends = closers[lasts] = tuple(encode(w) + "]" for w in lasts)
-        head = "[" + "".join(encode(w) + "," for w in prefix)
-        parts.append(",".join([head + end for end in ends]))
-    return ",".join(parts)
+    def text(depth: int, node: dict) -> str:
+        """Every rule tail below ``node``, each led by ``_HOLE``."""
+        if depth < last:
+            return ",".join(tails(depth, node, _HOLE))
+        return ",".join([_HOLE + code + "]" for code, c in zip(*pools[depth]) if c in node])
+
+    def tails(depth: int, node: dict, lead: str) -> Iterator[str]:
+        """For each pool word ``node`` allows that some rule extends, the
+        rule tails below it with ``lead`` and the word's encoding in each
+        hole; each child's text is made once."""
+        made: dict[int, str] = {}
+        for code, c in zip(*pools[depth]):
+            child = node.get(c)
+            if child is not None:
+                tail = made.get(c)
+                if tail is None:
+                    tail = made[c] = text(depth + 1, child)
+                if tail:
+                    yield tail.replace(_HOLE, lead + code + ",")
+
+    for i, chunk in enumerate(tails(0, rules._trie, "[")):
+        if i:
+            yield ","
+        yield chunk
 
 
 def system_from_json(text: str | dict) -> SplicingSystem:

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's own algorithms wherever
 they are used as a second route: regex membership goes through Python's re
 module, NFA membership, subset construction and cycle detection through
-plain set walks, automaton JSON through one ``json.dumps`` of sorted edges, syntactic congruence through raw context enumeration over
-DFA word membership, and closure words through literal splicing iteration.
+plain set walks, automaton JSON through one ``json.dumps`` of sorted edges,
+system JSON through one ``json.dumps`` of the rules as iterated, syntactic
+congruence through raw context enumeration over DFA word membership, and
+closure words through literal splicing iteration.
 The saturation reference ``build_closure_reference`` recomputes every round
 from scratch along per-state epsilon rows, closed by its own ``_reach``: it
 shares the library's bit iteration and letter images, but none of its
@@ -156,6 +158,26 @@ def automaton_to_json_reference(nfa: Nfa) -> str:
         "accepting": sorted(nfa.accepting),
         "edges": sorted(nfa.labeled_edges),
         "epsilon": sorted(nfa.epsilon_edges),
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def system_to_json_reference(system: SplicingSystem) -> str:
+    """The system JSON as one ``json.dumps`` of a document whose rule list is
+    built by iterating the system's rules, and whose axiom automaton is
+    written by ``automaton_to_json_reference``; no writer of the library is
+    used."""
+    axioms = system.axioms
+    if isinstance(axioms, tuple):
+        axioms = ll_sorted(system.alphabet, set(axioms))
+    else:
+        nfa = axioms.to_nfa() if isinstance(axioms, Dfa) else axioms
+        axioms = json.loads(automaton_to_json_reference(nfa))
+    doc = {
+        "variant": system.variant,
+        "alphabet": list(system.alphabet.symbols),
+        "axioms": axioms,
+        "rules": [list(rule.components) for rule in system.rules],
     }
     return json.dumps(doc, separators=(",", ":"))
 

@@ -355,8 +355,18 @@ def small_nfas():
     return small_edge_sets().map(lambda edges: Nfa.from_edges(**edges))
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_nfas())
+@st.composite
+def biclique_nfas(draw):
+    """Small Nfas whose epsilon edges are drawn as bicliques: wide ones, and
+    sources shared between bicliques, as closures have them."""
+    nfa = draw(small_nfas())
+    mask = st.integers(1, (1 << nfa.state_count) - 1)
+    bicliques = draw(st.lists(st.tuples(mask, mask), max_size=6)) if nfa.state_count else []
+    return replace(nfa, epsilon=nfa.epsilon + tuple(bicliques))
+
+
+@settings(max_examples=300, deadline=None)
+@given(biclique_nfas())
 def test_json_matches_sorted_document_dump(nfa):
     assert automaton_to_json(nfa) == automaton_to_json_reference(nfa)
 

@@ -21,7 +21,8 @@ def test_ladder_case_reads_decide_splicing_stages():
     assert tuple(record["median_s"]) == (
         "resolve", "monoid", "rules", "saturate", "closure_dfa", "comparison",
     )
-    assert record["total_s"] >= 0
+    assert record["total_s"] >= 0 and record["emit_s"] > 0
+    assert record["emit_maxrss_mb"] >= record["ru_maxrss_mb"] > 0
 
 
 def test_ladder_requires_an_output_path():
@@ -70,6 +71,7 @@ def test_ladder_comparison_records_each_side_s_outcome(tmp_path):
         for side in ("change", "parent"):
             assert (record[side]["verdict"], record[side]["witness"]) == ("no", "a" * 16)
         assert set(record["ratio"]) == {"total_s", "calibrated_total_s", "ru_maxrss_mb"}
+        assert record["change"]["emit_s"] > 0 and record["parent"]["emit_s"] > 0
 
 
 def _ladder_module():

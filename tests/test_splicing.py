@@ -10,7 +10,11 @@ from splicekit import (
     RuleProduct,
     SplicingSystem,
     UnknownSymbolError,
+    Dfa,
     bounded_closure,
+    canonical_system,
+    custom_bounds,
+    decide_splicing,
     determinize,
     minimize,
     parse_regex,
@@ -23,7 +27,9 @@ from splicekit import (
     system_from_json,
     system_to_json,
 )
-from splicekit.splicing import splice_words
+from splicekit.splicing import splice_words, system_chunks
+
+from helpers import system_to_json_reference
 
 
 
@@ -206,6 +212,46 @@ def test_system_json_round_trip_symbolic_axioms():
     back = system_from_json(system_to_json(system))
     assert back.axiom_words() == system.axiom_words()
     assert back.rules == system.rules
+
+
+def _empty_product():
+    system = decide_splicing(minimize(determinize(parse_regex("(aa)*", A))), "classic").system
+    assert isinstance(system.rules, RuleProduct) and len(system.rules) == 0
+    return system
+
+
+def _rule_tuple():
+    rules = (PixtonRule("a", "b", "a"), PixtonRule("", "ab", "b"), PixtonRule("ab", "", ""))
+    return SplicingSystem("pixton", AB, parse_regex("b(()|aa)", AB), rules)
+
+
+def _quote_and_nul_product():
+    """The canonical classic system of ("+)(NUL+): its words spell the
+    placeholder character the rule writer leaves in its holes."""
+    alphabet = Alphabet(('"', "\0"))
+    dfa = Dfa(alphabet, 4, 0, frozenset({2}), ((1, 3), (1, 2), (3, 2), (3, 3)))
+    system = canonical_system(dfa, "classic", custom_bounds("classic", 3, 3, 3))
+    assert len(system.rules) == 2134 and "\0" in system.rules.words()
+    return system
+
+
+def _classes_without_words():
+    """A product whose tuples name classes that no word below their
+    component's bound has: nodes of its class trie with no rule below."""
+    monoid = syntactic_monoid(minimize(determinize(parse_regex("a+b+", AB))))
+    e, a, b = monoid.identity, monoid.class_of("a"), monoid.class_of("b")
+    tuples = frozenset({(e, a, b, e), (e, a, e, b), (a, e, b, e), (e, b, a, e)})
+    product = RuleProduct("classic", monoid, (1, 2, 2, 1), tuples)
+    assert len(product) == 2
+    return SplicingSystem("classic", AB, ("ab",), product)
+
+
+@pytest.mark.parametrize(
+    "make", [_empty_product, _rule_tuple, _quote_and_nul_product, _classes_without_words]
+)
+def test_system_chunks_match_the_reference(make):
+    system = make()
+    assert "".join(system_chunks(system)) == system_to_json_reference(system)
 
 
 def test_splice_words_dispatch():
