@@ -23,17 +23,18 @@ gives the other stages at decide's own boundaries:
 - closure_dfa: its minimal DFA;
 - comparison: the subset check and the equivalence with its witness.
 
-Then it writes the canonical system and the closure automaton as
-``decide --emit-system --emit-closure`` does, into a temporary directory
-deleted after the repeat, and times that as ``emit``; ``a^8+`` writes
-1.9 GB and 0.3 GB there.
+After the repeats, the last repeat's decision writes the canonical system
+and the closure automaton as ``decide --emit-system --emit-closure`` does,
+once per repeat, into ``os.devnull``, so the chunks are made and encoded
+but need no disk (``a^8+`` makes 1.9 GB and 0.3 GB of them), and each
+write is timed as ``emit``.
 
 A record holds the median seconds of each stage over the repeats, the
 median total (``emit`` left out, so the total stays the decision's), the
 median ``emit_s``, the verdict and witness, the monoid size, the rule and
-closure-state counts and two peak RSS readings: ``ru_maxrss_mb`` just
-before the first emit, the decision's own peak, and ``emit_maxrss_mb``
-after the last one.  The case's subprocess also times
+closure-state counts and two peak RSS readings: ``ru_maxrss_mb`` after
+every repeat's decision and before any emit, and ``emit_maxrss_mb`` after
+the last emit.  The case's subprocess also times
 ``splicebench/calibrate.py``'s fixed kernel just before and just after the
 case (``speed_now``), and the record keeps the mean of the two host-speed
 factors as ``speed`` (above 1 where the host ran slower than the
@@ -69,7 +70,6 @@ import resource
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -84,6 +84,8 @@ from splicekit import (  # noqa: E402
     parse_regex,
 )
 from splicekit.automata import automaton_chunks  # noqa: E402
+from splicekit.cli import _emit  # noqa: E402
+from splicekit.decide import Decision  # noqa: E402
 from splicekit.splicing import system_chunks  # noqa: E402
 
 # (regex, alphabet, variant, custom (axiom, inner, outer) bounds or None for
@@ -117,9 +119,8 @@ def _peak_rss_mb() -> float:
 
 def run_once(
     regex: str, alphabet: str, variant: str, bounds: tuple[int, int, int] | None
-) -> tuple[dict, dict, float, float]:
-    """One decision from the regex and its two files: (seconds per stage,
-    outcome, peak RSS before emit, emit seconds)."""
+) -> tuple[dict, dict, Decision]:
+    """One decision from the regex: (seconds per stage, outcome, decision)."""
     start = time.perf_counter()
     lang = minimize(determinize(parse_regex(regex, Alphabet.from_string(alphabet))))
     resolve = time.perf_counter() - start
@@ -132,37 +133,43 @@ def run_once(
         "rules": decision.stats["rules_emitted"],
         "closure_states": decision.stats["closure_states"],
     }
-    before_emit = _peak_rss_mb()
+    return {"resolve": resolve, **decision.seconds}, outcome, decision
+
+
+def emit_once(decision: Decision) -> float:
+    """Seconds to write the decision's system and closure files, as
+    ``decide --emit-system --emit-closure`` does, into ``os.devnull``."""
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        writers = {
-            "system.json": system_chunks(decision.system),
-            "closure.json": automaton_chunks(decision.closure.nfa()),
-        }
-        for name, chunks in writers.items():
-            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
-                handle.writelines(chunks)
-    emit = time.perf_counter() - start
-    return {"resolve": resolve, **decision.seconds}, outcome, before_emit, emit
+    _emit(os.devnull, system_chunks(decision.system))
+    _emit(os.devnull, automaton_chunks(decision.closure.nfa()))
+    return time.perf_counter() - start
 
 
 def measure(
     regex: str, alphabet: str, variant: str, bounds: tuple[int, int, int] | None, repeats: int
 ) -> dict:
     """The record of one case, measured in this process."""
-    runs = [run_once(regex, alphabet, variant, bounds) for _ in range(repeats)]
+    runs = []
+    for _ in range(repeats):
+        # drop the previous decision before making the next, so that the peak
+        # RSS stays one decision's; the last one is kept for the emit stage
+        decision = None
+        seconds, outcome, decision = run_once(regex, alphabet, variant, bounds)
+        runs.append((seconds, outcome))
+    decided_rss = _peak_rss_mb()
+    emits = [emit_once(decision) for _ in range(repeats)]
     outcome = runs[0][1]
-    if any(o != outcome for _, o, _, _ in runs):
+    if any(o != outcome for _, o in runs):
         raise AssertionError("repeats disagree")
-    stages = [r for r, _, _, _ in runs]
+    stages = [r for r, _ in runs]
     return {
         "case": case_name(regex, variant, bounds),
         **outcome,
         "repeats": repeats,
         "median_s": {s: round(statistics.median(r[s] for r in stages), 6) for s in stages[0]},
         "total_s": round(statistics.median(sum(r.values()) for r in stages), 6),
-        "emit_s": round(statistics.median(emit for _, _, _, emit in runs), 6),
-        "ru_maxrss_mb": runs[0][2],
+        "emit_s": round(statistics.median(emits), 6),
+        "ru_maxrss_mb": decided_rss,
         "emit_maxrss_mb": _peak_rss_mb(),
     }
 

@@ -783,10 +783,15 @@ def automaton_chunks(a: Nfa | Dfa) -> Iterator[str]:
     Walking the states in order, each state's symbols in string order and
     each row's targets ascending lists the letter edges already sorted, so
     no edge set is built and nothing is sorted here; they come in the first
-    chunk.  Then one chunk per state with epsilon edges: its row is the
-    union of the target masks of the bicliques it is a source of, and each
-    distinct row mask is written once, with a placeholder for the source
-    that each state's chunk fills in with one ``str.replace``.
+    chunk.  Then one chunk per state with epsilon edges.  The bicliques with
+    one target are grouped by target and appended to their sources' rows in
+    ascending target order, one append per edge and 1,024 states at a time,
+    so those rows come out sorted and only a block of them is held; the
+    targets of the wider bicliques a state is a source of are merged in
+    from one mask.  A row's text has a placeholder for the source,
+    which each state's chunk fills in with one ``str.replace``; rows repeat
+    over many states (``aaaa+`` classic theorem: 7 distinct rows over 7,105
+    states), so texts are kept for reuse, up to a fixed number of characters.
     """
     nfa = a.to_nfa() if isinstance(a, Dfa) else a
     n = nfa.state_count
@@ -804,21 +809,42 @@ def automaton_chunks(a: Nfa | Dfa) -> Iterator[str]:
         f"[{p},{sym},{q}]" for p in range(n) for sym, row in syms if row[p] for q in _bits(row[p])
     )
     yield f'{head[:-1]},"edges":[{edges}],"epsilon":['
-    eps = [0] * n
+    into: dict[int, int] = {}  # target -> sources, for one-target bicliques
+    wide: dict[int, int] = {}  # source -> targets, for the others
     for src, dst in nfa.epsilon:
-        for p in _bits(src):
-            eps[p] |= dst
-    # row mask -> its pairs, each led by a comma and with "\0" for the source
-    texts: dict[int, str] = {}
+        if dst & (dst - 1):
+            for p in _bits(src):
+                wide[p] = wide.get(p, 0) | dst
+        else:
+            t = dst.bit_length() - 1
+            into[t] = into.get(t, 0) | src
+    targets = sorted(into.items())
+    # (one-target targets, wider targets) -> the row's pairs, each led by a
+    # comma and with "\0" for the source
+    texts: dict[tuple[tuple[int, ...], int], str] = {}
+    room = 1 << 20  # characters of row text that may still be kept
     first = True
-    for p, targets in enumerate(eps):
-        if targets:
-            text = texts.get(targets)
-            if text is None:
-                text = texts[targets] = ",[\0," + "],[\0,".join(map(str, _bits(targets))) + "]"
-            row = text.replace("\0", str(p))
-            yield row[1:] if first else row
-            first = False
+    size = 1024  # states whose rows are built at a time
+    for base in range(0, n, size):
+        rows: list[list[int]] = [[] for _ in range(min(size, n - base))]
+        for t, sources in targets:
+            for i in _bits(sources >> base & (1 << size) - 1):
+                rows[i].append(t)
+        for p, row in enumerate(rows, base):
+            more = wide.get(p, 0)
+            if row or more:
+                key = (tuple(row), more)
+                text = texts.get(key)
+                if text is None:
+                    if more:
+                        row = sorted(set(row).union(_bits(more)))
+                    text = ",[\0," + "],[\0,".join(map(str, row)) + "]"
+                    if len(text) <= room:
+                        texts[key] = text
+                        room -= len(text)
+                text = text.replace("\0", str(p))
+                yield text[1:] if first else text
+                first = False
     yield "]}"
 
 

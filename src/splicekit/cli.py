@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -77,14 +78,22 @@ def _resolve_lang(lang: str, alphabet: str | None) -> Dfa:
 
 
 def _emit(path: str, chunks: Iterable[str]) -> None:
-    """Write the chunks as they come, ending the file with one newline."""
+    """Write the chunks as they come, ending the file with one newline.  If
+    making a chunk fails, a file that this call created is removed again."""
+    created = not os.path.lexists(path)
     last = ""
     with open(path, "w", encoding="utf-8") as handle:
-        for chunk in chunks:
-            handle.write(chunk)
-            last = chunk or last
-        if not last.endswith("\n"):
-            handle.write("\n")
+        try:
+            for chunk in chunks:
+                handle.write(chunk)
+                last = chunk or last
+            if not last.endswith("\n"):
+                handle.write("\n")
+        except BaseException:
+            if created:
+                handle.close()
+                os.remove(path)
+            raise
 
 
 def _print_json(doc) -> None:

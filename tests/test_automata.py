@@ -371,6 +371,30 @@ def test_json_matches_sorted_document_dump(nfa):
     assert automaton_to_json(nfa) == automaton_to_json_reference(nfa)
 
 
+def test_json_of_rows_over_several_blocks_matches_the_reference():
+    """2,600 states, so the epsilon rows are built over three blocks of
+    states.  Below 1,300, ranges of sources across the first block's end
+    give rows that repeat; above it, random sources give distinct rows
+    with more text than the writer keeps for reuse."""
+    rng = random.Random(7)
+    n = 2600
+    bicliques = []
+    for _ in range(12):
+        lo = rng.randrange(0, 1200)
+        src = (1 << rng.randrange(lo + 1, 1300)) - (1 << lo)
+        bicliques.append((src, 1 << rng.randrange(n)))
+    for _ in range(800):
+        src = sum(1 << p for p in rng.sample(range(1300, n), 260))
+        bicliques.append((src, 1 << rng.randrange(n)))
+    for _ in range(10):
+        src = sum(1 << p for p in rng.sample(range(n), 60))
+        bicliques.append((src, sum(1 << q for q in rng.sample(range(n), 100))))
+    nfa = Nfa(A, n, frozenset({0}), frozenset({n - 1}), ((0,) * n,), tuple(bicliques))
+    text = automaton_to_json(nfa)
+    assert len(text) > 2 << 20
+    assert text == automaton_to_json_reference(nfa)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_edge_sets(), st.randoms(use_true_random=False))
 def test_from_edges_keeps_exactly_the_given_edges(edges, rng):

@@ -123,10 +123,21 @@ def test_emit_ends_the_file_with_one_newline(tmp_path, chunks, text):
     assert path.read_text() == text
 
 
+def test_emit_leaves_no_file_when_a_chunk_fails(tmp_path):
+    def chunks():
+        yield "{"
+        raise MemoryError
+
+    path = tmp_path / "out"
+    with pytest.raises(MemoryError):
+        _emit(str(path), chunks())
+    assert not path.exists()
+
+
 def test_emit_holds_less_than_half_of_each_file(tmp_path):
     """aaa+ classic theorem writes a 15.2 MB system and an 8.0 MB closure
-    file; the writers make their chunks per class-trie node and per row
-    mask, and _emit writes each as it comes, so neither file is held."""
+    file; the writers make their chunks per class-trie node and per
+    epsilon row, and _emit writes each as it comes, so neither file is held."""
     decision = decide_splicing(minimize(determinize(parse_regex("aaa+", A))), "classic")
     writers = {
         "system": system_chunks(decision.system),
