@@ -408,18 +408,24 @@ def bounded_closure(
     while frontier:
         # Pairs of older words were spliced in the round both became known,
         # so only pairs touching the frontier can contribute anything new.
+        # Words over the cap are dropped once per first word, so that the
+        # round never holds them all at once.
         produced: set[str] = set()
         older = sorted(current - frontier)
         fresh_pool = sorted(frontier)
         for rule in system.rules:
             for w1 in fresh_pool:
+                row: set[str] = set()
                 for w2 in fresh_pool:
-                    produced |= splice_words(w1, w2, rule)
+                    row |= splice_words(w1, w2, rule)
+                produced.update([z for z in row if len(z) <= cap_len])
             for w1 in older:
+                row = set()
                 for w2 in fresh_pool:
-                    produced |= splice_words(w1, w2, rule)
-                    produced |= splice_words(w2, w1, rule)
-        frontier = {z for z in produced if len(z) <= cap_len} - current
+                    row |= splice_words(w1, w2, rule)
+                    row |= splice_words(w2, w1, rule)
+                produced.update([z for z in row if len(z) <= cap_len])
+        frontier = produced - current
         current |= frontier
     return {w for w in current if len(w) <= report_len}
 
