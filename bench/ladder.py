@@ -35,10 +35,12 @@ median ``emit_s``, the verdict and witness, the monoid size, the rule and
 closure-state counts and two peak RSS readings: ``ru_maxrss_mb`` after
 every repeat's decision and before any emit, and ``emit_maxrss_mb`` after
 the last emit.  The case's subprocess also times
-``splicebench/calibrate.py``'s fixed kernel just before and just after the
-case (``speed_now``), and the record keeps the mean of the two host-speed
-factors as ``speed`` (above 1 where the host ran slower than the
-kernel's reference) and the total divided by it as ``calibrated_total_s``.
+``splicebench/calibrate.py``'s fixed kernel (``speed_now``) just before the
+case and just after its last decision, before the emit stage (through the
+``ON_DECIDED`` hook; after the whole case for a ladder without it), and the
+record keeps the mean of the two host-speed factors as ``speed`` (above 1
+where the host ran slower than the kernel's reference) and the total
+divided by it as ``calibrated_total_s``.
 
 ``--compare DIR`` measures this checkout against the one at DIR, such as
 its parent commit, on every case index both share.  Host speed drifts over
@@ -49,9 +51,10 @@ both sides' subprocesses take their host-speed factor from this checkout's
 ``calibrate.py``, so the parent's ladder need not have one.  Host speed
 still drifts within and between rounds (``a+`` classic theorem, whose work
 a change left alone, read x1.47 over 5 rounds), so each total is also
-divided by its own run's host-speed factor.  A record holds each side's median total seconds, calibrated total
-seconds, host-speed factor and peak RSS over the rounds (and the emit
-seconds and peak RSS after emit, where its ladder has the stage) with its outcome
+divided by its own run's host-speed factor.  A record holds each side's
+median total seconds, calibrated total seconds, host-speed factor, peak RSS
+and seconds per stage over the rounds (and the emit seconds and peak RSS
+after emit, where its ladder has the stage) with its outcome
 (verdict, witness, monoid size, rule and closure-state counts, which must
 agree over the rounds), and the change/parent ratio of the seconds, the
 calibrated seconds and the RSS.  The comparison stops, naming the case,
@@ -145,6 +148,12 @@ def emit_once(decision: Decision) -> float:
     return time.perf_counter() - start
 
 
+# Called after the last decision and before the emit stage, where it is
+# given: ``_CALIBRATED`` hands it in through ``runpy.run_path``'s
+# ``init_globals`` to read the closing host-speed factor there.
+ON_DECIDED = globals().get("ON_DECIDED")
+
+
 def measure(
     regex: str, alphabet: str, variant: str, bounds: tuple[int, int, int] | None, repeats: int
 ) -> dict:
@@ -157,6 +166,8 @@ def measure(
         seconds, outcome, decision = run_once(regex, alphabet, variant, bounds)
         runs.append((seconds, outcome))
     decided_rss = _peak_rss_mb()
+    if ON_DECIDED is not None:
+        ON_DECIDED()
     emits = [emit_once(decision) for _ in range(repeats)]
     outcome = runs[0][1]
     if any(o != outcome for _, o in runs):
@@ -176,17 +187,21 @@ def measure(
 
 # Run in a case's subprocess: the ladder at argv[2] with the arguments after
 # it, between two host-speed factors from the calibrate.py in argv[1], each
-# the mean of five runs of its kernel (about 21 ms each).
+# the mean of five runs of its kernel (about 21 ms each).  The closing one is
+# read by the ladder's ON_DECIDED hook, after the decisions and before the
+# emit stage; a ladder without the hook gets it after its whole run.
 _CALIBRATED = """
 import contextlib, io, json, runpy, sys
 sys.path.insert(0, sys.argv[1])
 from calibrate import speed_now
 script, sys.argv = sys.argv[2], sys.argv[2:]
+closing = []
 before, _ = speed_now(5)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    runpy.run_path(script, run_name="__main__")
-after, _ = speed_now(5)
+    runpy.run_path(script, {"ON_DECIDED": lambda: closing.append(speed_now(5)[0])},
+                   run_name="__main__")
+after = closing[0] if closing else speed_now(5)[0]
 record = json.loads(out.getvalue())
 record["speed"] = (before + after) / 2
 print(json.dumps(record))
@@ -247,6 +262,10 @@ def compare(parent: str, index: int, repeats: int) -> dict:
             key: round(statistics.median(r[key] for r in records), 6)
             for key in _MEASURED + _EMIT
             if key in records[0]
+        }
+        record[side]["median_s"] = {
+            stage: round(statistics.median(r["median_s"][stage] for r in records), 6)
+            for stage in records[0]["median_s"]
         }
         record[side].update(zip(_OUTCOME, outcomes.pop()))
     decided = {side: (record[side]["verdict"], record[side]["witness"]) for side in runs}

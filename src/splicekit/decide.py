@@ -18,7 +18,6 @@ and dropping it keeps the closure.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -34,16 +33,9 @@ from .automata import (
 )
 from .closure import ClosureAutomaton, build_closure, closure_dfa
 from .errors import CandidateLimitExceededError, PoolLimitExceededError
-from .monoid import SyntacticMonoid, class_levels, factor_classes, syntactic_monoid
+from .monoid import SyntacticMonoid, class_counts, factor_classes, syntactic_monoid
 from .respect import RespectContext, prune_minimal
-from .splicing import (
-    CLASSIC,
-    RuleProduct,
-    SplicingSystem,
-    _rule_type,
-    triplet,
-    triplet_form,
-)
+from .splicing import CLASSIC, RuleProduct, SplicingSystem, _rule_type, triplet_form
 
 DEFAULT_CANDIDATE_LIMIT = 10_000_000
 CANDIDATE_LIMIT_ENV = "SPLICEKIT_CANDIDATE_LIMIT"
@@ -157,15 +149,13 @@ def canonical_rules(
     characters the product's distinct pools would spell, so that nothing
     spelled later runs out of memory.  Respect depends only on the class
     tuple of a rule, so the rule set is a product over syntactic classes:
-
-    - each component takes the classes of the words shorter than its bound,
-      read off ``monoid.class_levels``;
-    - the respect verdict is asked once per class tuple of those classes
-      (at most m^4 classic, m^3 triplet), for the flank triple
-      ``splicing.triplet`` maps the tuple to, through the context's cache;
-    - the rules are the word tuples whose class tuple respects, in the
-      word-tuple nested-loop order (first component slowest, each pool in
-      ll-order), which the product's iteration and runs follow.
+    each component takes the classes of the words shorter than its bound
+    (``monoid.class_counts``), and one pass over their class tuples
+    (``_respecting``) finds the respecting ones, the product's word count
+    and the sub-product of its factor-site tuples (``factor_sites``).  The
+    rules are the word tuples whose class tuple respects, in the word-tuple
+    nested-loop order (first component slowest, each pool in ll-order),
+    which the product's iteration and runs follow.
     """
     limit = _candidate_limit()
     total = candidate_count(alphabet, bounds)
@@ -176,14 +166,52 @@ def canonical_rules(
     chars = sum(_spelled_chars(len(ctx.monoid.alphabet), lt) for lt in set(lts))
     if chars > limit:
         raise PoolLimitExceededError(chars, limit)
-    present = {lt: sorted(set().union(*class_levels(ctx.monoid, lt))) for lt in set(lts)}
-    verdict, product = ctx.verdict, ctx.product
-    respecting = frozenset(
-        classes
-        for classes in itertools.product(*(present[lt] for lt in lts))
-        if verdict(*triplet(classes, product))
-    )
-    return RuleProduct(bounds.variant, ctx.monoid, lts, respecting)
+    respecting, count, firing = _respecting(ctx, [class_counts(ctx.monoid, lt) for lt in lts])
+    rules = RuleProduct(bounds.variant, ctx.monoid, lts, frozenset(respecting))
+    rules.__dict__["_count"] = count
+    rules.__dict__["factor_sites"] = rules.restricted(frozenset(firing))
+    return rules
+
+
+def _respecting(
+    ctx: RespectContext, counts: list[dict[int, int]]
+) -> tuple[list[tuple[int, ...]], int, list[tuple[int, ...]]]:
+    """(respecting class tuples, their word count, the respecting tuples
+    whose two sites are factor classes), from one loop over the tuples of
+    the classes each component takes (``counts[i]``: class -> its words
+    shorter than the component's bound).
+
+    A tuple is an outer part, which gives the left site and the row of
+    insert classes, and an inner part, which gives the right site and the
+    key into that row: classic (a, b | c, d) has left site a·b, right site
+    c·d and insert a·d, triplet (l | r, v) is its own flank triple, the
+    maps of ``splicing.triplet``.  A tuple respects when ``ctx.right_sets``
+    of its right site and ``ctx.row`` of its left site at its insert share
+    no bit.
+    """
+    t, right_sets, factors = ctx.monoid.table, ctx.right_sets, factor_classes(ctx.monoid)
+    if len(counts) == 4:
+        n0, n1, n2, n3 = counts
+        outers = [((a, b), t[a][b], t[a], n0[a] * n1[b]) for a in n0 for b in n1]
+        inners = [((c, d), t[c][d], d, n2[c] * n3[d]) for c in n2 for d in n3]
+    else:
+        n0, n1, n2 = counts
+        outers = [((h,), h, t[ctx.monoid.identity], n0[h]) for h in n0]
+        inners = [((r, v), r, v, n1[r] * n2[v]) for r in n1 for v in n2]
+    inners = [(part, right_sets[right], right in factors, key, n) for part, right, key, n in inners]
+    respecting: list[tuple[int, ...]] = []
+    firing: list[tuple[int, ...]] = []
+    total = 0
+    for head, left, inserts, n_head in outers:
+        row, left_fires = ctx.row(left), left in factors
+        for tail, follow, right_fires, key, n_tail in inners:
+            if not follow & row[inserts[key]]:
+                classes = head + tail
+                respecting.append(classes)
+                total += n_head * n_tail
+                if left_fires and right_fires:
+                    firing.append(classes)
+    return respecting, total, firing
 
 
 def _spelled_chars(k: int, lt: int) -> int:
@@ -216,19 +244,14 @@ def _canonical(
 
 def _factor_site_rules(rules, monoid: SyntacticMonoid):
     """The rules whose left and right sites are both factors of the
-    language: of a product, its class tuples whose sites' classes are
-    factor classes, sharing its spelled pools; of a tuple, the rules whose
-    sites' words are."""
-    factors = factor_classes(monoid)
-
-    def fires(left: int, right: int, _insert: int) -> bool:
-        return left in factors and right in factors
-
+    language: of a product, its ``factor_sites``, which ``canonical_rules``
+    made in its pass; of a tuple, the rules whose sites' words are."""
     if isinstance(rules, RuleProduct):
-        return rules.restricted(
-            frozenset(t for t in rules.tuples if fires(*triplet(t, monoid.mul)))
-        )
-    return tuple(r for r in rules if fires(*map(monoid.class_of, triplet_form(r))))
+        return rules.factor_sites
+    factors = factor_classes(monoid)
+    return tuple(
+        r for r in rules if factors.issuperset(map(monoid.class_of, triplet_form(r)[:2]))
+    )
 
 
 def canonical_system(

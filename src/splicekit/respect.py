@@ -7,10 +7,13 @@ word lands in an accepting class.  Respect only depends on the classes of
 the rule's triplet form, the flank triple: the left site's class, the right
 site's class and the insert word's class.  ``splicing.triplet`` computes
 that triple from the classes of the rule components, under the monoid's
-table, in either variant.  ``RespectContext.verdict`` keeps one memo from
-flank triples to verdicts, shared by ``respects`` (one rule) and the
-canonical rule enumeration (one triple per class tuple), so a canonical
-system costs at most m^3 flank evaluations.
+table, in either variant.  ``RespectContext`` holds the test as bitmask
+rows over the classes y that may follow: one mask per right-site class of
+the y that may follow it, and per left-site class one row over the insert
+classes of the y that would take some flanked insert out of the language.
+A flank triple respects when its two masks are disjoint, so the canonical
+rule enumeration (one triple per class tuple) costs two list reads and an
+AND per tuple, and at most m rows of m masks are ever built.
 
 ``brute_respect`` is the word-level falsification oracle: it searches for an
 actual splicing of two language words (up to a length bound) that escapes
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Callable
 
 from .automata import Dfa, enumerate_words, occurrences
@@ -31,19 +36,22 @@ from .splicing import ClassicRule, PixtonRule, Rule, triplet, triplet_form
 
 @dataclass
 class RespectContext:
-    """Monoid plus a memo from flank triples to verdicts.
+    """Monoid plus the respect test as bitmask rows over the classes y.
 
     ``product`` is the monoid's multiplication as a plain table lookup, the
     product ``splicing.triplet`` takes on class ids.  ``respects`` maps a
-    rule's component classes to its flank triple and asks ``verdict``, which
-    evaluates each triple (h_left, h_right, h_mid) once.  ``cache`` holds one
-    entry per evaluated triple, at most m^3.
+    rule's component classes to its flank triple and asks ``verdict``.
+    ``right_sets[h]`` is the mask of the y with h·y right-viable (some x
+    makes x·h·y accepting); ``row(h)`` is, per insert class, the mask of
+    the y that some flanked insert x·insert, with x·h left-viable, sends
+    out of the language.  Each row is built on first use, at most m of them.
     """
 
     monoid: SyntacticMonoid
-    cache: dict[tuple[int, int, int], bool] = field(init=False, default_factory=dict)
+    right_sets: list[int] = field(init=False)
     _left_viable: list[bool] = field(init=False, repr=False)
-    _right_viable: list[bool] = field(init=False, repr=False)
+    _escapes: list[int] = field(init=False, repr=False)
+    _rows: list[tuple[int, ...] | None] = field(init=False, repr=False)
     product: Callable[[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -51,7 +59,11 @@ class RespectContext:
         # element e is left-viable when some Y makes e·Y accepting, and
         # right-viable when some X makes X·e accepting.
         self._left_viable = [any(t[e][y] in acc for y in range(m)) for e in range(m)]
-        self._right_viable = [any(t[x][e] in acc for x in range(m)) for e in range(m)]
+        right_viable = [any(t[x][e] in acc for x in range(m)) for e in range(m)]
+        self.right_sets = [_mask(right_viable[hy] for hy in row) for row in t]
+        # _escapes[h]: the y with h·y outside the language
+        self._escapes = [_mask(hy not in acc for hy in row) for row in t]
+        self._rows = [None] * m
         self.product = lambda a, b: t[a][b]
 
     def respects(self, rule: Rule) -> bool:
@@ -59,21 +71,32 @@ class RespectContext:
         return self.verdict(*triplet(classes, self.product))
 
     def verdict(self, h_left: int, h_right: int, h_mid: int) -> bool:
-        """Whether the rules with this flank triple respect the language;
-        evaluated once per triple."""
-        flanks = (h_left, h_right, h_mid)
-        verdict = self.cache.get(flanks)
-        if verdict is None:
-            verdict = self.cache[flanks] = self._flank_verdict(*flanks)
-        return verdict
+        """Whether the rules with this flank triple respect the language:
+        no y that may follow the right site escapes after some flanked
+        insert."""
+        return not self.right_sets[h_right] & self.row(h_left)[h_mid]
 
-    def _flank_verdict(self, h_left: int, h_right: int, h_mid: int) -> bool:
-        mon = self.monoid
-        m, mul, acc = mon.size, mon.mul, mon.accepting
-        s1 = [x for x in range(m) if self._left_viable[mul(x, h_left)]]
-        s2 = [y for y in range(m) if self._right_viable[mul(h_right, y)]]
-        mids = {mul(x, h_mid) for x in s1}
-        return all(mul(mid, y) in acc for mid in mids for y in s2)
+    def row(self, h_left: int) -> tuple[int, ...]:
+        """Per insert class, the mask of the y with x·insert·y outside the
+        language for some x that may precede the left site h_left; built
+        on the first ask and then kept."""
+        got = self._rows[h_left]
+        if got is None:
+            got = self._rows[h_left] = self._build_row(h_left)
+        return got
+
+    def _build_row(self, h_left: int) -> tuple[int, ...]:
+        t, viable, escapes = self.monoid.table, self._left_viable, self._escapes
+        lefts = [row for row in t if viable[row[h_left]]]
+        return tuple(
+            reduce(or_, {escapes[row[h_mid]] for row in lefts}, 0)
+            for h_mid in range(self.monoid.size)
+        )
+
+
+def _mask(bits) -> int:
+    """The int with bit i set for each true i-th item."""
+    return sum(1 << i for i, bit in enumerate(bits) if bit)
 
 
 def respects_pixton(ctx: RespectContext, rule: PixtonRule) -> bool:

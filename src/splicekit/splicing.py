@@ -42,7 +42,7 @@ from .automata import (
     trim,
 )
 from .errors import InfiniteAxiomLanguageError, json_field, json_typed
-from .monoid import SyntacticMonoid, class_counts, class_pool
+from .monoid import SyntacticMonoid, class_counts, class_pool, factor_classes
 
 CLASSIC = "classic"
 PIXTON = "pixton"
@@ -199,6 +199,18 @@ class RuleProduct:
         kept = RuleProduct(self.variant, self.monoid, self.component_lts, tuples)
         kept.__dict__["_spelled"] = self._spelled
         return kept
+
+    @cached_property
+    def factor_sites(self) -> "RuleProduct":
+        """The sub-product of the tuples whose left and right sites are both
+        factor classes (``monoid.factor_classes``): the rules that can fire
+        on words of the language.  ``decide.canonical_rules`` fills it in
+        the pass that finds the tuples; otherwise each tuple's sites come
+        from ``triplet``."""
+        factors, mul = factor_classes(self.monoid), self.monoid.mul
+        return self.restricted(
+            frozenset(t for t in self.tuples if factors.issuperset(triplet(t, mul)[:2]))
+        )
 
     @cached_property
     def _trie(self) -> dict:

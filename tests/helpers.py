@@ -468,22 +468,31 @@ def minimize_moore(dfa: Dfa) -> Dfa:
     )
 
 
-def respect_verdict_reference(monoid, key: tuple) -> bool:
-    """The class-tuple respect verdict by its formula, with no cache or memo:
-    the classes X that can precede the left site inside L and the classes Y
-    that can follow the right site, then every X·mid·Y must be accepting.
-    Keys are ("c", u1, v1, u2, v2) or ("p", u1, u2, v) in class ids."""
+def flank_verdict_reference(monoid, h_left: int, h_right: int, h_mid: int) -> bool:
+    """The respect verdict of a flank triple by its formula, with no mask,
+    row or memo: the classes x that can precede the left site inside L
+    and the classes y that can follow the right site, then every
+    x·mid·y must be accepting."""
     m, mul, acc = monoid.size, monoid.mul, monoid.accepting
+    left_viable = [any(mul(e, y) in acc for y in range(m)) for e in range(m)]
+    right_viable = [any(mul(x, e) in acc for x in range(m)) for e in range(m)]
+    s1 = [x for x in range(m) if left_viable[mul(x, h_left)]]
+    s2 = [y for y in range(m) if right_viable[mul(h_right, y)]]
+    mids = {mul(x, h_mid) for x in s1}
+    return all(mul(mid, y) in acc for mid in mids for y in s2)
+
+
+def respect_verdict_reference(monoid, key: tuple) -> bool:
+    """The class-tuple respect verdict: the flank triple worked out by hand,
+    then ``flank_verdict_reference``.  Keys are ("c", u1, v1, u2, v2) or
+    ("p", u1, u2, v) in class ids."""
+    mul = monoid.mul
     if key[0] == "p":
         _, h_left, h_right, h_mid = key
     else:
         _, hu1, hv1, hu2, hv2 = key
         h_left, h_right, h_mid = mul(hu1, hv1), mul(hu2, hv2), mul(hu1, hv2)
-    left_viable = [any(mul(e, y) in acc for y in range(m)) for e in range(m)]
-    right_viable = [any(mul(x, e) in acc for x in range(m)) for e in range(m)]
-    s1 = [x for x in range(m) if left_viable[mul(x, h_left)]]
-    s2 = [y for y in range(m) if right_viable[mul(h_right, y)]]
-    return all(mul(mul(x, h_mid), y) in acc for x in s1 for y in s2)
+    return flank_verdict_reference(monoid, h_left, h_right, h_mid)
 
 
 def _edge_rows(

@@ -39,8 +39,8 @@ from splicekit.decide import (
     canonical_axioms,
     canonical_rules,
 )
-from splicekit.monoid import SyntacticMonoid, class_levels
-from splicekit.splicing import RuleProduct, longest_rule_component
+from splicekit.monoid import SyntacticMonoid, class_counts, class_levels, factor_classes
+from splicekit.splicing import RuleProduct, longest_rule_component, triplet, triplet_form
 
 from helpers import (
     all_words_upto,
@@ -409,29 +409,55 @@ def test_rule_enumeration_evaluates_each_class_tuple_once(monkeypatch):
     assert sum(calls.values()) <= pool_words + monoid.size**4
 
 
-def test_respect_verdicts_evaluate_each_flank_triple_once(monkeypatch):
+def test_respect_rows_are_built_once_per_left_site(monkeypatch):
     # (a^5)* classic theorem: every one of the m^4 class tuples is present in
-    # the pools and asked for, but they share at most m^3 flank triples, each
-    # evaluated once and held as the memo's only entry for it
+    # the pools, and every class is some tuple's left site, but the pass
+    # reads the context's rows and masks and builds each of the m rows once
     monoid, alphabet, bounds = rule_setup("(aaaaa)*", "a", "classic", None)
-    calls = {"verdict": 0, "_flank_verdict": 0}
+    built, asked = [], []
 
-    def counting(name):
+    def counting(name, log):
         original = getattr(RespectContext, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+        def wrapper(ctx, h_left):
+            log.append(h_left)
+            return original(ctx, h_left)
 
         monkeypatch.setattr(RespectContext, name, wrapper)
 
-    counting("verdict")
-    counting("_flank_verdict")
+    counting("_build_row", built)
+    counting("row", asked)
     ctx = RespectContext(monoid)
     assert tuple(canonical_rules(ctx, alphabet, bounds)) == ()
     assert monoid.size == 5
-    assert calls["verdict"] == 625
-    assert calls["_flank_verdict"] == len(ctx.cache) <= 125
+    assert sorted(built) == list(range(5))
+    assert len(asked) == 25  # one per (u1, v1) class pair
+    assert all(row is not None for row in ctx._rows)
+
+
+@pytest.mark.parametrize("regex,symbols,variant,custom", RULE_SYSTEMS)
+def test_the_pass_asks_for_the_flank_triple_that_triplet_gives(regex, symbols, variant, custom):
+    """For each flank triple T, a context that respects exactly T: the
+    product then holds exactly the present class tuples that
+    ``splicing.triplet`` maps to T, so the pass reads every tuple's triple
+    as ``triplet`` makes it."""
+    monoid, alphabet, bounds = rule_setup(regex, symbols, variant, custom)
+    m, full = monoid.size, (1 << monoid.size) - 1
+    present = [class_counts(monoid, lt) for lt in bounds.component_lts]
+    by_triple: dict = {}
+    for classes in itertools.product(*present):
+        by_triple.setdefault(triplet(classes, monoid.mul), set()).add(classes)
+    for want in itertools.product(range(m), repeat=3):
+        left, right, mid = want
+        ctx = RespectContext(monoid)
+        ctx.right_sets = [1 << h for h in range(m)]
+        rows = [
+            tuple(full & ~(1 << right) if (hl, hm) == (left, mid) else full for hm in range(m))
+            for hl in range(m)
+        ]
+        ctx.row = rows.__getitem__
+        product = canonical_rules(ctx, alphabet, bounds)
+        assert product.tuples == by_triple.get(want, set()), want
 
 
 @pytest.mark.parametrize("variant,lts", [("classic", (4, 3, 4)), ("pixton", (5, 3, 5))])
@@ -541,6 +567,43 @@ def test_rule_product_counts_and_iterates_the_word_level_rules(dfa, variant, inn
     assert longest_rule_component(product) == longest_rule_component(expected)
     again = canonical_rules(RespectContext(monoid), AB, bounds)
     assert again == product and hash(again) == hash(product)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dfa=small_dfas(),
+    variant=st.sampled_from(["classic", "pixton"]),
+    inner=st.integers(1, 3),
+    outer=st.integers(1, 4),
+)
+# a*b* has a zero class, which is no factor, yet respects as a left site
+@example(dfa=lang("a*b*"), variant="classic", inner=2, outer=3)
+@example(dfa=lang("a*b*"), variant="pixton", inner=3, outer=4)
+def test_the_pass_gives_the_word_level_tuples_count_and_factor_sites(dfa, variant, inner, outer):
+    """The product's tuples, ``len`` and ``factor_sites`` from the one pass
+    against the word-level rules, filtered by the factor classes of their
+    sites, and against a product built from the same tuples alone, whose
+    count and factor sites come from ``class_counts`` and ``triplet``."""
+    bounds = custom_bounds(variant, 4, inner, outer)
+    monoid = syntactic_monoid(dfa)
+    product = canonical_rules(RespectContext(monoid), AB, bounds)
+    expected = word_level_rules(RespectContext(monoid), AB, bounds)
+    factors = factor_classes(monoid)
+    firing = tuple(
+        r for r in expected if factors.issuperset(map(monoid.class_of, triplet_form(r)[:2]))
+    )
+
+    def class_tuples(rules):
+        return {tuple(map(monoid.class_of, r.components)) for r in rules}
+
+    assert product.tuples == class_tuples(expected)
+    assert len(product) == len(expected)
+    sites = product.factor_sites
+    assert sites.tuples == class_tuples(firing)
+    assert tuple(sites) == firing
+    bare = RuleProduct(variant, monoid, bounds.component_lts, product.tuples)
+    assert len(bare) == len(product)
+    assert bare.factor_sites == sites
 
 
 @settings(max_examples=60, deadline=None)

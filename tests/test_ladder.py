@@ -95,6 +95,7 @@ def test_ladder_comparison_stops_on_a_changed_decision(monkeypatch, field, paren
             "case": "a+b+ classic custom(3,3,3)", "verdict": "yes", "witness": None,
             "monoid_size": 5, "rules": 2134, "closure_states": 118 if parent else 83,
             "total_s": 1.0, "calibrated_total_s": 1.0, "speed": 1.0, "ru_maxrss_mb": 30.0,
+            "median_s": {"rules": 0.25, "saturate": 0.5},
         }
         if parent:
             got.update(changed)
@@ -106,3 +107,56 @@ def test_ladder_comparison_stops_on_a_changed_decision(monkeypatch, field, paren
     changed.clear()
     compared = ladder.compare("PARENT", 23, 2)
     assert (compared["parent"]["closure_states"], compared["change"]["closure_states"]) == (118, 83)
+    assert compared["change"]["median_s"] == {"rules": 0.25, "saturate": 0.5}
+
+
+def test_ladder_calls_its_hook_after_the_decisions_and_before_the_emits(monkeypatch):
+    ladder = _ladder_module()
+    events = []
+
+    def decide(*case):
+        events.append("decide")
+        return {"rules": 0.1}, {"verdict": "yes"}, None
+
+    def emit(decision):
+        events.append("emit")
+        return 0.1
+
+    monkeypatch.setattr(ladder, "run_once", decide)
+    monkeypatch.setattr(ladder, "emit_once", emit)
+    monkeypatch.setattr(ladder, "ON_DECIDED", lambda: events.append("closing factor"))
+    ladder.measure("a+", "a", "classic", None, 2)
+    assert events == ["decide", "decide", "closing factor", "emit", "emit"]
+
+
+# A stand-in for splicebench/calibrate.py whose host-speed factor is 1 plus
+# the emits done so far, and a ladder that decides, maybe calls the hook,
+# emits and prints its record.
+_FAKE_CALIBRATE = """
+emits = []
+def speed_now(runs):
+    return 1.0 + len(emits), None
+"""
+_FAKE_LADDER = """
+import json
+import calibrate
+if {hook}:
+    ON_DECIDED()
+calibrate.emits.append("emit")
+print(json.dumps({{"total_s": 3.0}}))
+"""
+
+
+@pytest.mark.parametrize("hook,speed", [(True, 1.0), (False, 1.5)])
+def test_closing_speed_factor_is_read_before_the_emit_stage(tmp_path, monkeypatch, hook, speed):
+    """Through the hook, the closing factor is read before the emits; a
+    ladder without the hook has it read after its whole run."""
+    ladder = _ladder_module()
+    (tmp_path / "splicebench").mkdir()
+    (tmp_path / "splicebench" / "calibrate.py").write_text(_FAKE_CALIBRATE)
+    script = tmp_path / "ladder.py"
+    script.write_text(_FAKE_LADDER.format(hook=hook))
+    monkeypatch.setattr(ladder, "ROOT", str(tmp_path))
+    record = ladder._record(str(script), 0, 1)
+    assert record["speed"] == speed
+    assert record["calibrated_total_s"] == round(3.0 / speed, 6)

@@ -26,6 +26,7 @@ from splicekit.decide import canonical_rules
 from splicekit.splicing import triplet, triplet_form
 
 from helpers import (
+    flank_verdict_reference,
     random_classic_rule,
     random_min_dfa,
     random_pixton_rule,
@@ -183,6 +184,9 @@ def test_extension_preserves_respect_classic():
 
 
 def test_cache_coherence():
+    """Rows are built on first ask and kept: asking again, or asking a
+    fresh context, gives the same verdicts and rows, and no more than m
+    rows are ever built."""
     ctx = ctx_for("a+b+")
     rng = random.Random(8)
     rules = [random_classic_rule(rng, AB, 2) for _ in range(40)]
@@ -190,18 +194,20 @@ def test_cache_coherence():
     again = [ctx.respects(r) for r in rules]
     fresh = ctx_for("a+b+")
     assert first == again == [fresh.respects(r) for r in rules]
-    assert len(ctx.cache) <= ctx.monoid.size**3
-    for flanks, verdict in ctx.cache.items():
-        assert fresh._flank_verdict(*flanks) == verdict
+    built = [h for h, row in enumerate(ctx._rows) if row is not None]
+    assert built and len(ctx._rows) == ctx.monoid.size
+    for h in built:
+        assert ctx.row(h) is ctx._rows[h]
+        assert fresh._build_row(h) == ctx.row(h)
 
 
-@pytest.mark.parametrize("name", ["cache", "_left_viable", "_right_viable"])
+@pytest.mark.parametrize("name", ["right_sets", "_rows", "_left_viable", "_escapes"])
 def test_respect_context_takes_only_the_monoid(name):
-    """The memo and the viability tables are derived from the monoid; none
-    can be handed in."""
+    """The masks and the rows are derived from the monoid; none can be
+    handed in."""
     monoid = ctx_for("a+b+").monoid
     with pytest.raises(TypeError):
-        RespectContext(monoid, **{name: {} if name == "cache" else []})
+        RespectContext(monoid, **{name: []})
 
 
 def test_extend_rule_patterns():
@@ -314,6 +320,25 @@ def test_memoized_verdicts_match_reference_on_every_class_tuple():
             make = ClassicRule if key[0] == "c" else PixtonRule
             rule = make(*(monoid.representatives[c] for c in key[1:]))
             assert ctx.respects(rule) == respect_verdict_reference(monoid, key), key
+
+
+@pytest.mark.parametrize("symbols", ["ab", "abc"])
+def test_verdict_matches_the_flank_reference_on_every_flank_triple(symbols):
+    """The mask rows against the per-triple formula, on every flank
+    triple of the monoids of random minimal DFAs of at most 4 states, until
+    monoids of 8 sizes up to 12 have been checked."""
+    alphabet = Alphabet.from_string(symbols)
+    rng = random.Random(len(symbols))
+    sizes = set()
+    while len(sizes) < 8:
+        monoid = syntactic_monoid(random_min_dfa(rng, alphabet, 4))
+        if monoid.size > 12:
+            continue
+        sizes.add(monoid.size)
+        ctx = RespectContext(monoid)
+        for flanks in itertools.product(range(monoid.size), repeat=3):
+            assert ctx.verdict(*flanks) == flank_verdict_reference(monoid, *flanks), flanks
+        assert all(row is not None for row in ctx._rows)
 
 
 def test_triplet_of_component_classes_is_the_class_triple_of_the_triplet_form():
