@@ -5,9 +5,10 @@ fresh values without changing their arguments; ``NfaBuilder`` is the one
 mutable type, scratch for assembling an Nfa.  DFAs are always complete (an
 explicit sink is materialized where needed) and carry a canonical state
 numbering: BFS from the initial state, symbols taken in alphabet order.
-``_explore`` is the one place that numbering is written.  Subset
-construction, ``minimize``, the products, the witness search and the
-syntactic monoid take their numbers from it, and ``_access_words`` reads the
+``_explore`` is the one place that numbering is written.  ``determinize``
+is the one subset construction, for regex automata and closures alike; it,
+``minimize``, the products, the witness search and the syntactic monoid
+take their numbers from ``_explore``, and ``_access_words`` reads the
 ll-least word of each state off its rows.  Serialized output is therefore
 stable byte for byte.  Likewise ``_close`` is the one epsilon closure, over
 epsilon edges kept as bicliques.  Every Nfa stores its edges in one form,
@@ -448,14 +449,6 @@ def _close(
     return seen
 
 
-def _coreachable(nfa: Nfa, bicliques: Iterable[tuple[int, int]]) -> int:
-    """The mask of the states from which an accepting state of the automaton
-    can be reached through its letter rows and these bicliques."""
-    back = [(dst, src) for src, dst in bicliques]
-    rows = _predecessors(nfa.rows, nfa.state_count)
-    return _close(0, _mask(nfa.accepting), back, [_unsplit(r) for r in rows])
-
-
 def _explore(start, successors: Callable) -> Iterator[tuple[object, tuple[int, ...]]]:
     """The canonical numbering: every state reachable from start, yielded
     with its row of successor numbers, in the order a BFS discovers them.
@@ -504,14 +497,13 @@ def _to_dfa(alphabet: Alphabet, explored: Iterable, accepts: Callable) -> Dfa:
     return Dfa(alphabet, len(rows), 0, frozenset(accepting), tuple(rows))
 
 
-def _subset_dfa(nfa: Nfa, keep: int = -1) -> Dfa:
+def determinize(nfa: Nfa) -> Dfa:
     """Subset construction from nfa's initial states, closing every subset
     through its epsilon bicliques and accepting where it meets its accepting
     states.  The result is complete and canonically numbered.
 
     A target subset is the closure of a subset's move mask, computed the
-    first time that move mask occurs.  Every move mask and closed subset is
-    cut down to the states in ``keep`` (by default all of them).
+    first time that move mask occurs.
     """
     letters, bicliques = nfa.rows, nfa.epsilon
     closed: dict[int, int] = {}  # move mask -> its epsilon closure
@@ -519,24 +511,19 @@ def _subset_dfa(nfa: Nfa, keep: int = -1) -> Dfa:
     def successors(subset: int) -> list[int]:
         out = []
         for rows in letters:
-            move = _image(subset, rows) & keep
+            move = _image(subset, rows)
             target = closed.get(move)
             if target is None:
-                target = closed[move] = _close(0, move, bicliques) & keep
+                target = closed[move] = _close(0, move, bicliques)
             out.append(target)
         return out
 
     accepting = _mask(nfa.accepting)
     return _to_dfa(
         nfa.alphabet,
-        _explore(_close(0, _mask(nfa.initial), bicliques) & keep, successors),
+        _explore(_close(0, _mask(nfa.initial), bicliques), successors),
         lambda s: s & accepting,
     )
-
-
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction, complete and canonically numbered."""
-    return _subset_dfa(nfa)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -720,8 +707,10 @@ def trim(nfa: Nfa) -> Nfa:
     in ascending order.  Each biclique keeps its shape, cut down to the kept
     states, so epsilon edges grouped by target stay so."""
     eps = nfa.epsilon
+    back = [(dst, src) for src, dst in eps]
     reach = _close(0, _mask(nfa.initial), eps, [_unsplit(r) for r in nfa.rows])
-    keep = reach & _coreachable(nfa, eps)
+    rows = _predecessors(nfa.rows, nfa.state_count)
+    keep = reach & _close(0, _mask(nfa.accepting), back, [_unsplit(r) for r in rows])
     renum = {s: i for i, s in enumerate(_bits(keep))}
 
     def squeeze(mask: int) -> int:

@@ -124,38 +124,18 @@ sorted as it is written, and saturation reads each symbol's rows split
 (``automata._Moves``): the states with an edge p -> p + 1 are imaged at
 once by a shift of the mask, and only the others through their rows.
 
-Rounds read only useful states.  A state is useful if it is reachable and
-co-reachable, and only useful states carry points: a path from a reachable
-state to a co-reachable one passes only through states that are both.  So
-a right-site read, forwards from the reachable set, images only the
-co-reachable states of each prefix's set, and a left-site read, backwards
-from the co-reachable set, only the reachable ones; the sets are still
-closed through every biclique.  The points coreach & post(t) and
-reach & pre(s) are then those of unrestricted reads.  The split image
-keeps this: the shift and the rows both read the set already cut down to
-the kept states, so a shifted read images no state a row read would not.
-On a whole canonical system most states are useless, mostly in the chains
-of sites that are not factors of the language (151 of 487 states are
-useful on a+b+ classic at bounds (4,3,4)), and those are never imaged.
-``decide`` builds its closure from the factor-site rules alone, which
-leaves those chains out (151 states in the same case).
-
 Rounds are semi-naive: the reachable and co-reachable sets and the set of
 each site prefix carry over from the round before, and only the states not
-imaged then are imaged now.  A read images the states of its sets in
-``keep``, this round's co-reachable (or reachable) set, and last round's
-read imaged those in ``kept``, last round's such set.  So the states of a
-prefix's set to image now are ``reached & keep & ~(last & kept)``: a state
-newly admitted to ``keep`` is imaged now even if it lay in last round's
-set.  This keeps the fixpoint for three reasons.  Edges are only ever
-added, so every such set, and ``keep``, only grow.  A letter image
-distributes over union, so the image of a set's kept states is last
-round's image, which last round's set of the longer prefix holds, plus the
-image of the kept states not imaged then.  And closing twice is closing
-once, so closing last round's set together with that image gives the set
-a round computed from scratch would.  Last round's set is already closed
-under the bicliques that did not grow, so its closure starts from the ones
-that did.
+imaged then are imaged now: of a prefix's set, ``reached & ~last``, the
+states not in last round's set of the same prefix.  This keeps the
+fixpoint for three reasons.  Edges are only ever added, so every such set
+only grows.  A letter image distributes over union, so the image of a set
+is last round's image, which last round's set of the longer prefix holds,
+plus the image of the states not imaged then.  And closing twice is
+closing once, so closing last round's set together with that image gives
+the set a round computed from scratch would.  Last round's set is already
+closed under the bicliques that did not grow, so its closure starts from
+the ones that did.
 
 Edges found in a round are added at its end, so every read in a round sees
 one automaton.  Right sites are read forwards from the reachable set, left
@@ -183,13 +163,12 @@ from .automata import (
     Nfa,
     _bits,
     _close,
-    _coreachable,
     _eps_step,
     _mask,
     _move,
     _Moves,
-    _subset_dfa,
     automaton_to_json,
+    determinize,
     length_lex_key,
     minimize,
 )
@@ -255,11 +234,10 @@ class ClosureAutomaton:
     one provenance-tagged edge per point, so traces and DOT output can
     attribute every discovered edge to its site word, and through the hub to
     the rules with that site; the bicliques, which hold every epsilon edge
-    of the saturated automaton, ``nfa()``, which is ``base`` with those
-    bicliques and which ``closure_dfa`` and ``to_json`` read; and the
-    co-reachable states, which ``closure_dfa`` keeps its subsets to.  The
-    views are kept once built; ``build_closure`` hands over the bicliques
-    and co-reachable states it ends with.
+    of the saturated automaton; and ``nfa()``, which is ``base`` with those
+    bicliques and which ``closure_dfa`` and ``to_json`` read.  The views are
+    kept once built; ``build_closure`` hands over the bicliques it ends
+    with.
     """
 
     base: Nfa
@@ -296,13 +274,6 @@ class ClosureAutomaton:
             seen[g.hub] = seen.get(g.hub, 0) | g.points
         return _site_bicliques(self.base.epsilon, left, right)
 
-    @cached_property
-    def _coreach(self) -> int:
-        """The states of the saturated automaton from which an accepting
-        state can be reached; saturation adds no letter edges, so the
-        letter rows are the base automaton's."""
-        return _coreachable(self.base, self._bicliques)
-
     def to_json(self) -> str:
         return automaton_to_json(self.nfa())
 
@@ -325,18 +296,14 @@ def _extend_prefixes(
     moves: dict[str, _Moves],
     bicliques: list[tuple[int, int]],
     fresh: list[tuple[int, int]],
-    keep: int,
-    kept: int,
 ) -> dict[str, int]:
     """This round's epsilon-closed set reached from start by every prefix of
-    the words, imaging only the states in ``keep``, from ``last``, the sets
-    of the round before (empty at first), which imaged only those in
-    ``kept``.
+    the words, from ``last``, the sets of the round before (empty at first).
 
     A prefix's set is last round's set, closed under the bicliques that grew
     since (``fresh``) and then under all of them, together with the letter
-    image of only the states its one-shorter prefix's set keeps now and did
-    not image last round.
+    image of only the states its one-shorter prefix's set gained since last
+    round.
     """
     reached = {"": start}
     for word in words:
@@ -345,7 +312,7 @@ def _extend_prefixes(
             if prefix not in reached:
                 parent = word[: i - 1]
                 old = last.get(prefix, 0)
-                delta = reached[parent] & keep & ~(last.get(parent, 0) & kept)
+                delta = reached[parent] & ~last.get(parent, 0)
                 step = _move(delta, moves[word[i - 1]]) | _eps_step(old, fresh)
                 reached[prefix] = _close(old, step, bicliques)
     return reached
@@ -603,17 +570,12 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         # A round's edges are added at its end, so its reads see one automaton.
         backward = [(dst, src) for src, dst in bicliques]
         fresh_back = [(dst, src) for src, dst in fresh]
-        kept_reach, kept_coreach = reach, coreach  # what last round's reads imaged
         reach = _close(reach, initial | _eps_step(reach, fresh), bicliques, [*fwd.values()])
         coreach = _close(
             coreach, accepting | _eps_step(coreach, fresh_back), backward, [*bwd.values()]
         )
-        post = _extend_prefixes(
-            post, reach, right_words, fwd, bicliques, fresh, coreach, kept_coreach
-        )
-        pre = _extend_prefixes(
-            pre, coreach, left_words, bwd, backward, fresh_back, reach, kept_reach
-        )
+        post = _extend_prefixes(post, reach, right_words, fwd, bicliques, fresh)
+        pre = _extend_prefixes(pre, coreach, left_words, bwd, backward, fresh_back)
         new: list[Growth] = []
         fresh = []
         for site, hub in left_hub.items():
@@ -642,23 +604,19 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
         growth=tuple(growth),
         rounds=rounds,
     )
-    # Saturation ends holding the final bicliques and co-reachable states,
-    # values the closure derives from its fields; keep them.
-    closure.__dict__.update(_bicliques=bicliques, _coreach=coreach)
+    # Saturation ends holding the final bicliques, which the closure derives
+    # from its growth; keep them.
+    closure.__dict__["_bicliques"] = bicliques
     return closure
 
 
 def closure_dfa(closure: ClosureAutomaton) -> Dfa:
     """Minimal complete DFA for the language an already-built closure accepts.
 
-    The subset construction closes each move mask through the closure's
-    bicliques, as saturation does, and keeps only the co-reachable states
-    of every subset: a state that reaches no accepting state never decides
-    acceptance, and the states it leads to reach none either, so dropping
-    it maps the subset automaton onto one with the same language, whose
-    minimal DFA is the same.  No epsilon edge set is built.
+    ``determinize`` closes each move mask through the closure's bicliques,
+    as saturation does, so no epsilon edge set is built.
     """
-    return minimize(_subset_dfa(closure.nfa(), keep=closure._coreach))
+    return minimize(determinize(closure.nfa()))
 
 
 def closure_language(system: SplicingSystem) -> Dfa:

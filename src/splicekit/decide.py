@@ -13,7 +13,11 @@ The closure is built from the factor-site rules only: those whose left and
 right sites are both factors of L.  The axioms lie in L and every rule
 respects L, so the closure lies in L, and a splicing reads its sites in two
 closure words: a rule with a site that is not a factor of L never fires,
-and dropping it keeps the closure.
+and dropping it keeps the closure.  It does not depend on ``prune`` either:
+a splicing by an extension of a rule is a splicing by the rule, so the
+pruned system generates what the whole one does, and the closure is always
+built from the factor sites of the whole canonical product.  ``prune`` only
+shapes the system kept as the certificate.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .closure import ClosureAutomaton, build_closure, closure_dfa
 from .errors import CandidateLimitExceededError, PoolLimitExceededError
 from .monoid import SyntacticMonoid, class_counts, factor_classes, syntactic_monoid
 from .respect import RespectContext, prune_minimal
-from .splicing import CLASSIC, RuleProduct, SplicingSystem, _rule_type, triplet_form
+from .splicing import CLASSIC, RuleProduct, SplicingSystem, _rule_type
 
 DEFAULT_CANDIDATE_LIMIT = 10_000_000
 CANDIDATE_LIMIT_ENV = "SPLICEKIT_CANDIDATE_LIMIT"
@@ -228,30 +232,16 @@ def _canonical(
     variant: str,
     bounds: BoundsProfile,
     prune: bool,
-) -> tuple[SplicingSystem, int]:
-    """Canonical system for L with its syntactic monoid, and the number of
-    respecting rules before pruning."""
+) -> tuple[SplicingSystem, RuleProduct]:
+    """Canonical system for L with its syntactic monoid, and the product of
+    its respecting rules before pruning."""
     if bounds.variant != variant:
         raise ValueError(f"{bounds.variant} bounds given for a {variant} system")
     ctx = RespectContext(monoid)
     axioms = canonical_axioms(lang, bounds)
-    rules = canonical_rules(ctx, lang.alphabet, bounds)
-    n_respecting = len(rules)
-    if prune:
-        rules = tuple(prune_minimal(rules))
-    return SplicingSystem(variant, lang.alphabet, axioms, rules), n_respecting
-
-
-def _factor_site_rules(rules, monoid: SyntacticMonoid):
-    """The rules whose left and right sites are both factors of the
-    language: of a product, its ``factor_sites``, which ``canonical_rules``
-    made in its pass; of a tuple, the rules whose sites' words are."""
-    if isinstance(rules, RuleProduct):
-        return rules.factor_sites
-    factors = factor_classes(monoid)
-    return tuple(
-        r for r in rules if factors.issuperset(map(monoid.class_of, triplet_form(r)[:2]))
-    )
+    product = canonical_rules(ctx, lang.alphabet, bounds)
+    rules = tuple(prune_minimal(product)) if prune else product
+    return SplicingSystem(variant, lang.alphabet, axioms, rules), product
 
 
 def canonical_system(
@@ -269,9 +259,11 @@ class Decision:
     """Outcome of the splicing-language decision.
 
     ``system`` is the canonical system that was tested (the certificate for
-    a yes) and ``closure`` the closure automaton the comparison with L ran
-    on, built from the system's factor-site rules only, whose closure is
-    the whole system's (see the module docstring); ``witness`` is a word of
+    a yes), pruned to its extension-minimal rules under ``prune``, and
+    ``closure`` the closure automaton the comparison with L ran on, built
+    from the factor-site rules of the whole canonical product, which
+    generate what the system does, pruned or not (see the module
+    docstring); ``witness`` is a word of
     L the system cannot generate (only emitted at theorem bounds);
     ``reason`` explains an inconclusive verdict.
     ``stats`` holds counts only, so equal decisions compare equal;
@@ -300,7 +292,8 @@ def decide_splicing(
     prune: bool = False,
 ) -> Decision:
     """Build the canonical system and the closure of its factor-site rules,
-    and compare that closure with L.
+    and compare that closure with L.  ``prune`` shapes only the system
+    kept as the certificate; the closure is the same either way.
 
     ``bounds`` defaults to the theorem bounds for the syntactic monoid of L.
     """
@@ -309,8 +302,8 @@ def decide_splicing(
     marks.append(time.perf_counter())
     if bounds is None:
         bounds = theorem_bounds(monoid.size, variant)
-    system, n_respecting = _canonical(lang, monoid, variant, bounds, prune)
-    firing = replace(system, rules=_factor_site_rules(system.rules, monoid))
+    system, product = _canonical(lang, monoid, variant, bounds, prune)
+    firing = replace(system, rules=product.factor_sites)
     marks.append(time.perf_counter())
     closure = build_closure(firing)
     marks.append(time.perf_counter())
@@ -327,7 +320,7 @@ def decide_splicing(
     stats = {
         "monoid_size": monoid.size,
         "candidate_rules": candidate_count(lang.alphabet, bounds),
-        "respecting_rules": n_respecting,
+        "respecting_rules": len(product),
         "rules_emitted": len(system.rules),
         "closure_states": closure.base.state_count,
         "closure_rounds": closure.rounds,

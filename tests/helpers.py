@@ -52,7 +52,7 @@ from splicekit import (
 )
 from splicekit.automata import _bits, _image, _mask
 from splicekit.closure import AddedEdge, ClosureAutomaton, Growth
-from splicekit.splicing import triplet_form
+from splicekit.splicing import triplet, triplet_form
 
 
 def ll_sorted(alphabet: Alphabet, words) -> list[str]:
@@ -228,10 +228,16 @@ def coreachable_brute(nfa: Nfa) -> set[int]:
     return _walk(nfa.accepting, {(q, p) for p, q in _edge_pairs(nfa)})
 
 
+def reachable_brute(nfa: Nfa) -> set[int]:
+    """The states an initial state reaches, by a stack walk over the edge
+    sets."""
+    return _walk(nfa.initial, _edge_pairs(nfa))
+
+
 def useful_brute(nfa: Nfa) -> set[int]:
     """The states both reachable and co-reachable, by stack walks over the
     edge sets."""
-    return _walk(nfa.initial, _edge_pairs(nfa)) & coreachable_brute(nfa)
+    return reachable_brute(nfa) & coreachable_brute(nfa)
 
 
 def trim_brute(nfa: Nfa) -> Nfa:
@@ -389,24 +395,20 @@ def congruence_classes_brute(
 def word_level_rules(ctx, alphabet: Alphabet, bounds) -> tuple:
     """Respecting rules by brute enumeration: every word tuple within the
     bounds, in component order (first component slowest, each pool in
-    ll-order), filtered by ``ctx.respects`` one rule at a time."""
-    pools = [list(words_shorter_than(alphabet, lt)) for lt in bounds.component_lts]
+    ll-order), kept when ``ctx.verdict`` passes the flank triple of its
+    words' classes, each pool word classed once with ``class_of``; a rule
+    object is built only for the tuples kept."""
+    pools = [
+        [(word, ctx.monoid.class_of(word)) for word in words_shorter_than(alphabet, lt)]
+        for lt in bounds.component_lts
+    ]
     make = ClassicRule if bounds.variant == "classic" else PixtonRule
-
-    def candidates():
-        if bounds.variant == "classic":
-            for u1 in pools[0]:
-                for v1 in pools[1]:
-                    for u2 in pools[2]:
-                        for v2 in pools[3]:
-                            yield make(u1, v1, u2, v2)
-        else:
-            for u1 in pools[0]:
-                for u2 in pools[1]:
-                    for v in pools[2]:
-                        yield make(u1, u2, v)
-
-    return tuple(rule for rule in candidates() if ctx.respects(rule))
+    rules = []
+    for combo in itertools.product(*pools):
+        words, classes = zip(*combo)
+        if ctx.verdict(*triplet(classes, ctx.product)):
+            rules.append(make(*words))
+    return tuple(rules)
 
 
 def minimize_moore(dfa: Dfa) -> Dfa:

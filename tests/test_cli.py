@@ -663,7 +663,7 @@ _PINNED_DIGESTS = {
     "decide (a^5)* pixton theorem": "6740667fa883f288149ca2128e9a6b50600ca861674704b6e4d16dd9d1b733e3",
     "decide a+ classic theorem": "a8e0af01abf20610818d20f79433e61ea8c9a258696ca00cc67f52961bdad670",
     "decide aa+ classic theorem": "d911ebbc0dc262abc1e2eb32e2842e61a1345acd72616031c3c87edcb7360a60",
-    "decide a+b+ classic custom(3,3,3) --prune": "c005b8bbf033f3ef9ad3f676f526bfc002f3154792fd61cd9c30581b6d632d27",
+    "decide a+b+ classic custom(3,3,3) --prune": "46482e6772abe337af7e0a9b4bad85148fbb211eec114e83dc83825bbf5aebf5",
     "monoid a+b+ under ba": "20d872cde1cdeec521738c70aa5f59116b145f8e12261f260bb85becf9b297f5",
     "respect --witness classic": "12002854155f63590343bbe6501fcf16294ff59e64b31ffbdc83d921bb457a1b",
     "respect --witness pixton": "68164f7aea91ff317c651c16174f1e85d5c1120482f0cc451263342f26765e25",

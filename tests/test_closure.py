@@ -30,7 +30,7 @@ from splicekit import (
     theorem_bounds,
 )
 from splicekit import closure as closure_module
-from splicekit.automata import _bits, _mask, _move, _predecessors
+from splicekit.automata import _predecessors
 from splicekit.closure import closure_dfa
 from splicekit.splicing import RuleProduct, sigma_step
 
@@ -43,9 +43,10 @@ from helpers import (
     determinize_brute,
     ll_sorted,
     neighbour_split,
+    random_classic_rule,
     random_pixton_rule,
     random_word,
-    useful_brute,
+    reachable_brute,
 )
 
 A = Alphabet.from_string("a")
@@ -494,15 +495,12 @@ def _reference(system):
 
 
 def _check_views_of_the_masks(system):
-    """The co-reachable set build_closure hands over, and the one the
-    reference's closure derives, against a stack walk over the saturated
-    edge set; and the base automaton against the reference's, which it
-    built from edge sets."""
+    """The base automaton and the saturated one, of build_closure and of the
+    reference, pass Nfa's own checks, and the base automaton equals the
+    reference's, which it built from edge sets."""
     closure = build_closure(system)
     reference = _reference(system)
-    assert "_coreach" in closure.__dict__
     for c in (closure, reference):
-        assert set(_bits(c._coreach)) == coreachable_brute(c.nfa())
         # both are built without Nfa.__post_init__, which replace runs
         assert replace(c.base) == c.base and replace(c.nfa()) == c.nfa()
     assert closure.base == reference.base
@@ -512,6 +510,27 @@ def _check_views_of_the_masks(system):
 @given(small_systems())
 def test_coreach_and_base_views_match_brute_force(system):
     _check_views_of_the_masks(system)
+
+
+def test_closure_dfa_matches_set_subset_construction_with_dead_states():
+    """closure_dfa against a frozenset subset construction of the saturated
+    automaton, on random rule tuples whose closures reach states that reach
+    no accepting state: the subsets hold those states, and the minimal DFA
+    is the same."""
+    rng = random.Random(25)
+    checked = 0
+    while checked < 60:
+        alphabet = rng.choice([AB, ABC])
+        make = rng.choice([random_classic_rule, random_pixton_rule])
+        axioms = tuple(random_word(rng, alphabet, 4) for _ in range(rng.randint(1, 3)))
+        rules = tuple(make(rng, alphabet, 2) for _ in range(rng.randint(1, 6)))
+        variant = "classic" if make is random_classic_rule else "pixton"
+        closure = build_closure(SplicingSystem(variant, alphabet, axioms, rules))
+        nfa = closure.nfa()
+        if reachable_brute(nfa) <= coreachable_brute(nfa):
+            continue
+        assert closure_dfa(closure) == minimize(determinize_brute(nfa))
+        checked += 1
 
 
 def _theorem_system(regex, variant):
@@ -579,22 +598,21 @@ def test_canonical_coreach_and_base_views_match_brute_force(make):
 
 
 @CANONICAL_SYSTEMS
-def test_site_reads_image_only_useful_states(make, monkeypatch):
-    """Every state a site read images, by a shift or through the rows, is
-    reachable and co-reachable in the saturated automaton; the reads still
-    find every point, as the tests against the from-scratch reference show."""
-    system = make()
-    imaged = []
+def test_closure_dfa_determinizes_through_the_module_name(make, monkeypatch):
+    """closure_dfa makes its subset construction with one call of the
+    ``determinize`` its module imports, on the saturated automaton, so a
+    wrapper put in its place sees every closure determinized."""
+    calls = []
 
-    def record(mask, moves):
-        imaged.append(mask)
-        return _move(mask, moves)
+    def counting(nfa):
+        calls.append(nfa)
+        return determinize(nfa)
 
-    monkeypatch.setattr(closure_module, "_move", record)
-    closure = build_closure(system)
-    monkeypatch.undo()
-    useful = _mask(useful_brute(closure.nfa()))
-    assert imaged and all(mask & ~useful == 0 for mask in imaged)
+    monkeypatch.setattr(closure_module, "determinize", counting)
+    closure = build_closure(make())
+    first = closure_dfa(closure)
+    assert len(calls) == 1 and calls[0] is closure.nfa()
+    assert closure_dfa(closure) == first and len(calls) == 2
 
 
 @CANONICAL_SYSTEMS

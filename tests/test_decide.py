@@ -712,7 +712,8 @@ EMPTY = Dfa(alphabet=AB, state_count=1, initial=0, accepting=frozenset(), transi
 def test_factor_site_closure_is_the_canonical_closure(dfa, variant, inner, outer, prune):
     """decide saturates only the rules whose two sites are factors of L,
     yet its closure is the whole canonical system's, which it keeps as the
-    certificate."""
+    certificate, pruned or not; a pruned decide saturates the same rules
+    as an unpruned one and reaches the same decision."""
     bounds = custom_bounds(variant, 4, inner, outer)
     decision = decide_splicing(dfa, variant, bounds, prune)
     assert decision.system == canonical_system(dfa, variant, bounds, prune)
@@ -721,8 +722,9 @@ def test_factor_site_closure_is_the_canonical_closure(dfa, variant, inner, outer
     firing = factor_site_system(decision.system, dfa)
     assert generated == closure_dfa(build_closure(firing))
     if prune:
-        # a pruned system is a tuple of rules, which takes the tries
-        assert decision.closure == build_closure(firing)
+        whole = decide_splicing(dfa, variant, bounds, prune=False)
+        assert decision.closure == whole.closure
+        assert (decision.verdict, decision.witness) == (whole.verdict, whole.witness)
     elif variant == "classic":
         monoid = syntactic_monoid(dfa)
         assert decision.closure == build_chain_closure_reference(firing, monoid)
