@@ -5,8 +5,8 @@
 
 Cases, unary at theorem bounds: ``(a^k)*`` for k = 2..9 in both variants,
 and ``a+``, ``aa+``, ``aaa+``, ``aaaa+``, ``a^5+``, ``a^6+`` and ``a^8+``
-classic.  Then binary at custom bounds (axiom, inner, outer), where most
-closure states are not useful: ``a+b+`` classic (3,3,3) and (4,3,4), and
+classic.  Then binary at custom bounds (axiom, inner, outer): ``a+b+``
+classic (3,3,3) and (4,3,4), whose closures go through site chains, and
 ``a*b*`` pixton (6,4,6).  Then two more triplet closures, which the class x
 length gadgets build: ``aa+`` pixton at theorem bounds and ``(ab)*`` pixton
 (6,3,4).  ``a^8+`` (about 10^7 respecting rules) runs one

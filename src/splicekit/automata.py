@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import AlphabetMismatchError, UnknownSymbolError, json_field, json_typed
+from .errors import AlphabetMismatchError, UnknownSymbolError, json_field, json_parse, json_typed
 
 
 @dataclass(frozen=True)
@@ -856,7 +856,7 @@ def automaton_from_json(text: str | dict) -> Nfa:
     ``UNNAMED_STATES`` of them are read: a larger ``states`` is rejected
     before any row is allocated.
     """
-    doc = json.loads(text) if isinstance(text, str) else text
+    doc = json_parse(text)
     alphabet = json_field(doc, "alphabet", lambda v: Alphabet(tuple(json_typed(v, list))))
     state_count = json_field(doc, "states", _id)
     initial = json_field(doc, "initial", lambda v: frozenset(map(_id, json_typed(v, list))))

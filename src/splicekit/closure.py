@@ -6,14 +6,10 @@ state, one for its use as a left site and one for its use as a right site.
 A rule writes its insert word between the retained prefix and the adopted
 suffix (the bridge v for a triplet rule, u1·v2 for a classic rule, which is
 the exact triplet form of the quadruple), and the rule part of the base
-joins each left hub to the right hubs along those words.  A tuple of rules
-gets one trie of insert words per left hub: a rule walks its left hub's
-trie along its insert word, extending it where no node exists yet, and adds
-one static epsilon edge from the node where the word ends to the hub of its
-right site.  A rule product is read through the syntactic monoid instead:
-a triplet one through class x length gadgets, a classic one through site
-chains (below).  A saturation round recomputes, inside the current
-automaton,
+joins each left hub to the right hubs along those words: through head
+tries and site chains for a tuple of rules or a classic rule product, and
+through class x length gadgets for a triplet product (both below).  A
+saturation round recomputes, inside the current automaton,
 
   LeftPoints(s)  = reachable states from which the left-site word s can be
                    read on a path that stays co-reachable, and
@@ -24,19 +20,40 @@ then adds epsilon edges LeftPoint -> left hub of s and right hub of t ->
 RightPoint.  Sharing hubs per site word keeps saturation at
 O(states x sites) edges rather than O(states x rules).
 
-Why the tries keep the language.  Statically, trie nodes are entered only
-from their left hub, so the labeled paths from the left hub of s to the
-right hub of t spell exactly {w : some rule has left site s, insert word w
-and right site t}, as the per-rule paths would.  The trie is the quotient of
-those per-rule paths that merges the states sharing (left site, insert
-prefix).  Such states are entered alike: statically only through the same
-word from the same hub, and by saturation only at the end of a right-site
-read, which depends on what lies to their left.  So they have the same left
-language wherever they are co-reachable (a state that is not co-reachable
-carries no accepted path).  Merging NFA states with identical left languages
-keeps the accepted language, and since saturation picks its edges from
-reachability, site reads and co-reachability, which the merge preserves,
-the saturation fixpoint's language is unchanged as well.
+Head tries and site chains.  A rule is read as a head, a cut and a join:
+a classic rule (u1, v1, u2, v2) reads its head u1 from the left hub of
+u1·v1 and cuts u2·v2 after u2; a triplet (u1, u2; v) reads its head v from
+the left hub of u1 and cuts u2 at its end.  Each left site gets its hub and
+a trie of its heads (a chain along the site for a classic rule, whose
+heads are the site's prefixes), and each right site one chain from its
+first cut into its hub.  Each read carries a tag: a tuple tags it with its
+own words, (u1, v1) and (u2, v2) or (u1, v) and (u2, ""), and a classic
+product with their class pair, since a rule is in a canonical product iff
+its class tuple is.  One static biclique per right tag joins the head ends
+of the left tags it is joined with to its cut nodes: at most m² for a
+product over a monoid of size m.  The labeled paths from the left hub of s
+to the right hub of t then spell exactly {h·t[c:] : some rule reads head h
+on s and cuts t at c}, the insert words of the rules with those sites.
+Split each per-rule path by an epsilon edge after its head: the tries and
+chains are the quotient of those paths that merges the nodes of equal
+(left site, head prefix) and those of equal (right site, cut).  The first
+have equal left languages: statically they are entered only through the
+same word from the same hub, and by saturation only at the end of a
+right-site read, which depends on what lies to their left.  The second
+have equal right languages: statically what a node can still read is the
+rest of its site into the hub, and saturation adds the same edges out of
+them, since the edges out of a state go to the left hubs of the sites it
+is a point of, which its right language decides.  Merging NFA states with
+equal left languages, or with equal right languages, keeps the accepted
+language and the saturation points (left points depend on right
+languages, right points on the union of left languages), so the
+fixpoint's language is the per-rule paths'.
+
+The rule part numbers its states: the axiom states; each left site in
+ll-order, its hub, then its trie's nodes in the lexicographic order of
+their words; each right site in ll-order, its chain, then its hub.  So a
+tuple of rules and the classic product of the same rules build the same
+automaton, up to how their joins are grouped into bicliques.
 
 Class x length gadgets.  Whether a triplet rule (u1, u2; v) is in a
 canonical product depends only on its class tuple, so its bridge matters
@@ -53,15 +70,12 @@ and (x, n) has one to the right hub of each u2 whose class c2 has (c1, c2,
 x) among the tuples, (e, 0) included.  A gadget keeps only the states from
 which such an edge can be reached.  The labeled paths from the left hub of
 u1 to the right hub of u2 then spell exactly the bridges of the rules with
-those sites, as the trie's do.  The gadget is the quotient of the tries of
-c1's sites that merges the nodes of equal (class, length).  Such nodes have
-the same right language in every round: statically, what a node can still
-read on to a right hub depends only on its prefix's class and length, and
-saturation adds the same edges out of them, since the edges out of a state
-go to the left hubs of the sites it is a point of, which its right language
-decides.  Merging NFA states with equal right languages keeps the accepted
-language, and it keeps the saturation points: left points depend on right
-languages, and right points on the union of left languages.
+those sites, as the head tries' do.  The gadget is the quotient of the
+head tries of c1's sites that merges the nodes of equal (class, length).
+Such nodes have the same right language in every round: statically, what
+a node can still read on to a right hub depends only on its prefix's class
+and length, and saturation adds the same edges out of them, as for the
+chains above.
 
 The gadget path numbers its states in blocks: the axiom states; the left
 hubs of the classes with a gadget, in the pool order of their sites; each
@@ -70,54 +84,27 @@ states in the ll-order of their least bridge words; then the right hubs
 that some gadget feeds, in the pool order of their sites.  Nothing is
 numbered in the iteration order of a set.
 
-Site chains.  A classic rule (u1, v1, u2, v2) is in a canonical product iff
-its class tuple is, and its insert u1·v2 is read as u1 along its left site
-u1·v1 and v2 along its right site u2·v2, so only the join between the two
-goes through classes.  A cut of a site is a split into two pool words
-whose class pair opens (left site) or closes (right site) some tuple.  Each
-left site s gets one chain from its left hub that reads s up to its last
-cut, and each right site t one that reads t from its first cut into its
-right hub; the node at each cut is tagged with the cut's pair.  One static
-biclique per right pair (c, d) joins the left cut nodes of every pair
-(a, b) with (a, b, c, d) among the tuples to the right cut nodes of (c, d):
-at most m² bicliques for a monoid of size m, and no junction state.  The
-cuts come from pairing the pool words class by class, so an empty or
-sparse product costs only what it builds.  The labeled paths from the left
-hub of s to the right hub of t spell exactly {u1·v2 : some rule has u1·v1
-= s and u2·v2 = t}, the trie's words.  Split each per-rule path by an
-epsilon edge after u1: the chains are the quotient of those paths that
-merges the nodes of equal (left site, cut), which have equal left
-languages as the trie's merged nodes do, and those of equal (right site,
-cut), which have equal right languages as the gadget's do; so the fixpoint
-keeps the tries' language.  States are numbered: the axiom states; each
-left site in ll-order, its hub, then its chain; each right site in
-ll-order, its chain, then its hub.
-
 Provenance.  Saturation records, per round, the mask of the points each
 site gained; an added edge is one point of such a mask joined to its site's
 hub, and the edge list is derived from the masks only when asked for.  An
 edge names its site word and side: an "in" edge feeds the left hub of its
 site, an "out" edge leaves the right hub of its site.
 
-Representation.  A tuple of rules is read rule by rule through
-``triplet_form``, a rule's left hub and new insert nodes numbered before
-its right hub.  Trie nodes are keyed by (left site, insert prefix); the
-prefixes of a word in the trie are its shortest ones, so a new word is
-walked from the longest of them.  The rule part writes the automaton
-straight into masks, the one form every ``Nfa`` keeps its edges in: each
-new state gets its forward and backward letter rows, and the static epsilon
-edges are bicliques (a right hub's trie ends into it, a gadget's feeds, a
-chain join), sorted after the axiom automaton's by their lowest target.
-The forward rows and the static bicliques are the ``base`` automaton.
+Representation.  The rule part writes the automaton straight into masks,
+the one form every ``Nfa`` keeps its edges in: each new state gets its
+forward and backward letter rows, and the static epsilon edges are
+bicliques (a right tag's join, a gadget's entry or feeds), sorted after the
+axiom automaton's by their lowest target.  The forward rows and the static
+bicliques are the ``base`` automaton.
 Saturation adds one biclique per left site (its points so far to its hub)
 and one per right site (its hub to its points so far), and closes sets
 through them with ``automata._close``; ``nfa()``, the base with every
 biclique, is what the comparison's subset construction and the closure
 JSON read.  No edge set is built unless one is asked for.
 
-Trie nodes are numbered along each new insert word, a gadget's states
-along the lengths of a unary bridge, and a chain's states along its site,
-so most letter edges go from a state p to p + 1: all 136 on a* classic at
+Trie nodes are numbered along each head, a gadget's states along the
+lengths of a unary bridge, and a chain's states along its site, so most
+letter edges go from a state p to p + 1: all 136 on a* classic at
 theorem bounds, all 6,936 on aaaa+, and 109 of 111 on a+b+ classic at
 bounds (4,3,4), whose other two are the axioms'.  Each letter edge is
 sorted as it is written, and saturation reads each symbol's rows split
@@ -154,11 +141,15 @@ edges the fixpoint must contain.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+import itertools
+from functools import cached_property, lru_cache, reduce
+from operator import methodcaller, or_
+from typing import Callable, Hashable, Iterable, NamedTuple
 
 from .automata import (
+    Alphabet,
     Dfa,
     Nfa,
     _bits,
@@ -167,13 +158,11 @@ from .automata import (
     _mask,
     _move,
     _Moves,
-    automaton_to_json,
     determinize,
-    length_lex_key,
     minimize,
 )
 from .monoid import class_counts, class_levels
-from .splicing import PIXTON, RuleProduct, SplicingSystem, triplet_form
+from .splicing import PIXTON, ClassicRule, RuleProduct, SplicingSystem
 
 
 class AddedEdge(NamedTuple):
@@ -224,9 +213,9 @@ class ClosureAutomaton:
 
     ``base`` is the automaton before saturation: the axiom part, the
     per-site hubs, and the rule part that joins the left hubs to the right
-    hubs (see the module docstring): the insert-word tries of a tuple of
-    rules, the site chains of a classic rule product or the class x length
-    gadgets of a triplet one, with their static epsilon edges.
+    hubs (see the module docstring): the head tries and site chains of a
+    tuple of rules or a classic rule product, or the class x length gadgets
+    of a triplet product, with their static epsilon edges.
     ``left_hubs`` and ``right_hubs`` map site words to their hub states.
     Saturation is recorded in ``growth``: one point mask per site and round
     in which the site gained points, in the order ``build_closure`` found
@@ -235,9 +224,9 @@ class ClosureAutomaton:
     attribute every discovered edge to its site word, and through the hub to
     the rules with that site; the bicliques, which hold every epsilon edge
     of the saturated automaton; and ``nfa()``, which is ``base`` with those
-    bicliques and which ``closure_dfa`` and ``to_json`` read.  The views are
-    kept once built; ``build_closure`` hands over the bicliques it ends
-    with.
+    bicliques and which ``closure_dfa`` and the closure JSON read.  The
+    views are kept once built; ``build_closure`` hands over the bicliques
+    it ends with.
     """
 
     base: Nfa
@@ -273,9 +262,6 @@ class ClosureAutomaton:
             seen = left if g.side == "in" else right
             seen[g.hub] = seen.get(g.hub, 0) | g.points
         return _site_bicliques(self.base.epsilon, left, right)
-
-    def to_json(self) -> str:
-        return automaton_to_json(self.nfa())
 
     @cached_property
     def _nfa(self) -> Nfa:
@@ -321,11 +307,11 @@ def _extend_prefixes(
 def _base_automaton(
     system: SplicingSystem,
 ) -> tuple[Nfa, dict[str, _Moves], dict[str, _Moves], dict[str, int], dict[str, int]]:
-    """The axiom automaton with the rule part, the left hubs' insert tries or,
-    for a rule product, the site chains (classic) or class x length gadgets
-    (triplet), and the right hubs, joined by the static epsilon edges: that
-    automaton, its letter moves by symbol forwards and backwards, and the
-    left and right hubs.
+    """The axiom automaton with the rule part, the head tries and site
+    chains of a tuple of rules or a classic rule product, or the class x
+    length gadgets of a triplet one, and the hubs, joined by the static
+    epsilon edges: that automaton, its letter moves by symbol forwards and
+    backwards, and the left and right hubs.
 
     Each letter edge is sorted as it is written: an edge p -> p + 1 puts p
     in the symbol's shift, any other edge its source in the forward rest
@@ -364,10 +350,12 @@ def _base_automaton(
             if succ:
                 for q in _bits(succ):
                     edge(sym, p, q)
-    build = _tries
-    if isinstance(system.rules, RuleProduct):
-        build = _gadgets if system.rules.variant == PIXTON else _chains
-    left_hub, right_hub, joins = build(system.rules, new_state, edge)
+    rules = system.rules
+    if isinstance(rules, RuleProduct) and rules.variant == PIXTON:
+        left_hub, right_hub, joins = _gadgets(rules, new_state, edge)
+    else:
+        reads = _product_reads(rules) if isinstance(rules, RuleProduct) else _tuple_reads(rules)
+        left_hub, right_hub, joins = _rule_part(reads, system.alphabet, new_state, edge)
 
     # the axiom states come first, so its bicliques' targets precede the
     # rule part's, whose targets are disjoint: ascending by the lowest one
@@ -381,107 +369,108 @@ def _base_automaton(
 
 
 # A builder of the rule part writes its states and letter edges through
-# ``new_state`` and ``edge`` and returns the left and right hubs and its
-# static epsilon edges, as bicliques with disjoint target masks.
+# ``new_state`` and ``edge`` and returns the hubs and its static epsilon
+# edges, bicliques with disjoint target masks.  ``_rule_part`` reads left
+# site -> head -> tag, right site -> prefix to a cut -> tag, right tag -> left tags.
 _Built = tuple[dict[str, int], dict[str, int], list[tuple[int, int]]]
+_Reads = tuple[dict[str, dict[str, Hashable]], dict[str, dict[str, Hashable]], dict]
 
 
-def _tries(
-    rules: tuple, new_state: Callable[[], int], edge: Callable[[str, int, int], None]
-) -> _Built:
-    """Each left hub's insert trie and the right hubs, rule by rule: the
-    rule's left hub and new insert nodes, then its right hub, with one
-    biclique per right hub from the trie ends that feed it."""
-    left_hub: dict[str, int] = {}
-    right_hub: dict[str, int] = {}
-    trie: dict[tuple[str, str], int] = {}  # (left site, insert prefix) -> node
-    ends: dict[int, list[int]] = {}  # right hub -> the trie ends that feed it
-    for rule in rules:
-        left_site, right_site, insert = triplet_form(rule)
-        end = trie.get((left_site, insert))
-        if end is None:
-            if left_site not in left_hub:
-                left_hub[left_site] = new_state()
-            # the word's prefixes in the trie are its shortest ones, so the
-            # walk starts at the longest of them; the hub is the empty one
-            i = max(len(insert) - 1, 0)
-            while i > 0 and (left_site, insert[:i]) not in trie:
-                i -= 1
-            end = trie[left_site, insert[:i]] if i else left_hub[left_site]
-            for j in range(i + 1, len(insert) + 1):
-                nxt = trie[left_site, insert[:j]] = new_state()
-                edge(insert[j - 1], end, nxt)
-                end = nxt
-        if right_site not in right_hub:
-            right_hub[right_site] = new_state()
-        ends.setdefault(right_hub[right_site], []).append(end)
-    return left_hub, right_hub, [(_mask(feed), 1 << hub) for hub, feed in ends.items()]
+def _tuple_reads(rules: tuple) -> _Reads:
+    """The reads of a tuple of rules, tagged by their own words: each
+    distinct (site, word) gets an int tag, so a rule adds one list entry."""
+    if rules and isinstance(rules[0], ClassicRule):
+        parts = ((r.u1 + r.v1, r.u1, r.u2 + r.v2, r.u2) for r in rules)
+    else:
+        parts = ((r.u1, r.v, r.u2, r.u2) for r in rules)
+    lefts, rights, joins = defaultdict(dict), defaultdict(dict), defaultdict(list)
+    tags = itertools.count()
+    for left, head, right, u2 in parts:
+        heads, cuts = lefts[left], rights[right]
+        if head not in heads:
+            heads[head] = next(tags)
+        if u2 not in cuts:
+            cuts[u2] = next(tags)
+        joins[cuts[u2]].append(heads[head])
+    return lefts, rights, joins
 
 
-def _chains(
-    rules: RuleProduct, new_state: Callable[[], int], edge: Callable[[str, int, int], None]
-) -> _Built:
-    """One chain per left site and one per right site, numbered left sites
-    then right sites, each in ll-order: a left hub and the nodes reading its
-    site up to its last cut, then the nodes reading a right site's suffixes
-    and its hub.  One biclique per right class pair joins the cut nodes of
-    its left class pairs to its own (see the module docstring)."""
-    monoid = rules.monoid
-    present = [class_counts(monoid, lt) for lt in rules.component_lts]
+def _product_reads(rules: RuleProduct) -> _Reads:
+    """The reads of a classic rule product, tagged by class pairs: a right
+    pair joins every left pair it shares a tuple with, and the sites u·v
+    come from pairing the pool words class by class, so an empty or sparse
+    product costs only what it builds."""
+    present = [class_counts(rules.monoid, lt) for lt in rules.component_lts]
     joins: dict[tuple[int, ...], set[tuple[int, ...]]] = {}  # right pair -> its left pairs
     for classes in rules.tuples:
         if all(c in words for c, words in zip(classes, present)):
             joins.setdefault(classes[2:], set()).add(classes[:2])
-    lefts = _cuts(rules, 0, set().union(*joins.values()))
-    rights = _cuts(rules, 2, joins)
-    order = length_lex_key(monoid.alphabet)
-    left_nodes: dict[tuple[int, ...], int] = {}  # left pair -> its cut nodes
-    right_nodes: dict[tuple[int, ...], int] = {}  # right pair -> its cut nodes
+    reads = []
+    for depth, pairs in ((0, set().union(*joins.values())), (2, joins)):
+        cuts: dict[str, dict[str, tuple[int, ...]]] = {}  # site -> u -> pair
+        if pairs:
+            firsts, seconds = {}, {}  # class -> its words, in pool order
+            for words, d in ((firsts, depth), (seconds, depth + 1)):
+                for word, c in zip(*rules.pool(d)):
+                    words.setdefault(c, []).append(word)
+            for x, y in pairs:
+                for u in firsts[x]:
+                    for v in seconds[y]:
+                        cuts.setdefault(u + v, {})[u] = (x, y)
+        reads.append(cuts)
+    return reads[0], reads[1], joins
 
-    def chain(site: str, cuts: dict, start: int, stop: int, nodes: dict) -> int:
-        """New states reading site[start:stop], numbered one after another,
-        the state at each cut added to its pair's nodes: the first state."""
+
+@lru_cache
+def _lex_key(symbols: tuple[str, ...]) -> Callable[[str], str]:
+    """A sort key in lexicographic order: the word, each symbol its rank."""
+    return methodcaller("translate", str.maketrans(dict(zip(symbols, range(len(symbols))))))
+
+
+def _rule_part(
+    reads: _Reads, alphabet: Alphabet, new_state: Callable[[], int], edge: Callable
+) -> _Built:
+    """Each left site's hub and the trie of its heads, then each right
+    site's chain from its first cut into its hub, both in ll-order of the
+    sites, and one biclique per right tag from the head ends of the left
+    tags it joins to its cut nodes (see the module docstring)."""
+    lefts, rights, joins = reads
+    lex = _lex_key(alphabet.symbols)
+    left_nodes: dict[Hashable, int] = {}  # tag -> the mask of its nodes
+    right_nodes: dict[Hashable, int] = {}
+    left_hub: dict[str, int] = {}
+    right_hub: dict[str, int] = {}
+    for site in sorted(sorted(lefts, key=lex), key=len):
+        heads = lefts[site]
+        path, last = [new_state()], ""  # the nodes of the last head's prefixes
+        left_hub[site] = path[0]
+        # in lexicographic order a head shares with the one before exactly
+        # the nodes of their common prefix, all of it on a classic site
+        for head in sorted(heads, key=lex):
+            k = len(last)
+            while not head.startswith(last[:k]):
+                k -= 1
+            del path[k + 1 :]
+            for sym in head[k:]:
+                node = new_state()
+                edge(sym, path[-1], node)
+                path.append(node)
+            tag = heads[head]
+            left_nodes[tag] = left_nodes.get(tag, 0) | 1 << path[-1]
+            last = head
+    for site in sorted(sorted(rights, key=lex), key=len):
+        cuts = rights[site]
+        start = min(map(len, cuts))
         first = new_state()
-        for i in range(start, stop):
+        for i in range(start, len(site)):
             edge(site[i], first + i - start, new_state())
-        for i, pair in cuts.items():
-            nodes[pair] = nodes.get(pair, 0) | 1 << first + i - start
-        return first
-
-    left_hub = {
-        site: chain(site, lefts[site], 0, max(lefts[site]), left_nodes)
-        for site in sorted(lefts, key=order)
-    }
-    right_hub = {}
-    for site in sorted(rights, key=order):
-        start = min(rights[site])
-        first = chain(site, rights[site], start, len(site), right_nodes)
+        for u, tag in cuts.items():
+            right_nodes[tag] = right_nodes.get(tag, 0) | 1 << first + len(u) - start
         right_hub[site] = first + len(site) - start
-    # the cut nodes of distinct pairs are disjoint, so their sum is their union
-    joined = [
-        (sum(map(left_nodes.get, pairs)), right_nodes[right]) for right, pairs in joins.items()
+    return left_hub, right_hub, [
+        (reduce(or_, map(left_nodes.__getitem__, tags)), right_nodes[tag])
+        for tag, tags in joins.items()
     ]
-    return left_hub, right_hub, joined
-
-
-def _cuts(
-    rules: RuleProduct, depth: int, pairs: Iterable[tuple[int, ...]]
-) -> dict[str, dict[int, tuple[int, ...]]]:
-    """site -> cut -> class pair: each word u·v with u from component
-    ``depth`` and v from the next whose classes are one of the pairs, cut
-    after u.  The words are paired class by class, and no pool is spelled
-    for no pairs."""
-    cuts: dict[str, dict[int, tuple[int, ...]]] = {}
-    if pairs:
-        firsts, seconds = {}, {}  # class -> its words, in pool order
-        for words, d in ((firsts, depth), (seconds, depth + 1)):
-            for word, c in zip(*rules.pool(d)):
-                words.setdefault(c, []).append(word)
-        for x, y in pairs:
-            for u in firsts[x]:
-                for v in seconds[y]:
-                    cuts.setdefault(u + v, {})[len(u)] = (x, y)
-    return cuts
 
 
 def _gadgets(

@@ -53,6 +53,15 @@ class IllegalExtensionError(SpliceKitError):
     """An extension pattern does not exist for the rule variant."""
 
 
+def json_parse(text):
+    """The document a JSON text holds, or ``text`` if already decoded; a text
+    nested past the decoder's recursion limit raises ValueError."""
+    try:
+        return json.loads(text) if isinstance(text, str) else text
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
+
 def json_field(doc, key: str, convert: Callable, default=None):
     """``convert(doc[key])``, or ``convert(default)`` when the key is absent
     and a default is given.  A document that is not an object, a missing

@@ -30,7 +30,6 @@ from .automata import (
     Alphabet,
     Dfa,
     Nfa,
-    NfaBuilder,
     automaton_chunks,
     automaton_from_json,
     determinize,
@@ -41,7 +40,7 @@ from .automata import (
     occurrences,
     trim,
 )
-from .errors import InfiniteAxiomLanguageError, json_field, json_typed
+from .errors import InfiniteAxiomLanguageError, json_field, json_parse, json_typed
 from .monoid import SyntacticMonoid, class_counts, class_pool, factor_classes
 
 CLASSIC = "classic"
@@ -374,18 +373,20 @@ class SplicingSystem:
 
 
 def _chains_nfa(alphabet: Alphabet, words: tuple[str, ...]) -> Nfa:
-    """One disjoint chain per axiom word; deduplicated, ll-ordered."""
-    builder = NfaBuilder(alphabet)
-    initial, accepting = [], []
-    for word in sorted(set(words), key=length_lex_key(alphabet)):
-        state = builder.state()
+    """One disjoint chain per axiom word, written into masks; deduplicated, ll-ordered."""
+    words = sorted(set(words), key=length_lex_key(alphabet))
+    count = sum(map(len, words)) + len(words)
+    rows = [[0] * count for _ in alphabet.symbols]
+    initial, accepting, state = [], [], 0
+    for word in words:
         initial.append(state)
         for ch in word:
-            nxt = builder.state()
-            builder.edge(state, ch, nxt)
-            state = nxt
+            rows[alphabet.index(ch)][state] = 1 << state + 1
+            state += 1
         accepting.append(state)
-    return builder.build(initial, accepting)
+        state += 1
+    rows = tuple(map(tuple, rows))
+    return Nfa._unchecked(alphabet, count, frozenset(initial), frozenset(accepting), rows, ())
 
 
 def longest_rule_component(rules) -> int:
@@ -535,7 +536,7 @@ def _rule_chunks(rules) -> Iterator[str]:
 
 
 def system_from_json(text: str | dict) -> SplicingSystem:
-    doc = json.loads(text) if isinstance(text, str) else text
+    doc = json_parse(text)
     make = json_field(doc, "variant", _rule_type)
     variant, arity = doc["variant"], len(fields(make))
 

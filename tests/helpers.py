@@ -13,15 +13,16 @@ shares the library's bit iteration and letter images, but none of its
 epsilon-closure, biclique or semi-naive code.  It builds its own ``base``
 from edge sets through ``Nfa.from_edges``, so comparing closures compares
 the base automata too, and it checks the closure's derived ``added`` view
-against the edges it found itself.  ``build_gadget_closure_reference`` is
-its counterpart for triplet rule products, which ``build_closure`` reads
+against the edges it found itself.  It is the reference for a tuple of
+rules and for a classic rule product, which ``build_closure`` reads through
+one head trie per left site and one chain per right site, joined per tag:
+it cuts the sites of each rule object by hand and tags each cut with its
+two words, or with their classes under ``class_of``, with none of the
+library's rule-part code.  ``build_gadget_closure_reference`` is its
+counterpart for triplet rule products, which ``build_closure`` reads
 through class x length gadgets: it reads each gadget state's letter row and
 right-site feeds off the bridge pool word by word, with none of the
 library's gadget code, and saturates the same way.
-``build_chain_closure_reference`` is the one for classic rule products,
-which ``build_closure`` reads through one chain per site word, joined per
-class pair: it cuts the sites of each rule object by hand, classing its
-components with ``class_of``, with none of the library's chain code.
 ``reverse`` and ``reversed_dfa`` mirror a rule and a language for the
 reversal relation, and ``rename`` and ``renamed_dfa`` swap two letters for
 the renaming relation; each compares two decides without any oracle.
@@ -52,7 +53,7 @@ from splicekit import (
 )
 from splicekit.automata import _bits, _image, _mask
 from splicekit.closure import AddedEdge, ClosureAutomaton, Growth
-from splicekit.splicing import triplet, triplet_form
+from splicekit.splicing import RuleProduct, triplet, triplet_form
 
 
 def ll_sorted(alphabet: Alphabet, words) -> list[str]:
@@ -548,46 +549,99 @@ def _read_prefixes(
     return reached
 
 
-def build_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
-    """Saturation that recomputes every round from scratch, the reference for
-    ``build_closure`` on the trie path: reachability over every state's edge
-    row, and each site prefix's set from the whole set of the prefix one
-    letter shorter, closed along per-state epsilon rows that the round's new
-    edges extend.  The trie is walked letter by letter from its left hub."""
-    base_axioms = system.axiom_nfa()
-    count = base_axioms.state_count
-    labeled = set(base_axioms.labeled_edges)
-    static_eps = set(base_axioms.epsilon_edges)
+def build_closure_reference(system: SplicingSystem, monoid=None) -> ClosureAutomaton:
+    """Saturation that recomputes every round from scratch, the reference
+    for ``build_closure`` on a tuple of rules or a classic rule product:
+    reachability over every state's edge row, and each site prefix's set
+    from the whole set of the prefix one letter shorter, closed along
+    per-state epsilon rows that the round's new edges extend.
 
+    The base is built by hand from the system's rule objects.  A classic
+    rule (u1, v1, u2, v2) reads its head u1 from the left hub of u1·v1 and
+    cuts u2·v2 after u2; a triplet (u1, u2; v) reads its head v from the
+    left hub of u1 and cuts u2 at its end.  Each read is tagged with its
+    two words, (u1, v1) and (u2, v2) or (u1, v) and (u2, ""), or, given a
+    monoid or for a rule product, with their classes under it (the
+    product's own monoid unless one is given), and the rule joins the two
+    tags.  States are numbered: the axiom states; each left site in
+    ll-order, its hub and then one state per distinct non-empty prefix of
+    its heads, in lexicographic order, entered from the state of the
+    prefix one letter shorter; each right site in ll-order, one state per
+    position from its first cut to its end, the last being its hub.  Every
+    head state has an epsilon edge to every cut state whose tag some rule
+    joins to its own; the edges into the states of one right tag come from
+    the same states, and form one biclique, the bicliques in the order of
+    their lowest target.
+    """
+    rules = tuple(system.rules)
+    if monoid is None and isinstance(system.rules, RuleProduct):
+        monoid = system.rules.monoid
+
+    def tag(u: str, v: str):
+        return (u, v) if monoid is None else (monoid.class_of(u), monoid.class_of(v))
+
+    left_heads: dict[str, dict[str, object]] = {}  # left site -> head -> tag
+    right_cuts: dict[str, dict[int, object]] = {}  # right site -> cut -> tag
+    joined: set[tuple[object, object]] = set()
+    for rule in rules:
+        if isinstance(rule, ClassicRule):
+            left, head, left_tag = rule.u1 + rule.v1, rule.u1, tag(rule.u1, rule.v1)
+            right, cut, right_tag = rule.u2 + rule.v2, len(rule.u2), tag(rule.u2, rule.v2)
+        else:
+            left, head, left_tag = rule.u1, rule.v, tag(rule.u1, rule.v)
+            right, cut, right_tag = rule.u2, len(rule.u2), tag(rule.u2, "")
+        left_heads.setdefault(left, {})[head] = left_tag
+        right_cuts.setdefault(right, {})[cut] = right_tag
+        joined.add((left_tag, right_tag))
+
+    axioms = system.axiom_nfa()
+    count = axioms.state_count
+    labeled = set(axioms.labeled_edges)
     left_hub: dict[str, int] = {}
     right_hub: dict[str, int] = {}
-    trie: dict[tuple[int, str], int] = {}
-    for rule in system.rules:
-        left_site, right_site, insert = triplet_form(rule)
-        if left_site not in left_hub:
-            left_hub[left_site] = count
-            count += 1
-        state = left_hub[left_site]
-        for ch in insert:
-            nxt = trie.get((state, ch))
-            if nxt is None:
-                nxt = trie[state, ch] = count
-                count += 1
-                labeled.add((state, ch, nxt))
-            state = nxt
-        if right_site not in right_hub:
-            right_hub[right_site] = count
-            count += 1
-        static_eps.add((state, right_hub[right_site]))
+    left_tag_of: dict[int, object] = {}
+    right_tag_of: dict[int, object] = {}
+    for site in ll_sorted(system.alphabet, left_heads):
+        heads = left_heads[site]
+        prefixes = {h[:i] for h in heads for i in range(1, len(h) + 1)}
+        lex = sorted(prefixes, key=lambda w: [system.alphabet.index(c) for c in w])
+        node = {"": count}  # prefix -> its state
+        node.update((w, count + 1 + i) for i, w in enumerate(lex))
+        for w in lex:
+            labeled.add((node[w[:-1]], w[-1], node[w]))
+        for head, head_tag in heads.items():
+            left_tag_of[node[head]] = head_tag
+        left_hub[site] = count
+        count += 1 + len(lex)
+    for site in ll_sorted(system.alphabet, right_cuts):
+        cuts = right_cuts[site]
+        first = min(cuts)
+        for j in range(first, len(site) + 1):
+            state = count + j - first
+            if j in cuts:
+                right_tag_of[state] = cuts[j]
+            if j > first:
+                labeled.add((state - 1, site[j - 1], state))
+        count += len(site) - first + 1
+        right_hub[site] = count - 1
 
-    base = Nfa.from_edges(
-        alphabet=system.alphabet,
-        state_count=count,
-        initial=base_axioms.initial,
-        accepting=base_axioms.accepting,
-        labeled_edges=frozenset(labeled),
-        epsilon_edges=frozenset(static_eps),
+    groups: dict[object, set[tuple[int, int]]] = {}  # right tag -> its edges
+    for p, left in left_tag_of.items():
+        for q, right in right_tag_of.items():
+            if (left, right) in joined:
+                groups.setdefault(right, set()).add((p, q))
+    joins = []
+    for edges in groups.values():
+        sources = {p for p, _q in edges}
+        targets = {q for _p, q in edges}
+        assert len(edges) == len(sources) * len(targets), "a right tag's edges are no biclique"
+        joins.append((_mask(sources), _mask(targets)))
+    joins.sort(key=lambda biclique: min(_bits(biclique[1])))
+    letters = Nfa.from_edges(
+        system.alphabet, count, axioms.initial, axioms.accepting,
+        frozenset(labeled), axioms.epsilon_edges,
     )
+    base = replace(letters, epsilon=letters.epsilon + tuple(joins))
     return _saturate_reference(base, left_hub, right_hub)
 
 
@@ -666,84 +720,6 @@ def build_gadget_closure_reference(system: SplicingSystem) -> ClosureAutomaton:
         system.alphabet, count, axioms.initial, axioms.accepting,
         frozenset(labeled), frozenset(static_eps),
     )
-    return _saturate_reference(base, left_hub, right_hub)
-
-
-def build_chain_closure_reference(system: SplicingSystem, monoid=None) -> ClosureAutomaton:
-    """The reference for ``build_closure`` on a classic rule product: one
-    chain per left site and one per right site, built from scratch from the
-    system's rule objects, each component classed by ``monoid.class_of``
-    (the product's monoid unless one is given), and saturated as
-    ``build_closure_reference`` saturates.
-
-    A rule (u1, v1, u2, v2) cuts its left site u1·v1 after u1, tagged with
-    the classes of u1 and v1, and its right site u2·v2 after u2, tagged with
-    those of u2 and v2, and joins the two tags.  States are numbered: the
-    axiom states; each left site in ll-order, its hub and then one state
-    per letter up to its last cut; each right site in ll-order, one state
-    per position from its first cut to its end, the last being its hub.
-    Every left cut state has an epsilon edge to every right cut state whose
-    tag some rule joins to its own; the edges into the states of one right
-    tag come from the same states, and form one biclique, the bicliques in
-    the order of their lowest target.
-    """
-    rules = tuple(system.rules)
-    monoid = monoid or system.rules.monoid
-    left_cuts: dict[str, dict[int, tuple[int, int]]] = {}
-    right_cuts: dict[str, dict[int, tuple[int, int]]] = {}
-    joined: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for rule in rules:
-        left = (monoid.class_of(rule.u1), monoid.class_of(rule.v1))
-        right = (monoid.class_of(rule.u2), monoid.class_of(rule.v2))
-        left_cuts.setdefault(rule.u1 + rule.v1, {})[len(rule.u1)] = left
-        right_cuts.setdefault(rule.u2 + rule.v2, {})[len(rule.u2)] = right
-        joined.add((left, right))
-
-    axioms = system.axiom_nfa()
-    count = axioms.state_count
-    labeled = set(axioms.labeled_edges)
-    left_hub: dict[str, int] = {}
-    right_hub: dict[str, int] = {}
-    left_tag: dict[int, tuple[int, int]] = {}
-    right_tag: dict[int, tuple[int, int]] = {}
-    for site in ll_sorted(system.alphabet, left_cuts):
-        cuts = left_cuts[site]
-        left_hub[site] = count
-        for i in range(max(cuts) + 1):
-            if i in cuts:
-                left_tag[count + i] = cuts[i]
-            if i:
-                labeled.add((count + i - 1, site[i - 1], count + i))
-        count += max(cuts) + 1
-    for site in ll_sorted(system.alphabet, right_cuts):
-        cuts = right_cuts[site]
-        first = min(cuts)
-        for j in range(first, len(site) + 1):
-            state = count + j - first
-            if j in cuts:
-                right_tag[state] = cuts[j]
-            if j > first:
-                labeled.add((state - 1, site[j - 1], state))
-        count += len(site) - first + 1
-        right_hub[site] = count - 1
-
-    groups: dict[tuple[int, int], set[tuple[int, int]]] = {}  # right tag -> its edges
-    for p, left in left_tag.items():
-        for q, right in right_tag.items():
-            if (left, right) in joined:
-                groups.setdefault(right, set()).add((p, q))
-    joins = []
-    for edges in groups.values():
-        sources = {p for p, _q in edges}
-        targets = {q for _p, q in edges}
-        assert len(edges) == len(sources) * len(targets), "a right tag's edges are no biclique"
-        joins.append((_mask(sources), _mask(targets)))
-    joins.sort(key=lambda biclique: min(_bits(biclique[1])))
-    letters = Nfa.from_edges(
-        system.alphabet, count, axioms.initial, axioms.accepting,
-        frozenset(labeled), axioms.epsilon_edges,
-    )
-    base = replace(letters, epsilon=letters.epsilon + tuple(joins))
     return _saturate_reference(base, left_hub, right_hub)
 
 

@@ -30,7 +30,7 @@ from splicekit.cli import _emit, main
 from splicekit.closure import ClosureAutomaton, closure_dfa
 from splicekit.splicing import system_chunks
 
-from helpers import build_chain_closure_reference, factor_site_system
+from helpers import build_closure_reference, factor_site_system
 
 
 A = Alphabet.from_string("a")
@@ -108,9 +108,12 @@ def test_decide_emits_the_closure_it_compared(tmp_path, capsys):
     )
     assert code == 0
     system = system_from_json(system_path.read_text())
-    fresh = build_chain_closure_reference(factor_site_system(system, AB_PLUS), AB_PLUS_MONOID)
+    firing = factor_site_system(system, AB_PLUS)
+    fresh = build_closure_reference(firing, AB_PLUS_MONOID)
     assert closure_path.read_text() == automaton_to_json(fresh.nfa()) + "\n"
     assert closure_dfa(fresh) == closure_dfa(build_closure(system))
+    # the certificate's factor-site rules, read as a tuple, give the same file
+    assert closure_path.read_text() == automaton_to_json(build_closure(firing).nfa()) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -155,6 +158,33 @@ def test_emit_holds_less_than_half_of_each_file(tmp_path):
         assert size > 5_000_000 and peak < size / 2, (name, size, peak)
 
 
+@pytest.mark.parametrize(
+    "regex, alphabet, bounds",
+    [
+        ("a+b+", "ab", ("--axiom-lt", "4", "--inner-lt", "3", "--outer-lt", "4")),
+        ("(ab)*", "ab", ("--axiom-lt", "5", "--inner-lt", "3", "--outer-lt", "4")),
+        ("a*", "a", ("--bounds", "theorem")),
+    ],
+    ids=["a+b+ (4,3,4)", "(ab)* (5,3,4)", "a* theorem"],
+)
+def test_emitted_closure_is_rederived_from_the_certificate(tmp_path, capsys, regex, alphabet,
+                                                           bounds):
+    """A classic decide saturates the factor-site rules of its certificate
+    as a product; read back from the certificate as a tuple of rules, they
+    build the same automaton, so the closure file is written again byte for
+    byte."""
+    system_path = tmp_path / "system.json"
+    closure_path = tmp_path / "closure.json"
+    code, _, _ = run(
+        capsys, *_decide(regex, alphabet, "classic", *bounds),
+        "--emit-system", str(system_path), "--emit-closure", str(closure_path),
+    )
+    assert code == 0
+    dfa = minimize(determinize(parse_regex(regex, Alphabet.from_string(alphabet))))
+    firing = factor_site_system(system_from_json(system_path.read_text()), dfa)
+    assert closure_path.read_text() == automaton_to_json(build_closure(firing).nfa()) + "\n"
+
+
 def test_decide_path_stays_on_the_masks(tmp_path, capsys, monkeypatch):
     """decide with --stats and --emit-closure builds no edge set of any
     automaton and no per-edge provenance tuple."""
@@ -176,7 +206,7 @@ def test_decide_path_stays_on_the_masks(tmp_path, capsys, monkeypatch):
     assert code == 0
     monkeypatch.undo()
     system = system_from_json(system_path.read_text())
-    fresh = build_chain_closure_reference(factor_site_system(system, AB_PLUS), AB_PLUS_MONOID)
+    fresh = build_closure_reference(factor_site_system(system, AB_PLUS), AB_PLUS_MONOID)
     assert json.loads(out.splitlines()[1])["closure_epsilon_edges"] == len(fresh.added)
     assert closure_path.read_text() == automaton_to_json(fresh.nfa()) + "\n"
     assert closure_dfa(fresh) == closure_dfa(build_closure(system))
@@ -283,16 +313,17 @@ def test_closure_and_oracle_on_system_file(tmp_path, capsys):
     assert out.splitlines() == [
         "round 1: +2 edges",
         "  eps 0 -> 3 (site 'ab', in)",
-        "  eps 7 -> 2 (site 'ab', out)",
-        "round 2: +5 edges",
+        "  eps 8 -> 2 (site 'ab', out)",
+        "round 2: +6 edges",
         "  eps 3 -> 3 (site 'ab', in)",
         "  eps 4 -> 3 (site 'ab', in)",
-        "  eps 7 -> 6 (site 'ab', out)",
-        "  eps 7 -> 7 (site 'ab', out)",
-        "  eps 7 -> 8 (site 'ab', out)",
-        "states: 10",
+        "  eps 6 -> 3 (site 'ab', in)",
+        "  eps 8 -> 5 (site 'ab', out)",
+        "  eps 8 -> 7 (site 'ab', out)",
+        "  eps 8 -> 8 (site 'ab', out)",
+        "states: 9",
         "rounds: 2",
-        "epsilon-added: 7",
+        "epsilon-added: 8",
     ]
     nfa = automaton_from_json(emit.read_text())
     apbp = minimize(determinize(parse_regex("a+b+", Alphabet.from_string("ab"))))
@@ -401,6 +432,29 @@ def test_malformed_json_files_exit_65(tmp_path, capsys, command, text, field):
     assert code == 65 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("splicekit: ") and field in err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["decide --lang @{path} --variant classic", "closure --system {path}",
+     "oracle --system {path} --report-len 2"],
+    ids=["decide", "closure", "oracle"],
+)
+@pytest.mark.parametrize(
+    "text",
+    [DEEP, '{"variant":"classic","alphabet":["a"],"axioms":' + DEEP + ',"rules":[]}'],
+    ids=["nested arrays", "nested axioms"],
+)
+def test_json_nested_past_the_recursion_limit_exits_65(tmp_path, capsys, command, text):
+    """The decoder gives up on such a file with a RecursionError, which the
+    readers report as a malformed file."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *command.format(path=path).split())
+    assert (code, out, err) == (65, "", "splicekit: JSON document nested too deeply\n")
 
 
 AUTOMATON_A = {
@@ -672,7 +726,7 @@ _PINNED_DIGESTS = {
     "splice pixton": "47b34c04db0344d48165c3d894f8723e587d2d95575498163612923353a8eaf5",
     "splice pixton --json": "ba457679f748fdf5b55d0c96d27148ab85a708151213046d8de3bebc8c87d529",
     "pump --json": "3a430f6e2771e06300fe0ab693c251347f5ffd553abfbc8129122629ef4f03d6",
-    "closure --trace on an emitted system": "07348ed6e736b0468f3cf3752a3d90dfb186e67db032c4b7d8bf5cb79d6ee306",
+    "closure --trace on an emitted system": "74e93cf64518d1d328a52e2e61f14475c64d062a7ef3e968b9b78b3f47c557f6",
 }
 
 

@@ -36,7 +36,6 @@ from splicekit.splicing import RuleProduct, sigma_step
 
 from helpers import (
     automaton_to_json_reference,
-    build_chain_closure_reference,
     build_closure_reference,
     build_gadget_closure_reference,
     coreachable_brute,
@@ -240,12 +239,13 @@ def test_example1_added_edges_are_pinned():
     assert closure.rounds == 2
     assert [tuple(e) for e in closure.added] == [
         (0, 3, "ab", "in", 1),
-        (7, 2, "ab", "out", 1),
+        (8, 2, "ab", "out", 1),
         (3, 3, "ab", "in", 2),
         (4, 3, "ab", "in", 2),
-        (7, 6, "ab", "out", 2),
-        (7, 7, "ab", "out", 2),
-        (7, 8, "ab", "out", 2),
+        (6, 3, "ab", "in", 2),
+        (8, 5, "ab", "out", 2),
+        (8, 7, "ab", "out", 2),
+        (8, 8, "ab", "out", 2),
     ]
 
 
@@ -296,39 +296,35 @@ def test_closure_dfa_json_is_pinned(regex, variant, custom, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def _sites_and_insert(rule) -> tuple[str, str, str]:
+def _heads_and_cuts(rule) -> tuple[str, str, str, int]:
+    """(left site, head, right site, cut): a classic rule reads u1 on u1·v1
+    and cuts u2·v2 after u2, a triplet reads v on u1 and cuts u2 at its end."""
     if isinstance(rule, ClassicRule):
-        return rule.u1 + rule.v1, rule.u2 + rule.v2, rule.u1 + rule.v2
-    return rule.u1, rule.u2, rule.v
+        return rule.u1 + rule.v1, rule.u1, rule.u2 + rule.v2, len(rule.u2)
+    return rule.u1, rule.v, rule.u2, len(rule.u2)
 
 
 def test_state_count_is_axioms_hubs_and_distinct_insert_prefixes():
-    """A tuple of rules takes the tries, the canonical product's rules too
-    when listed; the product itself takes the chains: a left site's hub and
-    a state per letter up to its last cut, and a right site's states from
-    its first cut to its end, the hub included."""
+    """A tuple of rules and a classic product take the same rule part: per
+    left site its hub and one state per distinct non-empty prefix of its
+    heads, and per right site its states from its first cut to its end,
+    the hub included.  A classic site's heads are its own prefixes, so its
+    trie is a chain up to its last cut."""
     rng = random.Random(11)
     product = canonical_system(lang("a+b+"), "classic", custom_bounds("classic", 3, 3, 3))
-    lefts: dict[str, int] = {}  # site -> its last cut
-    rights: dict[str, int] = {}  # site -> its first cut
-    for rule in product.rules:
-        lefts[rule.u1 + rule.v1] = max(lefts.get(rule.u1 + rule.v1, 0), len(rule.u1))
-        right = rule.u2 + rule.v2
-        rights[right] = min(rights.get(right, len(right)), len(rule.u2))
-    chains = sum(cut + 1 for cut in lefts.values()) + sum(
-        len(site) - cut + 1 for site, cut in rights.items()
-    )
-    assert build_closure(product).base.state_count == product.axiom_nfa().state_count + chains
-    systems = [EXAMPLE1, replace(product, rules=tuple(product.rules))]
+    systems = [product, EXAMPLE1, replace(product, rules=tuple(product.rules))]
     systems += [random_system(rng) for _ in range(10)]
     for system in systems:
-        parts = [_sites_and_insert(rule) for rule in system.rules]
-        prefixes = {(left, w[:i]) for left, _right, w in parts for i in range(1, len(w) + 1)}
+        parts = [_heads_and_cuts(rule) for rule in system.rules]
+        prefixes = {(left, h[:i]) for left, h, _right, _cut in parts for i in range(1, len(h) + 1)}
+        first_cut: dict[str, int] = {}
+        for _left, _h, right, cut in parts:
+            first_cut[right] = min(first_cut.get(right, cut), cut)
         expected = (
             system.axiom_nfa().state_count
-            + len({left for left, _right, _w in parts})
-            + len({right for _left, right, _w in parts})
+            + len({left for left, _h, _right, _cut in parts})
             + len(prefixes)
+            + sum(len(right) - cut + 1 for right, cut in first_cut.items())
         )
         assert build_closure(system).base.state_count == expected, system
 
@@ -345,17 +341,28 @@ def test_classic_product_tuples_without_words_add_no_chain():
     system = SplicingSystem("classic", AB, ("ab", "aab"), product)
     assert len(product) == 1
     closure = build_closure(system)
-    assert closure == build_chain_closure_reference(system)
+    assert closure == build_closure_reference(system)
     listed = replace(system, rules=tuple(product))
     assert closure_dfa(closure) == closure_dfa(build_closure(listed))
 
 
-def test_rule_repeating_left_site_and_insert_word_adds_no_trie_node():
-    rules = (PixtonRule("ab", "b", "a"), PixtonRule("b", "ba", "bb"))
-    small = build_closure(SplicingSystem("pixton", AB, ("ab", "ba"), rules)).base
-    # same left site and insert word as the first rule, right site of the second
-    extra = PixtonRule("ab", "ba", "a")
-    big = build_closure(SplicingSystem("pixton", AB, ("ab", "ba"), rules + (extra,))).base
+@pytest.mark.parametrize(
+    "variant,rules,extra",
+    [
+        # same left site and head (the bridge) as the first rule, right site
+        # of the second
+        ("pixton", (PixtonRule("ab", "b", "a"), PixtonRule("b", "ba", "bb")),
+         PixtonRule("ab", "ba", "a")),
+        # same left site and head (u1) as the first rule, right site and cut
+        # of the second, though its insert word u1·v2 is new
+        ("classic", (ClassicRule("a", "b", "", "ab"), ClassicRule("ab", "", "a", "b")),
+         ClassicRule("a", "b", "a", "b")),
+    ],
+    ids=["pixton", "classic"],
+)
+def test_rule_repeating_left_site_and_head_adds_no_state(variant, rules, extra):
+    small = build_closure(SplicingSystem(variant, AB, ("ab", "ba"), rules)).base
+    big = build_closure(SplicingSystem(variant, AB, ("ab", "ba"), rules + (extra,))).base
     assert big.state_count == small.state_count
     assert big.labeled_edges == small.labeled_edges
     assert len(big.epsilon_edges) == len(small.epsilon_edges) + 1
@@ -478,20 +485,18 @@ def test_mask_views_match_edge_set_routes(system):
     assert text == automaton_to_json_reference(nfa)
     for c in (closure, reference):
         assert closure_dfa(c) == dfa
-        assert c.to_json() == text
+        assert automaton_to_json(c.nfa()) == text
     assert closure.added == reference.added
     assert closure.added_count == len(closure.added)
 
 
 def _reference(system):
     """The from-scratch reference for the path ``build_closure`` takes: the
-    gadgets for a triplet rule product, the chains for a classic one, the
-    tries for a tuple of rules."""
-    if not isinstance(system.rules, RuleProduct):
-        return build_closure_reference(system)
-    if system.variant == "pixton":
+    gadgets for a triplet rule product, the head tries and site chains for
+    a tuple of rules or a classic product."""
+    if isinstance(system.rules, RuleProduct) and system.variant == "pixton":
         return build_gadget_closure_reference(system)
-    return build_chain_closure_reference(system)
+    return build_closure_reference(system)
 
 
 def _check_views_of_the_masks(system):
@@ -555,13 +560,15 @@ CANONICAL_SYSTEMS = pytest.mark.parametrize(
 
 @CANONICAL_SYSTEMS
 def test_canonical_saturation_matches_from_scratch_reference(make):
-    """Classic rows, which take the chains, against the chain reference;
-    pixton rows, which take the gadgets, against the gadget reference; and
-    the language of each against the trie reference's."""
+    """Classic rows, which take the head tries and site chains tagged by
+    class pairs, against that reference; pixton rows, which take the
+    gadgets, against the gadget reference; and the language of each against
+    that of its rules as a tuple, tagged by their words."""
     system = make()
     closure = build_closure(system)
     assert closure == _reference(system)
-    assert closure_dfa(closure) == closure_dfa(build_closure_reference(system))
+    listed = replace(system, rules=tuple(system.rules))
+    assert closure_dfa(closure) == closure_dfa(build_closure_reference(listed))
 
 
 @CANONICAL_SYSTEMS
@@ -578,7 +585,7 @@ def test_canonical_mask_views_match_edge_set_routes(make):
     assert text == automaton_to_json_reference(nfa)
     for c in (closure, reference):
         assert closure_dfa(c) == dfa
-        assert c.to_json() == text
+        assert automaton_to_json(c.nfa()) == text
     assert closure.added_count == len(closure.added)
 
 

@@ -44,7 +44,6 @@ from splicekit.splicing import RuleProduct, longest_rule_component, triplet, tri
 
 from helpers import (
     all_words_upto,
-    build_chain_closure_reference,
     build_closure_reference,
     build_gadget_closure_reference,
     factor_site_system,
@@ -640,31 +639,40 @@ def test_pools_and_class_levels_match_the_class_of_each_word(dfa, variant, inner
     outer=st.integers(1, 4),
 )
 def test_closure_of_a_rule_product_equals_that_of_its_rule_tuple(dfa, variant, inner, outer):
-    """The rule objects take the tries, which the trie reference walks one
-    rule at a time; a product takes the gadgets (triplet) or the chains
-    (classic), equal to their own references, and accepts the language of
-    the trie closure."""
+    """The rule objects take the head tries and site chains, tagged by
+    their words, equal to the reference built from them.  A classic product
+    takes the same rule part tagged by class pairs, equal to the reference
+    tagged so, and builds the tuple's automaton edge for edge: the same
+    states, hubs, letter edges, epsilon edges and saturation, with only its
+    joins grouped into bicliques by class pair.  A triplet product takes
+    the gadgets, equal to their own reference, and accepts the language of
+    the tuple's closure."""
     symbolic, listed = product_and_tuple_systems(dfa, variant, inner, outer)
     got, want = build_closure(symbolic), build_closure_reference(listed)
     assert build_closure(listed) == want
     if variant == "pixton":
         assert got == build_gadget_closure_reference(symbolic)
     else:
-        assert got == build_chain_closure_reference(symbolic)
+        assert got == build_closure_reference(symbolic)
+        assert (got.left_hubs, got.right_hubs, got.growth, got.rounds) == (
+            want.left_hubs, want.right_hubs, want.growth, want.rounds
+        )
+        assert (got.base.state_count, got.base.rows) == (want.base.state_count, want.base.rows)
+        assert got.base.epsilon_edges == want.base.epsilon_edges
     assert closure_dfa(got) == closure_dfa(want)
 
 
 @settings(max_examples=60, deadline=None)
 @given(dfa=small_dfas(), inner=st.integers(1, 3), outer=st.integers(1, 5))
-def test_gadget_and_trie_closures_give_one_verdict_and_witness(dfa, inner, outer):
+def test_gadget_and_tuple_closures_give_one_verdict_and_witness(dfa, inner, outer):
     """The canonical triplet product, which takes the gadgets, and its rules
-    as a tuple, which take the tries: one closure language, so one verdict
-    and one ll-least witness against the language."""
+    as a tuple, which take the head tries: one closure language, so one
+    verdict and one ll-least witness against the language."""
     symbolic, listed = product_and_tuple_systems(dfa, "pixton", inner, outer)
-    gadget, trie = build_closure(symbolic), build_closure(listed)
+    gadget, tuple_closure = build_closure(symbolic), build_closure(listed)
     generated = closure_dfa(gadget)
-    assert generated == closure_dfa(trie)
-    assert equivalent(generated, dfa) == equivalent(closure_dfa(trie), dfa)
+    assert generated == closure_dfa(tuple_closure)
+    assert equivalent(generated, dfa) == equivalent(closure_dfa(tuple_closure), dfa)
     decision = decide_splicing(dfa, "pixton", custom_bounds("pixton", 4, inner, outer))
     # decide's closure reads the product's factor-site tuples through the
     # gadgets: a triplet's sites are its first two components
@@ -675,19 +683,21 @@ def test_gadget_and_trie_closures_give_one_verdict_and_witness(dfa, inner, outer
     )
     assert decision.closure == build_closure(dataclasses.replace(symbolic, rules=firing))
     assert closure_dfa(decision.closure) == generated
-    assert decision.verdict == ("yes" if equivalent(closure_dfa(trie), dfa)[0] else "inconclusive")
+    assert decision.verdict == (
+        "yes" if equivalent(closure_dfa(tuple_closure), dfa)[0] else "inconclusive"
+    )
 
 
 @settings(max_examples=100, deadline=None)
 @given(dfa=small_dfas(), inner=st.integers(1, 3), outer=st.integers(1, 4))
-def test_chain_and_trie_closures_give_one_verdict_and_witness(dfa, inner, outer):
-    """The canonical classic product, which takes the chains, and its rules
-    as a tuple, which take the tries: one closure language, so one verdict
-    and one ll-least witness against the language, and decide's verdict is
-    the one the trie closure gives."""
+def test_chain_and_tuple_closures_give_one_verdict_and_witness(dfa, inner, outer):
+    """The canonical classic product, whose reads are tagged by class
+    pairs, and its rules as a tuple, tagged by their words: one closure
+    language, so one verdict and one ll-least witness against the language,
+    and decide's verdict is the one the tuple's closure gives."""
     symbolic, listed = product_and_tuple_systems(dfa, "classic", inner, outer)
-    chain, trie = build_closure(symbolic), build_closure(listed)
-    generated = closure_dfa(trie)
+    chain, tuple_closure = build_closure(symbolic), build_closure(listed)
+    generated = closure_dfa(tuple_closure)
     assert closure_dfa(chain) == generated
     assert equivalent(closure_dfa(chain), dfa) == equivalent(generated, dfa)
     decision = decide_splicing(dfa, "classic", custom_bounds("classic", 4, inner, outer))
@@ -727,7 +737,7 @@ def test_factor_site_closure_is_the_canonical_closure(dfa, variant, inner, outer
         assert (decision.verdict, decision.witness) == (whole.verdict, whole.witness)
     elif variant == "classic":
         monoid = syntactic_monoid(dfa)
-        assert decision.closure == build_chain_closure_reference(firing, monoid)
+        assert decision.closure == build_closure_reference(firing, monoid)
     if not dfa.accepting:
         assert decision.verdict == "yes"
 
