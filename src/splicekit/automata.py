@@ -1,8 +1,13 @@
 """Regular-language core: alphabets, NFAs, DFAs, and the standard algorithms.
 
 ``Alphabet``, ``Nfa`` and ``Dfa`` are frozen, and the algorithms return
-fresh values without changing their arguments; ``NfaBuilder`` is the one
-mutable type, scratch for assembling an Nfa.  DFAs are always complete (an
+fresh values without changing their arguments.  An automaton comes in by
+one of two doors.  Outside input goes through the checked constructors,
+``Nfa(...)``, ``Nfa.from_edges``, ``Dfa(...)`` and ``automaton_from_json``,
+which reject a malformed automaton; anything an algorithm derives from
+checked automata is valid by construction and goes through ``_unchecked``,
+which ``Nfa`` and ``Dfa`` share, so no automaton is checked twice.  DFAs
+are always complete (an
 explicit sink is materialized where needed) and carry a canonical state
 numbering: BFS from the initial state, symbols taken in alphabet order.
 ``_explore`` is the one place that numbering is written.  ``determinize``
@@ -139,8 +144,20 @@ def _check_states(n: int, initial: frozenset[int], accepting: frozenset[int]) ->
             raise ValueError("state id out of range")
 
 
+class _Automaton:
+    """The one unchecked constructor, shared by ``Nfa`` and ``Dfa``."""
+
+    @classmethod
+    def _unchecked(cls, *fields):
+        """An automaton of fields valid by construction, such as those
+        derived from checked automata, made without ``__post_init__``."""
+        made = object.__new__(cls)
+        made.__dict__.update(zip(cls.__dataclass_fields__, fields))
+        return made
+
+
 @dataclass(frozen=True)
-class Nfa:
+class Nfa(_Automaton):
     """Nondeterministic finite automaton with epsilon edges.
 
     The universal carrier for regular languages in this package.  States are
@@ -200,15 +217,6 @@ class Nfa:
         epsilon = tuple((src, 1 << t) for t, src in sorted(into.items()))
         return cls._unchecked(alphabet, n, initial, accepting, tuple(map(tuple, rows)), epsilon)
 
-    @classmethod
-    def _unchecked(cls, *fields) -> "Nfa":
-        """An Nfa of fields valid by construction, such as those derived from
-        checked automata, made without ``__post_init__``, whose checks cost
-        more than the rest of building a small automaton."""
-        nfa = object.__new__(cls)
-        nfa.__dict__.update(zip(cls.__dataclass_fields__, fields))
-        return nfa
-
     @cached_property
     def labeled_edges(self) -> frozenset[tuple[int, str, int]]:
         """The letter edges as (source, symbol, target) triples."""
@@ -235,7 +243,7 @@ class Nfa:
 
 
 @dataclass(frozen=True)
-class Dfa:
+class Dfa(_Automaton):
     """Complete deterministic automaton.
 
     ``transitions[state][symbol_index]`` is total; complement is then just a
@@ -276,32 +284,6 @@ class Dfa:
         rows = tuple(tuple(1 << t for t in column) for column in zip(*self.transitions))
         return Nfa._unchecked(
             self.alphabet, self.state_count, frozenset({self.initial}), self.accepting, rows, ()
-        )
-
-
-class NfaBuilder:
-    """Mutable scratch structure for assembling an Nfa."""
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.count = 0
-        self.labeled: set[tuple[int, str, int]] = set()
-        self.eps: set[tuple[int, int]] = set()
-
-    def state(self) -> int:
-        s = self.count
-        self.count += 1
-        return s
-
-    def edge(self, p: int, sym: str, q: int) -> None:
-        self.labeled.add((p, sym, q))
-
-    def eps_edge(self, p: int, q: int) -> None:
-        self.eps.add((p, q))
-
-    def build(self, initial: Iterable[int], accepting: Iterable[int]) -> Nfa:
-        return Nfa.from_edges(
-            self.alphabet, self.count, initial, accepting, self.labeled, self.eps
         )
 
 
@@ -494,7 +476,7 @@ def _to_dfa(alphabet: Alphabet, explored: Iterable, accepts: Callable) -> Dfa:
         if accepts(state):
             accepting.append(len(rows))
         rows.append(row)
-    return Dfa(alphabet, len(rows), 0, frozenset(accepting), tuple(rows))
+    return Dfa._unchecked(alphabet, len(rows), 0, frozenset(accepting), tuple(rows))
 
 
 def determinize(nfa: Nfa) -> Dfa:
@@ -608,13 +590,8 @@ def _require_same_alphabet(a: Dfa, b: Dfa) -> None:
 
 
 def complement(d: Dfa) -> Dfa:
-    return Dfa(
-        alphabet=d.alphabet,
-        state_count=d.state_count,
-        initial=d.initial,
-        accepting=frozenset(range(d.state_count)) - d.accepting,
-        transitions=d.transitions,
-    )
+    accepting = frozenset(range(d.state_count)) - d.accepting
+    return Dfa._unchecked(d.alphabet, d.state_count, d.initial, accepting, d.transitions)
 
 
 def _pairs(a: Dfa, b: Dfa) -> Iterator:
@@ -842,7 +819,8 @@ def _id(value) -> int:
     return json_typed(value, int)
 
 
-# the most states an automaton file may declare beyond those it names
+# the most states an automaton file may declare beyond those it names, and
+# the most the canonical axiom product may have (``decide._guard``)
 UNNAMED_STATES = 1 << 16
 
 

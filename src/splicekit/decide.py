@@ -22,11 +22,11 @@ shapes the system kept as the certificate.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
 from .automata import (
+    UNNAMED_STATES,
     Alphabet,
     Dfa,
     count_words_shorter_than,
@@ -36,13 +36,10 @@ from .automata import (
     minimize,
 )
 from .closure import ClosureAutomaton, build_closure, closure_dfa
-from .errors import CandidateLimitExceededError, PoolLimitExceededError
+from .errors import CandidateLimitExceededError, candidate_limit
 from .monoid import SyntacticMonoid, class_counts, factor_classes, syntactic_monoid
 from .respect import RespectContext, prune_minimal
 from .splicing import CLASSIC, RuleProduct, SplicingSystem, _rule_type
-
-DEFAULT_CANDIDATE_LIMIT = 10_000_000
-CANDIDATE_LIMIT_ENV = "SPLICEKIT_CANDIDATE_LIMIT"
 
 THEOREM = "theorem"
 CUSTOM = "custom"
@@ -108,17 +105,24 @@ def candidate_count(alphabet: Alphabet, bounds: BoundsProfile) -> int:
     return total
 
 
-def _candidate_limit() -> int:
-    env = os.environ.get(CANDIDATE_LIMIT_ENV)
-    if not env:
-        return DEFAULT_CANDIDATE_LIMIT
-    try:
-        limit = int(env)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError(f"{CANDIDATE_LIMIT_ENV} must be a positive integer, got {env!r}")
-    return limit
+def _guard(lang: Dfa, bounds: BoundsProfile) -> None:
+    """Refuse a canonical system too large to build, before any of it is
+    built: more word tuples than the candidate limit, rule pools that
+    would spell more characters than it, or an axiom product of more than
+    ``UNNAMED_STATES`` states, L's states times the axiom bound plus one
+    (the most that ``canonical_axioms``' product can explore)."""
+    limit = candidate_limit()
+    total = candidate_count(lang.alphabet, bounds)
+    if total > limit:
+        raise CandidateLimitExceededError(total, limit)
+    chars = sum(_spelled_chars(len(lang.alphabet), lt) for lt in set(bounds.component_lts))
+    if chars > limit:
+        raise CandidateLimitExceededError(chars, limit, "rule pools would spell {} characters")
+    states = lang.state_count * (bounds.axiom_len_lt + 1)
+    if states > UNNAMED_STATES:
+        raise CandidateLimitExceededError(
+            states, UNNAMED_STATES, "axiom product would have {} states"
+        )
 
 
 def _length_bounded_dfa(alphabet: Alphabet, lt: int) -> Dfa:
@@ -127,13 +131,7 @@ def _length_bounded_dfa(alphabet: Alphabet, lt: int) -> Dfa:
     rows = tuple(
         tuple(min(s + 1, lt) for _ in alphabet.symbols) for s in range(lt + 1)
     )
-    return Dfa(
-        alphabet=alphabet,
-        state_count=lt + 1,
-        initial=0,
-        accepting=frozenset(range(lt)),
-        transitions=rows,
-    )
+    return Dfa._unchecked(alphabet, lt + 1, 0, frozenset(range(lt)), rows)
 
 
 def canonical_axioms(lang: Dfa, bounds: BoundsProfile) -> Dfa:
@@ -149,9 +147,9 @@ def canonical_rules(
     """Every rule within the bounds that respects the language, kept
     symbolic as a ``RuleProduct``: no rule object and no word is built.
 
-    The exact word-tuple count is checked against the guard first, then the
-    characters the product's distinct pools would spell, so that nothing
-    spelled later runs out of memory.  Respect depends only on the class
+    ``_canonical`` runs the guards first, on the exact word-tuple count and
+    the characters the product's distinct pools would spell, so that
+    nothing spelled later runs out of memory.  Respect depends only on the class
     tuple of a rule, so the rule set is a product over syntactic classes:
     each component takes the classes of the words shorter than its bound
     (``monoid.class_counts``), and one pass over their class tuples
@@ -161,19 +159,12 @@ def canonical_rules(
     nested-loop order (first component slowest, each pool in ll-order),
     which the product's iteration and runs follow.
     """
-    limit = _candidate_limit()
-    total = candidate_count(alphabet, bounds)
-    if total > limit:
-        raise CandidateLimitExceededError(total, limit)
     ctx = lang_monoid_ctx
     lts = bounds.component_lts
-    chars = sum(_spelled_chars(len(ctx.monoid.alphabet), lt) for lt in set(lts))
-    if chars > limit:
-        raise PoolLimitExceededError(chars, limit)
     respecting, count, firing = _respecting(ctx, [class_counts(ctx.monoid, lt) for lt in lts])
     rules = RuleProduct(bounds.variant, ctx.monoid, lts, frozenset(respecting))
     rules.__dict__["_count"] = count
-    rules.__dict__["factor_sites"] = rules.restricted(frozenset(firing))
+    rules.__dict__["factor_sites"] = replace(rules, tuples=frozenset(firing))
     return rules
 
 
@@ -234,12 +225,12 @@ def _canonical(
     prune: bool,
 ) -> tuple[SplicingSystem, RuleProduct]:
     """Canonical system for L with its syntactic monoid, and the product of
-    its respecting rules before pruning."""
+    its respecting rules before pruning; every guard runs first."""
     if bounds.variant != variant:
         raise ValueError(f"{bounds.variant} bounds given for a {variant} system")
-    ctx = RespectContext(monoid)
+    _guard(lang, bounds)
     axioms = canonical_axioms(lang, bounds)
-    product = canonical_rules(ctx, lang.alphabet, bounds)
+    product = canonical_rules(RespectContext(monoid), lang.alphabet, bounds)
     rules = tuple(prune_minimal(product)) if prune else product
     return SplicingSystem(variant, lang.alphabet, axioms, rules), product
 

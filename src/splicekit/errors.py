@@ -1,7 +1,9 @@
-"""Exception hierarchy for splicekit, and the JSON field readers that report
-malformed input files as ValueError."""
+"""Exception hierarchy for splicekit, the candidate limit the size guards
+read, and the JSON field readers that report malformed input files as
+ValueError."""
 
 import json
+import os
 from typing import Callable
 
 
@@ -28,25 +30,32 @@ class InfiniteAxiomLanguageError(SpliceKitError):
 
 
 class CandidateLimitExceededError(SpliceKitError):
-    """The rule candidate space is too large to enumerate.
+    """An input too large to build: the rule candidate space, or what
+    ``counted`` names, such as the characters the rule pools would spell.
 
     Carries the exact count and the limit that was in force so callers can
     report both.
     """
 
-    counted = "rule candidate space has {} elements"
-
-    def __init__(self, candidates: int, limit: int):
-        super().__init__(f"{self.counted.format(candidates)}, exceeding the limit of {limit}")
+    def __init__(self, candidates: int, limit: int, counted="rule candidate space has {} elements"):
+        super().__init__(f"{counted.format(candidates)}, exceeding the limit of {limit}")
         self.candidates = candidates
         self.limit = limit
 
 
-class PoolLimitExceededError(CandidateLimitExceededError):
-    """The rule pools would spell more characters than the candidate limit;
-    ``candidates`` holds that character count."""
-
-    counted = "rule pools would spell {} characters"
+def candidate_limit() -> int:
+    """The limit on candidate and character counts: ``SPLICEKIT_CANDIDATE_LIMIT``
+    if set, else 10,000,000."""
+    env = os.environ.get("SPLICEKIT_CANDIDATE_LIMIT")
+    if not env:
+        return 10_000_000
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"SPLICEKIT_CANDIDATE_LIMIT must be a positive integer, got {env!r}")
+    return limit
 
 
 class IllegalExtensionError(SpliceKitError):

@@ -12,7 +12,8 @@ least word of its class.
 layout: every word shorter than a bound with its class, and the classes
 of each length without the words.  ``class_counts`` counts the words of
 each class without spelling them; the levels and the counts of a bound come
-from one walk over its lengths, kept on the monoid.  ``factor_classes``
+from one walk over its lengths.  Each is made on the first ask for its
+bound and kept on the monoid.  ``factor_classes``
 names the classes of the factors of the language's words.
 """
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .automata import Alphabet, Dfa, _access_words, _explore, minimize, words_shorter_than
+from .errors import CandidateLimitExceededError, candidate_limit
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,11 @@ class SyntacticMonoid:
         """bound -> (class levels, class counts), filled by ``_class_walk``."""
         return {}
 
+    @cached_property
+    def _pools(self) -> dict[int, tuple[tuple[str, ...], tuple[int, ...]]]:
+        """bound -> (words, the class of each), filled by ``class_pool``."""
+        return {}
+
 
 def syntactic_monoid(d: Dfa) -> SyntacticMonoid:
     """Transition monoid of the minimal DFA for L(d)."""
@@ -96,19 +103,23 @@ def syntactic_monoid(d: Dfa) -> SyntacticMonoid:
 
 def class_pool(monoid: SyntacticMonoid, lt: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Every word shorter than lt (at least 1) in ll-order, and the class of
-    each.
+    each, spelled on the first ask for the bound and then kept on the
+    monoid: every rule product over it shares the pool.
 
     In ll-order over k symbols the word at index i > 0 is the word at index
     (i - 1) // k extended by symbol (i - 1) % k, so each class is one
     multiplication of its one-shorter prefix's class by a generator.
     """
-    words = tuple(words_shorter_than(monoid.alphabet, lt))
-    gens, table = monoid.generators, monoid.table
-    classes = [monoid.identity]
-    for i in range(1, len(words)):
-        parent, symbol = divmod(i - 1, len(gens))
-        classes.append(table[classes[parent]][gens[symbol]])
-    return words, tuple(classes)
+    got = monoid._pools.get(lt)
+    if got is None:
+        words = tuple(words_shorter_than(monoid.alphabet, lt))
+        gens, table = monoid.generators, monoid.table
+        classes = [monoid.identity]
+        for i in range(1, len(words)):
+            parent, symbol = divmod(i - 1, len(gens))
+            classes.append(table[classes[parent]][gens[symbol]])
+        got = monoid._pools[lt] = (words, tuple(classes))
+    return got
 
 
 def class_levels(monoid: SyntacticMonoid, lt: int) -> tuple[tuple[int, ...], ...]:
@@ -241,12 +252,18 @@ def pump_normalize(
     ``beta^{j/2} gamma`` factor, and replaces the first such occurrence by
     ``alpha beta^j gamma``.  On return every remaining occurrence satisfies
     one of the two conditions, and the result is syntactically congruent to
-    the input.
+    the input.  A pumped factor longer than the candidate limit is refused
+    before any word is pumped.
     """
     if j % 2 != 0:
         raise ValueError("pump count j must be even")
     if j <= len(z) + len(f.word):
         raise ValueError("pump count j must exceed |z| + |alpha beta gamma|")
+    length, limit = len(f.alpha) + j * len(f.beta) + len(f.gamma), candidate_limit()
+    if length > limit:
+        raise CandidateLimitExceededError(
+            length, limit, "pumped factor alpha beta^j gamma would have {} characters"
+        )
     if monoid.class_of(f.alpha) != monoid.class_of(f.alpha + f.beta):
         raise ValueError("factorization violates alpha ~ alpha*beta")
     if monoid.class_of(f.gamma) != monoid.class_of(f.beta + f.gamma):

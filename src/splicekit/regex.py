@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, NfaBuilder
+from .automata import Alphabet, Nfa
 from .errors import RegexSyntaxError
 
 
@@ -21,11 +21,21 @@ class _Fragment:
 
 
 class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet, builder: NfaBuilder):
+    """Thompson's construction: each subexpression is a fragment of two
+    fresh states, and the states are numbered as they are made."""
+
+    def __init__(self, text: str, alphabet: Alphabet):
         self.text = text
         self.alphabet = alphabet
-        self.b = builder
         self.pos = 0
+        self.count = 0  # states made so far
+        self.labeled: list[tuple[int, str, int]] = []
+        self.eps: list[tuple[int, int]] = []
+
+    def fragment(self) -> _Fragment:
+        """Two fresh states, start and end."""
+        self.count += 2
+        return _Fragment(self.count - 2, self.count - 1)
 
     def peek(self) -> str | None:
         return self.text[self.pos] if self.pos < len(self.text) else None
@@ -43,11 +53,10 @@ class _Parser:
             frags.append(self.concatenation())
         if len(frags) == 1:
             return frags[0]
-        start, end = self.b.state(), self.b.state()
+        frag = self.fragment()
         for f in frags:
-            self.b.eps_edge(start, f.start)
-            self.b.eps_edge(f.end, end)
-        return _Fragment(start, end)
+            self.eps += [(frag.start, f.start), (f.end, frag.end)]
+        return frag
 
     def concatenation(self) -> _Fragment:
         frags = []
@@ -55,8 +64,7 @@ class _Parser:
             frags.append(self.postfix())
         if not frags:
             return self.epsilon()
-        for left, right in zip(frags, frags[1:]):
-            self.b.eps_edge(left.end, right.start)
+        self.eps += [(left.end, right.start) for left, right in zip(frags, frags[1:])]
         return _Fragment(frags[0].start, frags[-1].end)
 
     def postfix(self) -> _Fragment:
@@ -64,13 +72,11 @@ class _Parser:
         while self.peek() in ("*", "+"):
             op = self.text[self.pos]
             self.pos += 1
-            start, end = self.b.state(), self.b.state()
-            self.b.eps_edge(start, frag.start)
-            self.b.eps_edge(frag.end, frag.start)
-            self.b.eps_edge(frag.end, end)
+            loop = self.fragment()
+            self.eps += [(loop.start, frag.start), (frag.end, frag.start), (frag.end, loop.end)]
             if op == "*":
-                self.b.eps_edge(start, end)
-            frag = _Fragment(start, end)
+                self.eps.append((loop.start, loop.end))
+            frag = loop
         return frag
 
     def atom(self) -> _Fragment:
@@ -92,23 +98,24 @@ class _Parser:
         if ch not in self.alphabet:
             raise RegexSyntaxError(f"symbol {ch!r} not in alphabet", self.pos)
         self.pos += 1
-        start, end = self.b.state(), self.b.state()
-        self.b.edge(start, ch, end)
-        return _Fragment(start, end)
+        frag = self.fragment()
+        self.labeled.append((frag.start, ch, frag.end))
+        return frag
 
     def epsilon(self) -> _Fragment:
-        start, end = self.b.state(), self.b.state()
-        self.b.eps_edge(start, end)
-        return _Fragment(start, end)
+        frag = self.fragment()
+        self.eps.append((frag.start, frag.end))
+        return frag
 
 
 def parse_regex(text: str, alphabet: Alphabet) -> Nfa:
     """Compile a pattern to an NFA accepting exactly the denoted language."""
-    builder = NfaBuilder(alphabet)
-    parser = _Parser(text, alphabet, builder)
+    parser = _Parser(text, alphabet)
     try:
         frag = parser.parse()
     except RecursionError:
         # the parser descends once per nesting level
         raise RegexSyntaxError("pattern nested too deeply", parser.pos) from None
-    return builder.build(initial={frag.start}, accepting={frag.end})
+    return Nfa.from_edges(
+        alphabet, parser.count, {frag.start}, {frag.end}, parser.labeled, parser.eps
+    )

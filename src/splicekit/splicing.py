@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -152,10 +152,11 @@ class RuleProduct:
 
     ``component_lts`` holds one strict length bound per rule component, in
     the variant's component order, and ``tuples`` the allowed class tuples,
-    the respecting ones for a canonical system.  ``pool`` spells one
+    the respecting ones for a canonical system.  ``pool`` gives one
     component's words, every word shorter than its bound in ll-order with
-    the class of each (``monoid.class_pool``), once per bound, on first
-    use; ``restricted`` products share those spelled pools.  The rules come
+    the class of each (``monoid.class_pool``, which spells each bound once
+    and keeps it on the monoid, so the products over one monoid, a
+    ``factor_sites`` among them, share it).  The rules come
     in nested-loop order: first component slowest, each pool in ll-order.
     Nothing per rule is stored and ``len`` spells no word: it multiplies
     the word counts of each class (``monoid.class_counts``) over the
@@ -172,32 +173,15 @@ class RuleProduct:
         if len(self.component_lts) != arity or any(len(t) != arity for t in self.tuples):
             raise ValueError(f"{self.variant} rule products need {arity} components")
 
-    @cached_property
-    def _spelled(self) -> dict[int, tuple[tuple[str, ...], tuple[int, ...]]]:
-        """bound -> (words in ll-order, the class of each word), filled by
-        ``pool``."""
-        return {}
-
     def pool(self, depth: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """The words of component ``depth`` in ll-order and the class of
-        each, spelled on first use of their bound."""
-        lt = self.component_lts[depth]
-        got = self._spelled.get(lt)
-        if got is None:
-            got = self._spelled[lt] = class_pool(self.monoid, lt)
-        return got
+        each."""
+        return class_pool(self.monoid, self.component_lts[depth])
 
     @property
     def pools(self) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
         """Every component's ``pool``."""
         return tuple(map(self.pool, range(len(self.component_lts))))
-
-    def restricted(self, tuples: frozenset[tuple[int, ...]]) -> "RuleProduct":
-        """The product of the same monoid and bounds with only ``tuples``, a
-        subset of this one's, sharing this product's spelled pools."""
-        kept = RuleProduct(self.variant, self.monoid, self.component_lts, tuples)
-        kept.__dict__["_spelled"] = self._spelled
-        return kept
 
     @cached_property
     def factor_sites(self) -> "RuleProduct":
@@ -207,9 +191,8 @@ class RuleProduct:
         the pass that finds the tuples; otherwise each tuple's sites come
         from ``triplet``."""
         factors, mul = factor_classes(self.monoid), self.monoid.mul
-        return self.restricted(
-            frozenset(t for t in self.tuples if factors.issuperset(triplet(t, mul)[:2]))
-        )
+        firing = frozenset(t for t in self.tuples if factors.issuperset(triplet(t, mul)[:2]))
+        return replace(self, tuples=firing)
 
     @cached_property
     def _trie(self) -> dict:

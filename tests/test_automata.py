@@ -43,7 +43,7 @@ from splicekit.automata import (
     occurrences,
     trim,
 )
-from splicekit.decide import _length_bounded_dfa
+from splicekit.decide import _length_bounded_dfa, canonical_axioms, custom_bounds
 
 from helpers import (
     all_words_upto,
@@ -442,6 +442,28 @@ def test_nfa_rejects_a_malformed_mask(rows, epsilon, message):
         Nfa(A, 2, frozenset({0}), frozenset({1}), rows, epsilon)
 
 
+@pytest.mark.parametrize(
+    "count,initial,accepting,transitions,message",
+    [
+        (0, 0, (), (), "at least one state"),
+        (2, 2, (), ((0,), (1,)), "initial state"),
+        (2, -1, (), ((0,), (1,)), "initial state"),
+        (2, 0, (2,), ((0,), (1,)), "accepting state"),
+        (2, 0, (), ((0,),), "one row per state"),
+        (2, 0, (), ((0,), ()), "whole alphabet"),
+        (2, 0, (), ((0,), (2,)), "target out of range"),
+        (2, 0, (), ((0,), (-1,)), "target out of range"),
+    ],
+    ids=[
+        "no state", "initial 2 of 2 states", "negative initial", "accepting 2 of 2 states",
+        "a missing row", "a short row", "target 2 of 2 states", "negative target",
+    ],
+)
+def test_dfa_rejects_a_malformed_table(count, initial, accepting, transitions, message):
+    with pytest.raises(ValueError, match=message):
+        Dfa(A, count, initial, frozenset(accepting), transitions)
+
+
 def test_dot_output_mentions_all_parts():
     dot = automaton_to_dot(lang("(aa)*", A))
     assert dot.startswith("digraph")
@@ -573,10 +595,15 @@ def test_trim_matches_set_walk(seed, from_regex):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**30), st.booleans())
 def test_automata_built_without_the_checks_pass_them(seed, from_regex):
-    """from_edges, trim and Dfa.to_nfa skip ``Nfa.__post_init__``;
-    ``replace`` runs it on what they build."""
+    """from_edges, trim, Dfa.to_nfa and every algorithm that returns a DFA
+    skip the checks of ``__post_init__``; ``replace`` runs them on what
+    they build, here with a second operand from a random regex over ab."""
     nfa = drawn_nfa(seed, from_regex)
-    for built in (nfa, trim(nfa), determinize(nfa).to_nfa()):
+    a = determinize(nfa)
+    b = determinize(parse_regex(random_regex(random.Random(seed), "ab", 4)[0], AB))
+    axioms = canonical_axioms(minimize(b), custom_bounds("classic", 1 + seed % 8, 1, 1))
+    dfas = (a, minimize(a), intersect(a, b), union(a, b), difference(a, b), complement(a), axioms)
+    for built in (nfa, trim(nfa), a.to_nfa(), *dfas):
         assert replace(built) == built
 
 

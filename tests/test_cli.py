@@ -24,7 +24,7 @@ from splicekit import (
     system_from_json,
 )
 from splicekit import closure as closure_module
-from splicekit import splicing as splicing_module
+from splicekit import monoid as monoid_module
 from splicekit.automata import automaton_chunks
 from splicekit.cli import _emit, main
 from splicekit.closure import ClosureAutomaton, closure_dfa
@@ -215,15 +215,16 @@ def test_decide_path_stays_on_the_masks(tmp_path, capsys, monkeypatch):
 def test_decide_spells_the_bridge_pool_only_to_emit_the_system(tmp_path, capsys, monkeypatch):
     """The gadgets read only the site pools and the rule count spells no
     pool, so a triplet decide spells its bridge bound only for
-    --emit-system, and no bound twice."""
+    --emit-system, and no bound twice: the words of a bound are spelled
+    once, by ``monoid.class_pool``, and kept on the monoid."""
     asked = []
-    spell = splicing_module.class_pool
+    spell = monoid_module.words_shorter_than
 
-    def recorded(monoid, lt):
+    def recorded(alphabet, lt):
         asked.append(lt)
-        return spell(monoid, lt)
+        return spell(alphabet, lt)
 
-    monkeypatch.setattr(splicing_module, "class_pool", recorded)
+    monkeypatch.setattr(monoid_module, "words_shorter_than", recorded)
     argv = _decide("a*b*", "ab", "pixton", "--axiom-lt", "6", "--inner-lt", "4",
                    "--outer-lt", "6", "--stats", "--emit-closure", str(tmp_path / "closure.json"))
     assert run(capsys, *argv)[0] == 0
@@ -627,6 +628,32 @@ def test_pool_guard_counts_the_characters_the_pools_would_spell(capsys):
     assert (code, out) == (65, "")
     assert err == (
         "splicekit: rule pools would spell 4999950000 characters, "
+        "exceeding the limit of 10000000\n"
+    )
+
+
+def test_axiom_guard_counts_the_states_of_the_axiom_product(capsys):
+    # a* has 1 state, so its axioms shorter than 1,000,000 are a product of
+    # 1 * 1,000,001 states, refused before anything is built
+    code, out, err = run(
+        capsys, *_decide("a*", "a", "classic", "--axiom-lt", "1000000", "--inner-lt", "1",
+                         "--outer-lt", "1", "--stats"),
+    )
+    assert (code, out) == (65, "")
+    assert err == (
+        "splicekit: axiom product would have 1000001 states, exceeding the limit of 65536\n"
+    )
+
+
+def test_pump_refuses_a_pumped_factor_over_the_candidate_limit(capsys):
+    # alpha = "", beta = "aa", gamma = "aa": 2 * 10^12 + 2 characters
+    code, out, err = run(
+        capsys, "pump", "--lang", "(aa)*", "--alphabet", "a", "--word", "aaaa",
+        "--j", "1000000000000",
+    )
+    assert (code, out) == (65, "")
+    assert err == (
+        "splicekit: pumped factor alpha beta^j gamma would have 2000000000002 characters, "
         "exceeding the limit of 10000000\n"
     )
 

@@ -236,6 +236,36 @@ def test_pool_guard_counts_the_characters_of_the_words_it_guards(symbols):
         assert _spelled_chars(len(alphabet), lt) == spelled
 
 
+@pytest.mark.parametrize(
+    "regex,alphabet,axiom_lt,outer_lt,count,message",
+    [
+        # 1 state * 65,537: one over the bound
+        ("a*", A, 65536, 1, 65537, "axiom product would have 65537 states"),
+        ("a+b+", AB, 30000, 3, 120004, "axiom product would have 120004 states"),
+        # the rule guard comes first
+        ("a+b+", AB, 30000, 100, None, "rule candidate space has"),
+    ],
+)
+def test_every_guard_runs_before_anything_is_built(
+    regex, alphabet, axiom_lt, outer_lt, count, message, monkeypatch
+):
+    def build_nothing(*args):
+        raise AssertionError("built before the guards ran")
+
+    monkeypatch.setattr("splicekit.decide.canonical_axioms", build_nothing)
+    monkeypatch.setattr("splicekit.decide.canonical_rules", build_nothing)
+    target = lang(regex, alphabet)
+    bounds = custom_bounds("classic", axiom_lt, 3, outer_lt)
+    for build in (decide_splicing, canonical_system):
+        with pytest.raises(CandidateLimitExceededError, match=f"^{message}") as err:
+            build(target, "classic", bounds)
+        if count is not None:
+            assert (err.value.candidates, err.value.limit) == (count, 65536)
+    # at the bound the guard lets the axioms be built
+    with pytest.raises(AssertionError, match="built before"):
+        decide_splicing(lang("a*", A), "classic", custom_bounds("classic", 65535, 3, 1))
+
+
 def test_candidate_limit_env_override(monkeypatch):
     monkeypatch.setenv("SPLICEKIT_CANDIDATE_LIMIT", "10")
     with pytest.raises(CandidateLimitExceededError) as err:
@@ -678,8 +708,9 @@ def test_gadget_and_tuple_closures_give_one_verdict_and_witness(dfa, inner, oute
     # gadgets: a triplet's sites are its first two components
     monoid = syntactic_monoid(dfa)
     factors = {c for c, w in enumerate(monoid.representatives) if is_factor_brute(dfa, w)}
-    firing = symbolic.rules.restricted(
-        frozenset(t for t in symbolic.rules.tuples if {t[0], t[1]} <= factors)
+    firing = dataclasses.replace(
+        symbolic.rules,
+        tuples=frozenset(t for t in symbolic.rules.tuples if {t[0], t[1]} <= factors),
     )
     assert decision.closure == build_closure(dataclasses.replace(symbolic, rules=firing))
     assert closure_dfa(decision.closure) == generated

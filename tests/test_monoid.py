@@ -5,6 +5,7 @@ import pytest
 
 from splicekit import (
     Alphabet,
+    CandidateLimitExceededError,
     PumpingFactorization,
     determinize,
     length_lex_key,
@@ -216,6 +217,19 @@ def test_pumping_factorization_requires_long_word():
     m = syntactic_monoid(lang("(aa)*", A))
     with pytest.raises(ValueError):
         pumping_factorization(m, "aaa")
+
+
+def test_pump_normalize_refuses_a_pumped_factor_over_the_candidate_limit(monkeypatch):
+    """alpha beta^j gamma is one character longer than the limit: refused
+    before any word is pumped, with its exact length."""
+    m = syntactic_monoid(lang("(aa)*", A))
+    f = PumpingFactorization("", "aa", "aa")
+    monkeypatch.setenv("SPLICEKIT_CANDIDATE_LIMIT", "21")
+    with pytest.raises(CandidateLimitExceededError, match="^pumped factor .* 22 characters") as err:
+        pump_normalize(m, "aaaa", f, 10)
+    assert (err.value.candidates, err.value.limit) == (22, 21)
+    monkeypatch.setenv("SPLICEKIT_CANDIDATE_LIMIT", "22")
+    assert pump_normalize(m, "aaaa", f, 10) == "a" * 22
 
 
 def test_pump_normalize_no_occurrence_is_identity():
