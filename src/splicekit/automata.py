@@ -7,19 +7,21 @@ one of two doors.  Outside input goes through the checked constructors,
 which reject a malformed automaton; anything an algorithm derives from
 checked automata is valid by construction and goes through ``_unchecked``,
 which ``Nfa`` and ``Dfa`` share, so no automaton is checked twice.  DFAs
-are always complete (an
-explicit sink is materialized where needed) and carry a canonical state
-numbering: BFS from the initial state, symbols taken in alphabet order.
-``_explore`` is the one place that numbering is written.  ``determinize``
-is the one subset construction, for regex automata and closures alike; it,
-``minimize``, the products, the witness search and the syntactic monoid
-take their numbers from ``_explore``, and ``_access_words`` reads the
-ll-least word of each state off its rows.  Serialized output is therefore
-stable byte for byte.  Likewise ``_close`` is the one epsilon closure, over
-epsilon edges kept as bicliques.  Every Nfa stores its edges in one form,
-masks (see the mask plumbing below): a successor-mask row per symbol and
-the bicliques, which every algorithm here reads directly; the edge sets
-are views built only on request.
+are always complete (an explicit sink is materialized where needed) and
+carry a canonical state numbering: BFS from the initial state, symbols
+taken in alphabet order.  ``_explore`` is the one place that numbering is
+written.  ``determinize`` is the one subset construction, for regex
+automata and closures alike; it, ``minimize``, the products, the witness
+search and the syntactic monoid take their numbers from ``_explore``, and
+``_access_words`` reads the ll-least word of each state off its rows.
+Words have one order, ``length_lex_key``: the length, then the word
+spelled in the ranks of its symbols, from the one table each ``Alphabet``
+builds.  Serialized output is therefore stable byte for byte.  Likewise
+``_close`` is the one epsilon closure, over epsilon edges kept as
+bicliques.  Every Nfa stores its edges in one form, masks (see the mask
+plumbing below): a successor-mask row per symbol and the bicliques, which
+every algorithm here reads directly; the edge sets are views built only
+on request.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ class Alphabet:
     """An ordered, finite sequence of distinct single characters.
 
     The order is total and fixed; it supplies the lexicographic component of
-    the length-lexicographic order on words.
+    the length-lexicographic order on words.  ``_ranks`` is ``_index``, the
+    rank of each symbol, keyed by code point for ``str.translate``.
     """
 
     symbols: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    _ranks: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if not all(isinstance(s, str) and len(s) == 1 for s in self.symbols):
@@ -49,6 +53,7 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
+        object.__setattr__(self, "_ranks", _Ranks({ord(s): i for s, i in self._index.items()}))
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
@@ -70,19 +75,23 @@ class Alphabet:
         return len(self.symbols)
 
     def check_word(self, word: str) -> str:
-        for ch in word:
-            if ch not in self._index:
-                raise UnknownSymbolError(f"symbol {ch!r} not in alphabet")
+        word.translate(self._ranks)
         return word
 
 
-def length_lex_key(alphabet: Alphabet) -> Callable[[str], tuple]:
-    """Sort key realizing the length-lexicographic order for this alphabet."""
+class _Ranks(dict):
+    """Code point -> rank, for ``str.translate``, which would keep a symbol
+    it finds no rank for; a symbol outside the alphabet raises instead."""
 
-    def key(word: str) -> tuple:
-        return (len(word), tuple(alphabet.index(ch) for ch in word))
+    def __missing__(self, point: int):
+        raise UnknownSymbolError(f"symbol {chr(point)!r} not in alphabet")
 
-    return key
+
+def length_lex_key(alphabet: Alphabet) -> Callable[[str], tuple[int, str]]:
+    """Sort key realizing the length-lexicographic order for this alphabet:
+    the length, then the word with each symbol spelled as its rank."""
+    ranks = alphabet._ranks
+    return lambda word: (len(word), word.translate(ranks))
 
 
 def length_lex_cmp(alphabet: Alphabet, u: str, v: str) -> int:
@@ -91,12 +100,8 @@ def length_lex_cmp(alphabet: Alphabet, u: str, v: str) -> int:
     Shorter words come first; words of equal length are ordered by the
     alphabet order of their first differing character.
     """
-    ku, kv = length_lex_key(alphabet)(u), length_lex_key(alphabet)(v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
+    ku, kv = map(length_lex_key(alphabet), (u, v))
+    return (ku > kv) - (ku < kv)
 
 
 def words_shorter_than(alphabet: Alphabet, bound: int) -> Iterator[str]:

@@ -49,11 +49,12 @@ language and the saturation points (left points depend on right
 languages, right points on the union of left languages), so the
 fixpoint's language is the per-rule paths'.
 
-The rule part numbers its states: the axiom states; each left site in
-ll-order, its hub, then its trie's nodes in the lexicographic order of
-their words; each right site in ll-order, its chain, then its hub.  So a
-tuple of rules and the classic product of the same rules build the same
-automaton, up to how their joins are grouped into bicliques.
+The rule part numbers its states in the order of ``length_lex_key``: the
+axiom states; each left site in ll-order, its hub, then its trie's nodes
+in the lexicographic order of their words (the key's second part); each
+right site in ll-order, its chain, then its hub.  So a tuple of rules and
+the classic product of the same rules build the same automaton, up to how
+their joins are grouped into bicliques.
 
 Class x length gadgets.  Whether a triplet rule (u1, u2; v) is in a
 canonical product depends only on its class tuple, so its bridge matters
@@ -92,10 +93,11 @@ site, an "out" edge leaves the right hub of its site.
 
 Representation.  The rule part writes the automaton straight into masks,
 the one form every ``Nfa`` keeps its edges in: each new state gets its
-forward and backward letter rows, and the static epsilon edges are
-bicliques (a right tag's join, a gadget's entry or feeds), sorted after the
-axiom automaton's by their lowest target.  The forward rows and the static
-bicliques are the ``base`` automaton.
+forward letter rows, and the static epsilon edges are bicliques (a right
+tag's join, a gadget's entry or feeds), sorted after the axiom automaton's
+by their lowest target.  The forward rows and the static bicliques are
+the ``base`` automaton.  The backward rows hold only the edges that are
+not p -> p + 1, since a shift of the mask images the others (below).
 Saturation adds one biclique per left site (its points so far to its hub)
 and one per right site (its hub to its points so far), and closes sets
 through them with ``automata._close``; ``nfa()``, the base with every
@@ -144,8 +146,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 import itertools
-from functools import cached_property, lru_cache, reduce
-from operator import methodcaller, or_
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Hashable, Iterable, NamedTuple
 
 from .automata import (
@@ -159,6 +161,7 @@ from .automata import (
     _move,
     _Moves,
     determinize,
+    length_lex_key,
     minimize,
 )
 from .monoid import class_counts, class_levels
@@ -222,11 +225,10 @@ class ClosureAutomaton:
     them.  The rest is derived from those masks when asked for: ``added``,
     one provenance-tagged edge per point, so traces and DOT output can
     attribute every discovered edge to its site word, and through the hub to
-    the rules with that site; the bicliques, which hold every epsilon edge
-    of the saturated automaton; and ``nfa()``, which is ``base`` with those
-    bicliques and which ``closure_dfa`` and the closure JSON read.  The
-    views are kept once built; ``build_closure`` hands over the bicliques
-    it ends with.
+    the rules with that site; and ``nfa()``, which is ``base`` with every
+    epsilon edge of the saturated automaton as bicliques and which
+    ``closure_dfa`` and the closure JSON read.  The views are kept once
+    built.
     """
 
     base: Nfa
@@ -253,22 +255,17 @@ class ClosureAutomaton:
         return sum(g.points.bit_count() for g in self.growth)
 
     @cached_property
-    def _bicliques(self) -> list[tuple[int, int]]:
-        """Every epsilon edge of the saturated automaton, as (source mask,
-        target mask) pairs, with each site's points gathered from growth."""
+    def _nfa(self) -> Nfa:
+        """``base`` with every epsilon edge of the saturated automaton as
+        bicliques, each site's points gathered from growth."""
         left: dict[int, int] = {}
         right: dict[int, int] = {}
         for g in self.growth:
             seen = left if g.side == "in" else right
             seen[g.hub] = seen.get(g.hub, 0) | g.points
-        return _site_bicliques(self.base.epsilon, left, right)
-
-    @cached_property
-    def _nfa(self) -> Nfa:
         b = self.base
-        return Nfa._unchecked(
-            b.alphabet, b.state_count, b.initial, b.accepting, b.rows, tuple(self._bicliques)
-        )
+        eps = tuple(_site_bicliques(b.epsilon, left, right))
+        return Nfa._unchecked(b.alphabet, b.state_count, b.initial, b.accepting, b.rows, eps)
 
     def nfa(self) -> Nfa:
         """The saturated automaton, built on first use and then kept."""
@@ -315,7 +312,9 @@ def _base_automaton(
 
     Each letter edge is sorted as it is written: an edge p -> p + 1 puts p
     in the symbol's shift, any other edge its source in the forward rest
-    and its target in the backward rest (see ``automata._Moves``).
+    and its target in the backward rest, and only such an edge goes into
+    the backward rows, which ``_move`` reads for that rest alone (see
+    ``automata._Moves``).
     """
     axioms = system.axiom_nfa()
     count = axioms.state_count
@@ -336,10 +335,10 @@ def _base_automaton(
 
     def edge(sym: str, p: int, q: int) -> None:
         fwd[sym][p] |= 1 << q
-        bwd[sym][q] |= 1 << p
         if q == p + 1:
             shift[sym] |= 1 << p
         else:
+            bwd[sym][q] |= 1 << p
             ahead[sym] |= 1 << p
             behind[sym] |= 1 << q
 
@@ -421,12 +420,6 @@ def _product_reads(rules: RuleProduct) -> _Reads:
     return reads[0], reads[1], joins
 
 
-@lru_cache
-def _lex_key(symbols: tuple[str, ...]) -> Callable[[str], str]:
-    """A sort key in lexicographic order: the word, each symbol its rank."""
-    return methodcaller("translate", str.maketrans(dict(zip(symbols, range(len(symbols))))))
-
-
 def _rule_part(
     reads: _Reads, alphabet: Alphabet, new_state: Callable[[], int], edge: Callable
 ) -> _Built:
@@ -435,18 +428,18 @@ def _rule_part(
     sites, and one biclique per right tag from the head ends of the left
     tags it joins to its cut nodes (see the module docstring)."""
     lefts, rights, joins = reads
-    lex = _lex_key(alphabet.symbols)
+    ll = length_lex_key(alphabet)
     left_nodes: dict[Hashable, int] = {}  # tag -> the mask of its nodes
     right_nodes: dict[Hashable, int] = {}
     left_hub: dict[str, int] = {}
     right_hub: dict[str, int] = {}
-    for site in sorted(sorted(lefts, key=lex), key=len):
+    for site in sorted(lefts, key=ll):
         heads = lefts[site]
         path, last = [new_state()], ""  # the nodes of the last head's prefixes
         left_hub[site] = path[0]
         # in lexicographic order a head shares with the one before exactly
         # the nodes of their common prefix, all of it on a classic site
-        for head in sorted(heads, key=lex):
+        for head in sorted(heads, key=lambda head: ll(head)[1]):
             k = len(last)
             while not head.startswith(last[:k]):
                 k -= 1
@@ -458,7 +451,7 @@ def _rule_part(
             tag = heads[head]
             left_nodes[tag] = left_nodes.get(tag, 0) | 1 << path[-1]
             last = head
-    for site in sorted(sorted(rights, key=lex), key=len):
+    for site in sorted(rights, key=ll):
         cuts = rights[site]
         start = min(map(len, cuts))
         first = new_state()
@@ -586,17 +579,13 @@ def build_closure(system: SplicingSystem) -> ClosureAutomaton:
             raise AssertionError("saturation failed to converge within |states|^2 rounds")
         bicliques = _site_bicliques(base.epsilon, left_seen, right_seen)
         growth.extend(new)
-    closure = ClosureAutomaton(
+    return ClosureAutomaton(
         base=base,
         left_hubs=tuple(sorted(left_hub.items())),
         right_hubs=tuple(sorted(right_hub.items())),
         growth=tuple(growth),
         rounds=rounds,
     )
-    # Saturation ends holding the final bicliques, which the closure derives
-    # from its growth; keep them.
-    closure.__dict__["_bicliques"] = bicliques
-    return closure
 
 
 def closure_dfa(closure: ClosureAutomaton) -> Dfa:

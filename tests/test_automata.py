@@ -50,6 +50,7 @@ from helpers import (
     automaton_to_json_reference,
     determinize_brute,
     has_cycle_brute,
+    ll_sorted,
     minimize_moore,
     neighbour_split,
     nfa_accepts_brute,
@@ -87,6 +88,40 @@ def test_length_lex_respects_alphabet_order():
     # order is the alphabet's, not ASCII
     ba = Alphabet.from_string("ba")
     assert length_lex_cmp(ba, "b", "a") == -1
+
+
+def _words_over(alphabet):
+    return st.text(alphabet=alphabet.symbols, max_size=6)
+
+
+@pytest.mark.parametrize("alphabet", UNSORTED, ids=lambda a: "".join(a.symbols))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_length_lex_key_sorts_as_the_reference(alphabet, data):
+    """The key spells words in ranks; it sorts as the reference key built
+    from ``Alphabet.index`` one character at a time."""
+    words = data.draw(st.lists(_words_over(alphabet), max_size=30))
+    assert sorted(words, key=length_lex_key(alphabet)) == ll_sorted(alphabet, words)
+
+
+@pytest.mark.parametrize("alphabet", UNSORTED, ids=lambda a: "".join(a.symbols))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_length_lex_cmp_is_the_sign_of_the_key_comparison(alphabet, data):
+    u, v = data.draw(_words_over(alphabet)), data.draw(_words_over(alphabet))
+    key = length_lex_key(alphabet)
+    sign = (key(u) > key(v)) - (key(u) < key(v))
+    assert length_lex_cmp(alphabet, u, v) == sign == -length_lex_cmp(alphabet, v, u)
+    assert (sign == 0) == (u == v)
+
+
+def test_length_lex_key_rejects_a_foreign_symbol():
+    """Also a character whose code point is a rank: the key's table maps
+    symbols to ranks, and nothing else passes through it."""
+    key = length_lex_key(Alphabet.from_string("cab"))
+    for word in ("d", "cad", "\x00", "a\x01"):
+        with pytest.raises(UnknownSymbolError, match=re.escape(f"symbol {word[-1]!r} not")):
+            key(word)
 
 
 def test_words_shorter_than_order_and_count():

@@ -30,7 +30,7 @@ from splicekit import (
     theorem_bounds,
 )
 from splicekit import closure as closure_module
-from splicekit.automata import _predecessors
+from splicekit.automata import _image, _move, _predecessors
 from splicekit.closure import closure_dfa
 from splicekit.splicing import RuleProduct, sigma_step
 
@@ -628,13 +628,22 @@ def test_closure_dfa_determinizes_through_the_module_name(make, monkeypatch):
 @CANONICAL_SYSTEMS
 def test_letter_moves_split_each_row_exactly(make):
     """The rule loop sorts each letter edge as it writes it; the split it
-    ends with is the one a pass over the finished rows gives, forwards and
-    backwards."""
+    ends with is the one a pass over the finished rows gives.  Forwards the
+    rows are whole; backwards they hold the predecessors over the edges
+    that are not p -> p + 1, and the shift images the rest, so the moves
+    image a random mask as the whole predecessor rows do."""
     base, forward, backward, _, _ = closure_module._base_automaton(make())
-    back_rows = _predecessors(base.rows, base.state_count)
+    n = base.state_count
+    back_rows = _predecessors(base.rows, n)
+    rng = random.Random(0)
     for sym, rows, back in zip(base.alphabet.symbols, base.rows, back_rows):
-        assert forward[sym] == (rows, *neighbour_split(rows, 1), True)
-        assert backward[sym] == (back, *neighbour_split(back, -1), False)
+        shift, rest = neighbour_split(rows, 1)
+        assert forward[sym] == (rows, shift, rest, True)
+        others = [row & ~(1 << q - 1 if q else 0) for q, row in enumerate(back)]
+        assert backward[sym] == (others, *neighbour_split(back, -1), False)
+        for density in (0.05, 0.5, 1):
+            mask = sum(1 << q for q in range(n) if rng.random() < density)
+            assert _move(mask, backward[sym]) == _image(mask, back)
 
 
 def test_theorem_growth_is_pinned():
