@@ -157,7 +157,7 @@ def canonical_rules(
     and the sub-product of its factor-site tuples (``factor_sites``).  The
     rules are the word tuples whose class tuple respects, in the word-tuple
     nested-loop order (first component slowest, each pool in ll-order),
-    which the product's iteration and runs follow.
+    which the product's iteration follows.
     """
     ctx = lang_monoid_ctx
     lts = bounds.component_lts

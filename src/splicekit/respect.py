@@ -26,7 +26,6 @@ import itertools
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Callable
 
 from .automata import Dfa, enumerate_words, occurrences
 from .errors import IllegalExtensionError
@@ -38,9 +37,8 @@ from .splicing import ClassicRule, PixtonRule, Rule, triplet, triplet_form
 class RespectContext:
     """Monoid plus the respect test as bitmask rows over the classes y.
 
-    ``product`` is the monoid's multiplication as a plain table lookup, the
-    product ``splicing.triplet`` takes on class ids.  ``respects`` maps a
-    rule's component classes to its flank triple and asks ``verdict``.
+    ``respects`` maps a rule's component classes to its flank triple,
+    under the monoid's ``mul``, and asks ``verdict``.
     ``right_sets[h]`` is the mask of the y with h·y right-viable (some x
     makes x·h·y accepting); ``row(h)`` is, per insert class, the mask of
     the y that some flanked insert x·insert, with x·h left-viable, sends
@@ -52,7 +50,6 @@ class RespectContext:
     _left_viable: list[bool] = field(init=False, repr=False)
     _escapes: list[int] = field(init=False, repr=False)
     _rows: list[tuple[int, ...] | None] = field(init=False, repr=False)
-    product: Callable[[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, t, acc = self.monoid.size, self.monoid.table, self.monoid.accepting
@@ -64,11 +61,10 @@ class RespectContext:
         # _escapes[h]: the y with h·y outside the language
         self._escapes = [_mask(hy not in acc for hy in row) for row in t]
         self._rows = [None] * m
-        self.product = lambda a, b: t[a][b]
 
     def respects(self, rule: Rule) -> bool:
         classes = tuple(map(self.monoid.class_of, rule.components))
-        return self.verdict(*triplet(classes, self.product))
+        return self.verdict(*triplet(classes, self.monoid.mul))
 
     def verdict(self, h_left: int, h_right: int, h_mid: int) -> bool:
         """Whether the rules with this flank triple respect the language:

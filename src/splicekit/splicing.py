@@ -14,7 +14,7 @@ A system's rules are a tuple of rule objects or a ``RuleProduct``, the
 canonical rule set kept symbolic.  The system JSON is written in chunks,
 a product's per class-trie node (``_rule_chunks``).  The closure
 construction reads a tuple rule by rule and a product through its pools and
-class tuples.
+class tuples; everything else reads a product's words by iterating it.
 """
 
 from __future__ import annotations
@@ -160,7 +160,9 @@ class RuleProduct:
     in nested-loop order: first component slowest, each pool in ll-order.
     Nothing per rule is stored and ``len`` spells no word: it multiplies
     the word counts of each class (``monoid.class_counts``) over the
-    tuples, and iteration builds the rule objects as it goes.
+    tuples.  Iteration, the one reader of the words, builds the rule
+    objects as it goes.  Every bound must be at least 1, as in
+    ``BoundsProfile``.
     """
 
     variant: str
@@ -172,6 +174,8 @@ class RuleProduct:
         arity = len(fields(_rule_type(self.variant)))
         if len(self.component_lts) != arity or any(len(t) != arity for t in self.tuples):
             raise ValueError(f"{self.variant} rule products need {arity} components")
+        if min(self.component_lts) < 1:
+            raise ValueError("all bounds must be at least 1")
 
     def pool(self, depth: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """The words of component ``depth`` in ll-order and the class of
@@ -214,31 +218,22 @@ class RuleProduct:
         return self._count
 
     def __iter__(self) -> Iterator[Rule]:
-        make = _rule_type(self.variant)
-        for prefix, lasts in self.runs():
-            for word in lasts:
-                yield make(*prefix, word)
-
-    def __repr__(self) -> str:
-        return f"RuleProduct({self.variant!r}, {len(self)} rules)"
-
-    def runs(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-        """(prefix, last words) for each choice of every component but the
-        last that some rule extends, in nested order; its rules are the
-        prefix followed by each last word.
+        """The rules in nested order, read run by run: a run is a choice of
+        every component but the last that some rule extends, and the last
+        words its trie node allows.
 
         The walk extends a prefix only by the pool words whose class the
         prefix's trie node allows, each node's pool filtered once, on its
         first visit; prefixes that end in one node share its tuple of last
         words.
         """
-        last = len(self.component_lts) - 1
+        make, last = _rule_type(self.variant), len(self.component_lts) - 1
         # id of a trie node -> (pool word, child node) for each word it
         # allows, or the words alone at the last component; the trie keeps
         # every node alive, so ids stay unique
         kept: dict[int, list | tuple] = {}
 
-        def allowed(depth: int, node: dict):
+        def runs(depth: int, node: dict, prefix: tuple[str, ...]):
             got = kept.get(id(node))
             if got is None:
                 words, classes = self.pool(depth)
@@ -246,36 +241,18 @@ class RuleProduct:
                 if depth == last:
                     got = tuple(w for w, _child in got)
                 kept[id(node)] = got
-            return got
-
-        def walk(depth: int, node: dict, prefix: tuple[str, ...]):
             if depth == last:
-                lasts = allowed(depth, node)
-                if lasts:
-                    yield prefix, lasts
+                yield prefix, got
                 return
-            for word, child in allowed(depth, node):
-                yield from walk(depth + 1, child, prefix + (word,))
+            for word, child in got:
+                yield from runs(depth + 1, child, prefix + (word,))
 
-        return walk(0, self._trie, ())
+        for prefix, lasts in runs(0, self._trie, ()):
+            for word in lasts:
+                yield make(*prefix, word)
 
-    def words(self) -> dict[str, None]:
-        """Every component word of some rule, once, pool by pool in
-        ll-order: the pool words whose class some tuple allows there."""
-        used = [{t[depth] for t in self.tuples} for depth in range(len(self.component_lts))]
-        return dict.fromkeys(
-            w
-            for (words, classes), allowed in zip(self.pools, used)
-            for w, c in zip(words, classes)
-            if c in allowed
-        )
-
-
-def _component_words(rules) -> dict[str, None]:
-    """Every component word of the rules, once, in first-seen order."""
-    if isinstance(rules, RuleProduct):
-        return rules.words()
-    return dict.fromkeys(c for r in rules for c in r.components)
+    def __repr__(self) -> str:
+        return f"RuleProduct({self.variant!r}, {len(self)} rules)"
 
 
 def sigma_step(words: set[str], rules) -> set[str]:
@@ -319,7 +296,7 @@ class SplicingSystem:
             for rule in self.rules:
                 if not isinstance(rule, want):
                     raise ValueError(f"{self.variant} system holds a {type(rule).__name__}")
-            for word in _component_words(self.rules):
+            for word in dict.fromkeys(c for r in self.rules for c in r.components):
                 self.alphabet.check_word(word)
         else:
             raise ValueError(
@@ -373,7 +350,7 @@ def _chains_nfa(alphabet: Alphabet, words: tuple[str, ...]) -> Nfa:
 
 
 def longest_rule_component(rules) -> int:
-    return max(map(len, _component_words(rules)), default=0)
+    return max((len(c) for r in rules for c in r.components), default=0)
 
 
 def default_cap_len(system: SplicingSystem, report_len: int) -> int:

@@ -407,7 +407,7 @@ def word_level_rules(ctx, alphabet: Alphabet, bounds) -> tuple:
     rules = []
     for combo in itertools.product(*pools):
         words, classes = zip(*combo)
-        if ctx.verdict(*triplet(classes, ctx.product)):
+        if ctx.verdict(*triplet(classes, ctx.monoid.mul)):
             rules.append(make(*words))
     return tuple(rules)
 

@@ -204,6 +204,21 @@ def test_rule_product_validation():
             SplicingSystem("pixton", Alphabet.from_string(other), (), product)
 
 
+def test_rule_product_refuses_a_bound_below_1():
+    # a bound below 1 leaves its component no word, yet its tuples would
+    # still count: len 1 with no rule to iterate, and no pool for closure
+    monoid = syntactic_monoid(minimize(determinize(parse_regex("a*", A))))
+    for variant, arity, make in (("pixton", 3, PixtonRule), ("classic", 4, ClassicRule)):
+        tuples = frozenset({(0,) * arity})
+        for low in (0, -1):
+            for at in range(arity):
+                lts = tuple(low if i == at else 1 for i in range(arity))
+                with pytest.raises(ValueError, match="all bounds must be at least 1"):
+                    RuleProduct(variant, monoid, lts, tuples)
+        product = RuleProduct(variant, monoid, (1,) * arity, tuples)
+        assert len(product) == 1 and list(product) == [make(*[""] * arity)]
+
+
 def test_rule_text_round_trip():
     rule = parse_rule("a,b;,ab", "classic", AB)
     assert rule == ClassicRule("a", "b", "", "ab")
@@ -260,7 +275,7 @@ def _quote_and_nul_product():
     alphabet = Alphabet(('"', "\0"))
     dfa = Dfa(alphabet, 4, 0, frozenset({2}), ((1, 3), (1, 2), (3, 2), (3, 3)))
     system = canonical_system(dfa, "classic", custom_bounds("classic", 3, 3, 3))
-    assert len(system.rules) == 2134 and "\0" in system.rules.words()
+    assert len(system.rules) == 2134 and any("\0" in r.components for r in system.rules)
     return system
 
 
