@@ -301,10 +301,11 @@ class Dfa(_Automaton):
 # pairs (source mask, target mask) that join each source to each target,
 # and every epsilon closure is of a set, taken by ``_close``.  A closure
 # step costs one AND per biclique however dense the masks are, so the
-# saturated closure automaton, whose added edges join a site's points to
-# its hub, is closed without expanding them; ``Nfa.from_edges`` gives one
-# biclique per state with incoming epsilon edges.  ``_predecessors`` turns
-# the rows around for the walks that run backwards.
+# saturated closure automaton, whose added edges join each distinct mask of
+# site points to every hub with exactly those points, is closed without
+# expanding them; ``Nfa.from_edges`` gives one biclique per state with
+# incoming epsilon edges.  ``_predecessors`` turns the rows around for the
+# walks that run backwards.
 #
 # A mask of w bits costs O(w) per big-int operation, so ``_bits`` reads it a
 # 64-bit word at a time: one shift of the mask per word it lists, and one
@@ -757,12 +758,17 @@ def automaton_chunks(a: Nfa | Dfa) -> Iterator[str]:
     chunk.  Then one chunk per state with epsilon edges.  The bicliques with
     one target are grouped by target and appended to their sources' rows in
     ascending target order, one append per edge and 1,024 states at a time,
-    so those rows come out sorted and only a block of them is held; the
-    targets of the wider bicliques a state is a source of are merged in
-    from one mask.  A row's text has a placeholder for the source,
-    which each state's chunk fills in with one ``str.replace``; rows repeat
-    over many states (``aaaa+`` classic theorem: 7 distinct rows over 7,105
-    states), so texts are kept for reuse, up to a fixed number of characters.
+    so those rows come out sorted and only a block of them is held.  The
+    wider bicliques a state of the block is a source of are listed by their
+    indices, and a row is keyed by its one-target targets and those
+    indices, so no state holds a mask of targets: a saturated closure joins
+    each of its points to all the hubs that share its point mask, and one
+    mask per point would take n bits for each of n states.  A row's text
+    has a placeholder for the source, which each state's chunk fills in
+    with one ``str.replace``; rows repeat over many states (``aaaa+``
+    classic theorem: 7 distinct rows over 7,105 states), so texts are kept
+    for reuse, up to a fixed number of characters, and the wide targets
+    are merged only into a text not kept yet.
     """
     nfa = a.to_nfa() if isinstance(a, Dfa) else a
     n = nfa.state_count
@@ -781,34 +787,38 @@ def automaton_chunks(a: Nfa | Dfa) -> Iterator[str]:
     )
     yield f'{head[:-1]},"edges":[{edges}],"epsilon":['
     into: dict[int, int] = {}  # target -> sources, for one-target bicliques
-    wide: dict[int, int] = {}  # source -> targets, for the others
+    wide: list[tuple[int, int]] = []  # the others
     for src, dst in nfa.epsilon:
         if dst & (dst - 1):
-            for p in _bits(src):
-                wide[p] = wide.get(p, 0) | dst
+            wide.append((src, dst))
         else:
             t = dst.bit_length() - 1
             into[t] = into.get(t, 0) | src
     targets = sorted(into.items())
-    # (one-target targets, wider targets) -> the row's pairs, each led by a
-    # comma and with "\0" for the source
-    texts: dict[tuple[tuple[int, ...], int], str] = {}
+    # (one-target targets, indices of the wider bicliques) -> the row's
+    # pairs, each led by a comma and with "\0" for the source
+    texts: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
     room = 1 << 20  # characters of row text that may still be kept
     first = True
     size = 1024  # states whose rows are built at a time
+    block = (1 << size) - 1
     for base in range(0, n, size):
-        rows: list[list[int]] = [[] for _ in range(min(size, n - base))]
+        count = min(size, n - base)
+        rows: list[list[int]] = [[] for _ in range(count)]
         for t, sources in targets:
-            for i in _bits(sources >> base & (1 << size) - 1):
+            for i in _bits(sources >> base & block):
                 rows[i].append(t)
-        for p, row in enumerate(rows, base):
-            more = wide.get(p, 0)
-            if row or more:
-                key = (tuple(row), more)
+        among: list[list[int]] = [[] for _ in range(count)]  # each row's wide bicliques
+        for k, (sources, _) in enumerate(wide):
+            for i in _bits(sources >> base & block):
+                among[i].append(k)
+        for p, row, ks in zip(range(base, base + count), rows, among):
+            if row or ks:
+                key = (tuple(row), tuple(ks))
                 text = texts.get(key)
                 if text is None:
-                    if more:
-                        row = sorted(set(row).union(_bits(more)))
+                    if ks:
+                        row = sorted(set(row).union(*(_bits(wide[k][1]) for k in ks)))
                     text = ",[\0," + "],[\0,".join(map(str, row)) + "]"
                     if len(text) <= room:
                         texts[key] = text

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -38,6 +40,7 @@ from splicekit.automata import (
     _move,
     _predecessors,
     _unsplit,
+    automaton_chunks,
     count_words_shorter_than,
     has_cycle,
     occurrences,
@@ -428,6 +431,40 @@ def test_json_of_rows_over_several_blocks_matches_the_reference():
     text = automaton_to_json(nfa)
     assert len(text) > 2 << 20
     assert text == automaton_to_json_reference(nfa)
+
+
+def _spread_biclique_nfa(n: int, width: int) -> Nfa:
+    """n states, every one a source of one biclique into ``width`` targets
+    spread evenly over the states, as the saturated closure's left side
+    has its points join all the hubs that share them."""
+    targets = sum(1 << q for q in range(0, n, n // width))
+    return Nfa(A, n, frozenset({0}), frozenset({n - 1}), ((0,) * n,), (((1 << n) - 1, targets),))
+
+
+def test_json_of_a_wide_biclique_matches_the_reference():
+    nfa = _spread_biclique_nfa(1500, 30)
+    assert automaton_to_json(nfa) == automaton_to_json_reference(nfa)
+
+
+def test_json_writer_holds_no_target_mask_per_source():
+    """20,000 states, each a source of one biclique into 200 targets: the
+    writer keys each source's wide bicliques by their indices, so what it
+    holds while the chunks are consumed stays a few MB, where a mask of
+    targets per source would take about 50 MB.  The digest pins the
+    document's bytes."""
+    nfa = _spread_biclique_nfa(20_000, 200)
+    digest = hashlib.sha256()
+    tracemalloc.start()
+    try:
+        for chunk in automaton_chunks(nfa):
+            digest.update(chunk.encode())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20, peak
+    assert digest.hexdigest() == (
+        "94da4dc1abfdb0aa2a9d8f85c4e09c8ec7fb3ff33ecfd983aa49034d20a841ea"
+    )
 
 
 @settings(max_examples=200, deadline=None)

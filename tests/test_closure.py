@@ -655,3 +655,81 @@ def test_theorem_growth_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "60b222ecf26384a3c4249fd405237d1b7e4486c845928eb91db1f01203e06c95"
     )
+
+
+@pytest.mark.parametrize(
+    "make,static,per_side",
+    [
+        (lambda: decide_splicing(lang("a+b+"), "classic", custom_bounds("classic", 4, 3, 4)),
+         11, 2),
+        (lambda: decide_splicing(lang("aaaa+", A), "classic"), 25, 1),
+    ],
+    ids=["a+b+ classic (4,3,4)", "aaaa+ classic theorem"],
+)
+def test_saturated_bicliques_are_one_per_distinct_point_mask(make, static, per_side):
+    """a+b+ ends with 20 left hubs over 2 distinct point masks, and the same
+    on the right; aaaa+ with 84 hubs a side over 1.  The saturated
+    automaton has one biclique per distinct mask on each side, after the
+    static ones."""
+    closure = make().closure
+    masks = {"in": {}, "out": {}}
+    for g in closure.growth:
+        masks[g.side][g.hub] = masks[g.side].get(g.hub, 0) | g.points
+    assert [len(set(m.values())) for m in masks.values()] == [per_side, per_side]
+    assert len(closure.base.epsilon) == static
+    assert len(closure.nfa().epsilon) == static + 2 * per_side
+
+
+def pooled_system(rng: random.Random) -> SplicingSystem:
+    """2-6 rules of one variant over {a,b} whose sites come from a pool of
+    three left and three right sites, words of 1-3 letters, mostly a's: runs
+    of a's give prefixes whose sets coincide, and hubs with the same
+    points."""
+    def word(n):
+        return "".join(rng.choice("aaab") for _ in range(n))
+
+    lefts = [word(rng.randint(1, 3)) for _ in range(3)]
+    rights = [word(rng.randint(1, 3)) for _ in range(3)]
+    axioms = tuple(sorted({word(rng.randint(0, 5)) for _ in range(rng.randint(1, 3))}))
+    variant = rng.choice(["classic", "pixton"])
+    rules = []
+    for _ in range(rng.randint(2, 6)):
+        left, right = rng.choice(lefts), rng.choice(rights)
+        if variant == "pixton":
+            rules.append(PixtonRule(left, right, word(rng.randint(0, 2))))
+        else:
+            i, j = rng.randint(0, len(left)), rng.randint(0, len(right))
+            rules.append(ClassicRule(left[:i], left[i:], right[:j], right[j:]))
+    return SplicingSystem(variant, AB, axioms, tuple(rules))
+
+
+def test_saturation_through_shared_sets_matches_from_scratch_reference(monkeypatch):
+    """Systems whose sites come from a small shared pool give the closure
+    the from-scratch reference gives, and some of them really share: the
+    saturated automaton has fewer bicliques than the static ones plus one
+    per hub with points, and the prefix reads close fewer sets than they
+    read prefixes.  Each round closes the reachable and co-reachable sets
+    once, and every other close is a prefix read's."""
+    calls = 0
+    close = closure_module._close
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return close(*args)
+
+    monkeypatch.setattr(closure_module, "_close", counting)
+    rng = random.Random(30)
+    fewer_bicliques = fewer_closes = 0
+    for _ in range(40):
+        system = pooled_system(rng)
+        calls = 0
+        closure = build_closure(system)
+        assert closure == build_closure_reference(system), system
+        hubs = len({(g.side, g.hub) for g in closure.growth})
+        fewer_bicliques += len(closure.nfa().epsilon) < len(closure.base.epsilon) + hubs
+        lefts = closure_module._prefix_steps(site[::-1] for site, _ in closure.left_hubs)
+        rights = closure_module._prefix_steps(site for site, _ in closure.right_hubs)
+        reads = closure.rounds + 1
+        fewer_closes += calls - 2 * reads < reads * (len(lefts) + len(rights))
+    assert fewer_bicliques >= 5 and fewer_closes >= 5, (fewer_bicliques, fewer_closes)
