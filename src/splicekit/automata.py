@@ -304,8 +304,9 @@ class Dfa(_Automaton):
 # saturated closure automaton, whose added edges join each distinct mask of
 # site points to every hub with exactly those points, is closed without
 # expanding them; ``Nfa.from_edges`` gives one biclique per state with
-# incoming epsilon edges.  ``_predecessors`` turns the rows around for the
-# walks that run backwards.
+# incoming epsilon edges.  No reader branches on a biclique's width, the
+# JSON writer ``automaton_chunks`` included.  ``_predecessors`` turns the
+# rows around for the walks that run backwards.
 #
 # A mask of w bits costs O(w) per big-int operation, so ``_bits`` reads it a
 # 64-bit word at a time: one shift of the mask per word it lists, and one
@@ -755,20 +756,17 @@ def automaton_chunks(a: Nfa | Dfa) -> Iterator[str]:
     Walking the states in order, each state's symbols in string order and
     each row's targets ascending lists the letter edges already sorted, so
     no edge set is built and nothing is sorted here; they come in the first
-    chunk.  Then one chunk per state with epsilon edges.  The bicliques with
-    one target are grouped by target and appended to their sources' rows in
-    ascending target order, one append per edge and 1,024 states at a time,
-    so those rows come out sorted and only a block of them is held.  The
-    wider bicliques a state of the block is a source of are listed by their
-    indices, and a row is keyed by its one-target targets and those
-    indices, so no state holds a mask of targets: a saturated closure joins
-    each of its points to all the hubs that share its point mask, and one
-    mask per point would take n bits for each of n states.  A row's text
-    has a placeholder for the source, which each state's chunk fills in
-    with one ``str.replace``; rows repeat over many states (``aaaa+``
-    classic theorem: 7 distinct rows over 7,105 states), so texts are kept
-    for reuse, up to a fixed number of characters, and the wide targets
-    are merged only into a text not kept yet.
+    chunk.  Then one chunk per state with epsilon edges.  Each state of a
+    block of 1,024 lists the indices of the bicliques it is a source of,
+    whatever their width, and its row is keyed by that tuple alone: no state
+    holds a mask of targets, since a saturated closure joins each of its
+    points to all the hubs that share its point mask, and one mask per point
+    would take n bits for each of n states.  A row's text is the ascending
+    union of its bicliques' targets, with a placeholder for the source,
+    which each state's chunk fills in with one ``str.replace``; rows repeat
+    over many states (``aaaa+`` classic theorem: 7 distinct rows over 7,105
+    states), so texts are kept for reuse, up to a fixed number of
+    characters, and a row's targets are merged only for a text not kept yet.
     """
     nfa = a.to_nfa() if isinstance(a, Dfa) else a
     n = nfa.state_count
@@ -786,40 +784,28 @@ def automaton_chunks(a: Nfa | Dfa) -> Iterator[str]:
         f"[{p},{sym},{q}]" for p in range(n) for sym, row in syms if row[p] for q in _bits(row[p])
     )
     yield f'{head[:-1]},"edges":[{edges}],"epsilon":['
-    into: dict[int, int] = {}  # target -> sources, for one-target bicliques
-    wide: list[tuple[int, int]] = []  # the others
-    for src, dst in nfa.epsilon:
-        if dst & (dst - 1):
-            wide.append((src, dst))
-        else:
-            t = dst.bit_length() - 1
-            into[t] = into.get(t, 0) | src
-    targets = sorted(into.items())
-    # (one-target targets, indices of the wider bicliques) -> the row's
-    # pairs, each led by a comma and with "\0" for the source
-    texts: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
+    eps = nfa.epsilon
+    # indices of a state's bicliques -> its row's pairs, each led by a comma
+    # and with "\0" for the source
+    texts: dict[tuple[int, ...], str] = {}
     room = 1 << 20  # characters of row text that may still be kept
     first = True
     size = 1024  # states whose rows are built at a time
     block = (1 << size) - 1
     for base in range(0, n, size):
-        count = min(size, n - base)
-        rows: list[list[int]] = [[] for _ in range(count)]
-        for t, sources in targets:
-            for i in _bits(sources >> base & block):
-                rows[i].append(t)
-        among: list[list[int]] = [[] for _ in range(count)]  # each row's wide bicliques
-        for k, (sources, _) in enumerate(wide):
+        among: list[list[int]] = [[] for _ in range(min(size, n - base))]
+        for k, (sources, _) in enumerate(eps):
             for i in _bits(sources >> base & block):
                 among[i].append(k)
-        for p, row, ks in zip(range(base, base + count), rows, among):
-            if row or ks:
-                key = (tuple(row), tuple(ks))
+        for p, ks in enumerate(among, base):
+            if ks:
+                key = tuple(ks)
                 text = texts.get(key)
                 if text is None:
-                    if ks:
-                        row = sorted(set(row).union(*(_bits(wide[k][1]) for k in ks)))
-                    text = ",[\0," + "],[\0,".join(map(str, row)) + "]"
+                    targets = 0
+                    for k in ks:
+                        targets |= eps[k][1]
+                    text = ",[\0," + "],[\0,".join(map(str, _bits(targets))) + "]"
                     if len(text) <= room:
                         texts[key] = text
                         room -= len(text)
